@@ -20,7 +20,6 @@ from .core import (
     FecModel,
     FitReport,
     LongitudinalDataset,
-    Observation,
     Subject,
     load_model,
     read_long_csv,
@@ -40,6 +39,7 @@ from .predict import (
     TrajectoryEstimate,
     holdout_last_mspe,
     holdout_last_mspe_model,
+    predict_trajectories,
     predict_trajectory,
     project_scores,
     reconstruct,
@@ -60,19 +60,15 @@ from .sim import (
     gen_scores,
     gen_sparse_dataset,
     impe,
-    imse,
     run_replication_study,
 )
 from .solver import (
     PenalizedStepResult,
     SingularStepError,
     SolverOptions,
-    fit_first_fec,
     fit_soap,
     kkt_residual,
     objective,
-    psi_step_first,
-    psi_step_orthogonal,
     psi_step_penalized,
     score_step,
 )

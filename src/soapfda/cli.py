@@ -27,7 +27,7 @@ from .core import (
     validate_dataset,
 )
 from .oracle import compare_to_soap, dense_curves_from_rows, grid_eigenfunctions, uncentered_cov
-from .predict import default_grid, holdout_last_mspe_model, predict_trajectory
+from .predict import default_grid, holdout_last_mspe_model, predict_trajectories
 from .sim import SimulationConfig, parse_config_file, run_replication_study
 from .solver import SingularStepError, SolverOptions, fit_soap
 
@@ -119,7 +119,7 @@ def _write_trajectories_csv(path, trajectories) -> None:
 def cmd_fit(args) -> int:
     dataset = _load_dataset(args.input, args.domain)
     basis = _build_basis(dataset, args)
-    opts = SolverOptions(rng_seed=args.seed)
+    opts = SolverOptions()
     os.makedirs(args.output_dir, exist_ok=True)
 
     m_grid = _parse_m_grid(args.m_grid) if args.m_grid else None
@@ -134,9 +134,7 @@ def cmd_fit(args) -> int:
     if args.gamma_grid:
         candidates = _parse_gamma_grid(args.gamma_grid)
         _log(f"selecting gamma for {max_m} component(s) over {candidates} by LOCO-CV")
-        gammas, cv_tables = selection.select_gammas_sequential(
-            dataset, basis, max_m, candidates, opts, threads=args.threads
-        )
+        gammas, cv_tables = selection.select_gammas_sequential(dataset, basis, max_m, candidates, opts)
         report["cv"] = [
             {
                 "component": m + 1,
@@ -177,7 +175,7 @@ def cmd_fit(args) -> int:
     )
 
     grid = default_grid(dataset.domain, args.grid_size)
-    trajectories = [predict_trajectory(s, model, grid) for s in dataset.subjects]
+    trajectories = predict_trajectories(dataset.subjects, model, grid)
     save_model(model, os.path.join(args.output_dir, "model.json"))
     _write_scores_csv(os.path.join(args.output_dir, "scores.csv"), dataset.ids, model.scores)
     _write_trajectories_csv(os.path.join(args.output_dir, "fitted.csv"), trajectories)
@@ -197,7 +195,7 @@ def cmd_predict(args) -> int:
     os.makedirs(args.output_dir, exist_ok=True)
 
     grid = default_grid(model.basis.domain, args.grid_size)
-    trajectories = [predict_trajectory(s, model, grid) for s in dataset.subjects]
+    trajectories = predict_trajectories(dataset.subjects, model, grid)
     _write_trajectories_csv(os.path.join(args.output_dir, "predictions.csv"), trajectories)
     _write_scores_csv(
         os.path.join(args.output_dir, "scores.csv"),
@@ -269,7 +267,7 @@ def cmd_oracle_check(args) -> int:
 
     basis_size = args.basis_size or default_basis_size(dataset.n_obs_total, args.order)
     basis = make_bspline_basis(domain, basis_size, args.order)
-    model = fit_soap(dataset, basis, args.m, 0.0, SolverOptions(rng_seed=args.seed))
+    model = fit_soap(dataset, basis, args.m, 0.0)
 
     K = uncentered_cov(curve_set)
     oracle_funcs, eigenvalues = grid_eigenfunctions(K, curve_set.grid, args.m)
@@ -291,7 +289,7 @@ def cmd_oracle_check(args) -> int:
 def _add_common(parser, with_domain=True):
     parser.add_argument("--basis-size", type=int, default=None, help="number of basis functions")
     parser.add_argument("--order", type=int, default=4, help="spline order (4 = cubic)")
-    parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument("--seed", type=int, default=0, help="accepted and unused: the fit is deterministic")
     if with_domain:
         parser.add_argument("--domain", type=_parse_domain, default=None, metavar="a,b")
 
@@ -315,7 +313,6 @@ def build_parser() -> argparse.ArgumentParser:
     group_g.add_argument("--gamma", type=float, default=0.0, help="roughness penalty weight")
     group_g.add_argument("--gamma-grid", default=None, metavar="g1,g2,...", help="LOCO-CV over these gammas")
     fit.add_argument("--grid-size", type=int, default=101)
-    fit.add_argument("--threads", type=int, default=1)
     fit.set_defaults(func=cmd_fit)
 
     predict = sub.add_parser("predict", help="reconstruct trajectories for new subjects")
@@ -324,7 +321,6 @@ def build_parser() -> argparse.ArgumentParser:
     predict.add_argument("--output-dir", required=True)
     predict.add_argument("--grid-size", type=int, default=101)
     predict.add_argument("--holdout-last", action="store_true", help="also run the held-out-last protocol")
-    predict.add_argument("--seed", type=int, default=0)
     predict.set_defaults(func=cmd_predict)
 
     simulate = sub.add_parser("simulate", help="replicated synthetic-data study")

@@ -5,7 +5,7 @@ from __future__ import annotations
 import csv
 import json
 from dataclasses import dataclass, field
-from typing import Iterable, NamedTuple
+from typing import Iterable
 
 import numpy as np
 
@@ -14,11 +14,6 @@ from .basis import BasisSystem, make_bspline_basis
 
 class DataValidationError(ValueError):
     """Raised when raw input rows violate the dataset contract."""
-
-
-class Observation(NamedTuple):
-    t: float
-    y: float
 
 
 @dataclass(frozen=True)
@@ -40,10 +35,6 @@ class Subject:
     @property
     def n_obs(self) -> int:
         return len(self.t)
-
-    @property
-    def obs(self) -> tuple[Observation, ...]:
-        return tuple(Observation(float(a), float(b)) for a, b in zip(self.t, self.y))
 
 
 @dataclass(frozen=True)

@@ -5,12 +5,13 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
-from .basis import BasisSystem
+from .basis import BasisSystem, eval_basis_matrix
 from .core import FecModel, LongitudinalDataset, Subject
-from .solver import SCORE_SINGULAR_FLOOR, SolverOptions, _solve_scores, fit_soap
+from .solver import SolverOptions, _batched_scores, _size_groups, fit_soap
 
 
 @dataclass(frozen=True)
@@ -43,25 +44,38 @@ class MspeReport:
         }
 
 
-def project_scores(
-    subject: Subject, model: FecModel, floor: float = SCORE_SINGULAR_FLOOR
-) -> np.ndarray:
+def _project(subjects: Sequence[Subject], model: FecModel) -> np.ndarray:
+    """Scores of every subject, (len(subjects), M), batched by observation count.
+
+    The basis is evaluated once at all the subjects' times, and each group of
+    equal-size subjects goes through the fit's score kernel on the same
+    stacked designs the fit builds.
+    """
+    sizes = np.array([s.n_obs for s in subjects])
+    B = eval_basis_matrix(model.basis, np.concatenate([s.t for s in subjects]))
+    y = np.concatenate([s.y for s in subjects])
+    out = np.empty((len(subjects), model.n_components))
+    for idx, rows in _size_groups(sizes):
+        psi = B[rows] @ model.coef
+        for i in idx[~psi.any(axis=(1, 2))]:
+            warnings.warn(
+                f"subject {subjects[i].id}: all components vanish at its observation times; "
+                "returning zero scores",
+                stacklevel=3,
+            )
+        out[idx] = _batched_scores(psi, y[rows])
+    return out
+
+
+def project_scores(subject: Subject, model: FecModel) -> np.ndarray:
     """Least-squares scores for a subject from its observations.
 
-    Uses the same truncated minimum-norm rule as the fitting score step, so
+    Uses the fitting score step's truncated minimum-norm kernel, so
     projecting a training subject reproduces its fitted scores exactly. If
     every component is zero at all of the subject's times there is nothing
     to project onto: the scores are zero and a warning is issued.
     """
-    psi = model.component_values(subject.t)
-    if not np.any(psi):
-        warnings.warn(
-            f"subject {subject.id}: all components vanish at its observation times; "
-            "returning zero scores",
-            stacklevel=2,
-        )
-        return np.zeros(model.n_components)
-    return _solve_scores(psi, subject.y, floor)
+    return _project([subject], model)[0]
 
 
 def reconstruct(model: FecModel, scores, grid, subject_id: str = "") -> TrajectoryEstimate:
@@ -74,10 +88,26 @@ def reconstruct(model: FecModel, scores, grid, subject_id: str = "") -> Trajecto
     return TrajectoryEstimate(subject_id=subject_id, grid=grid, values=values, scores=scores)
 
 
+def predict_trajectories(subjects: Sequence[Subject], model: FecModel, grid) -> list[TrajectoryEstimate]:
+    """Project every subject's scores and reconstruct it on the grid.
+
+    Scores are projected in batches (see ``project_scores``) and the
+    components are evaluated on the grid once for all subjects.
+    """
+    grid = np.asarray(grid, dtype=float)
+    phi = model.component_values(grid)
+    if not subjects:
+        return []
+    scores = _project(subjects, model)
+    return [
+        TrajectoryEstimate(subject_id=s.id, grid=grid, values=phi @ a, scores=a)
+        for s, a in zip(subjects, scores)
+    ]
+
+
 def predict_trajectory(subject: Subject, model: FecModel, grid) -> TrajectoryEstimate:
     """Project a subject's scores and reconstruct it on the grid."""
-    scores = project_scores(subject, model)
-    return reconstruct(model, scores, grid, subject_id=subject.id)
+    return predict_trajectories([subject], model, grid)[0]
 
 
 def default_grid(domain: tuple[float, float], size: int = 101) -> np.ndarray:
@@ -93,22 +123,18 @@ def holdout_last_mspe_model(model: FecModel, test: LongitudinalDataset) -> MspeR
     prediction at the dropped time is recorded. Single-observation subjects
     are excluded and counted.
     """
-    errors: list[tuple[str, float]] = []
-    n_excluded = 0
-    for subject in test.subjects:
-        if subject.n_obs < 2:
-            n_excluded += 1
-            continue
-        kept = Subject(id=subject.id, t=subject.t[:-1].copy(), y=subject.y[:-1].copy())
-        scores = project_scores(kept, model)
-        pred = float((model.component_values(subject.t[-1:]) @ scores)[0])
-        errors.append((subject.id, (pred - float(subject.y[-1])) ** 2))
-    if not errors:
+    eligible = [s for s in test.subjects if s.n_obs >= 2]
+    n_excluded = test.n_subjects - len(eligible)
+    if not eligible:
         raise ValueError("no eligible test subjects (all have a single observation)")
-    values = np.array([e for _, e in errors])
+    kept = [Subject(id=s.id, t=s.t[:-1], y=s.y[:-1]) for s in eligible]
+    scores = _project(kept, model)
+    pred = np.einsum("im,im->i", model.component_values([s.t[-1] for s in eligible]), scores)
+    sq = (pred - np.array([s.y[-1] for s in eligible])) ** 2
+    errors = [(s.id, float(e)) for s, e in zip(eligible, sq)]
     return MspeReport(
-        mspe_mean=float(values.mean()),
-        mspe_median=float(np.median(values)),
+        mspe_mean=float(sq.mean()),
+        mspe_median=float(np.median(sq)),
         n_eligible=len(errors),
         n_excluded=n_excluded,
         per_subject=tuple(errors),

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -11,14 +10,7 @@ import numpy as np
 
 from .basis import BasisSystem
 from .core import FecModel, LongitudinalDataset
-from .solver import (
-    SCORE_SINGULAR_FLOOR,
-    SingularStepError,
-    SolverOptions,
-    _extract_stage,
-    _solve_scores,
-    _Workspace,
-)
+from .solver import SingularStepError, SolverOptions, _batched_scores, _extract_stage, _Workspace
 
 DEFAULT_GAMMA_GRID = (0.0, 1e-2, 1.0, 1e2, 1e4, 1e8)
 
@@ -122,12 +114,11 @@ def _cv_fold_error(parent: _Workspace, i: int, fixed, gamma, opts) -> float:
     """Prediction error for held-out subject i: (1/n_i) sum_j (yhat - y)^2."""
     fold = parent.drop_subject(i)
     beta = _fit_component_on(fold, fixed, gamma, opts)
-    subject = parent.dataset.subjects[i]
-    basis_rows = parent.B[parent.rows(i)]
-    psi = basis_rows @ np.column_stack([fixed, beta])
-    alpha = _solve_scores(psi, subject.y, SCORE_SINGULAR_FLOOR)
-    resid = subject.y - psi @ alpha
-    return float(resid @ resid) / subject.n_obs
+    y = parent.y[parent.rows(i)]
+    psi = parent.B[parent.rows(i)] @ np.column_stack([fixed, beta])
+    alpha = _batched_scores(psi[None], y[None])[0]
+    resid = y - psi @ alpha
+    return float(resid @ resid) / len(y)
 
 
 def loco_cv_gamma(
@@ -139,7 +130,6 @@ def loco_cv_gamma(
     opts: SolverOptions | None = None,
     max_folds: int | None = None,
     fold_seed: int = 0,
-    threads: int = 1,
 ) -> CvResult:
     """Select the smoothing parameter for one component by leave-one-curve-out CV.
 
@@ -151,9 +141,7 @@ def loco_cv_gamma(
     that candidate invalid (inf); if every candidate fails, raises.
 
     ``max_folds`` optionally evaluates only a seeded random subset of folds
-    (useful for large n; the default is the exact procedure). Folds are
-    independent and may run on ``threads`` workers; the reduction is keyed
-    by subject, so results do not depend on scheduling.
+    (useful for large n; the default is the exact procedure).
     """
     if len(candidates) == 0:
         raise ValueError("need at least one candidate gamma")
@@ -177,14 +165,7 @@ def loco_cv_gamma(
     errors = []
     for gamma in candidates:
         try:
-            if threads > 1:
-                with ThreadPoolExecutor(max_workers=threads) as pool:
-                    per_fold = list(
-                        pool.map(lambda i: _cv_fold_error(parent, i, fixed, gamma, opts), folds)
-                    )
-            else:
-                per_fold = [_cv_fold_error(parent, i, fixed, gamma, opts) for i in folds]
-            errors.append(float(sum(per_fold)))
+            errors.append(float(sum(_cv_fold_error(parent, i, fixed, gamma, opts) for i in folds)))
         except SingularStepError:
             errors.append(math.inf)
 
@@ -211,7 +192,6 @@ def select_gammas_sequential(
     opts: SolverOptions | None = None,
     max_folds: int | None = None,
     fold_seed: int = 0,
-    threads: int = 1,
 ) -> tuple[list[float], list[CvResult]]:
     """Pick gamma for each component in turn, fixing earlier components.
 
@@ -226,9 +206,7 @@ def select_gammas_sequential(
     chosen: list[float] = []
     tables: list[CvResult] = []
     for m in range(1, n_components + 1):
-        result = loco_cv_gamma(
-            dataset, basis, m, fixed, candidates, opts, max_folds, fold_seed, threads
-        )
+        result = loco_cv_gamma(dataset, basis, m, fixed, candidates, opts, max_folds, fold_seed)
         chosen.append(result.chosen)
         tables.append(result)
         beta = _fit_component_on(ws, fixed, result.chosen, opts)

@@ -1,4 +1,4 @@
-"""Synthetic sparse-curve generation and the integrated error metrics.
+"""Synthetic sparse-curve generation, the IMPE metric and replicated studies.
 
 Curves are rank-2: X_i(t) = a_i1 psi_1(t) + a_i2 psi_2(t) with an
 orthonormal pair psi_1, psi_2, subject counts and sampling laws chosen to
@@ -15,7 +15,8 @@ import numpy as np
 
 from .basis import default_basis_size, make_bspline_basis
 from .core import LongitudinalDataset, validate_dataset
-from .predict import default_grid, predict_trajectory
+from .oracle import sign_aligned_imse
+from .predict import default_grid, predict_trajectories
 from .solver import SolverOptions, fit_soap
 
 
@@ -184,21 +185,6 @@ def impe(predicted: np.ndarray, true_curves: np.ndarray, grid) -> float:
     return float(per_subject.mean())
 
 
-def imse(psi_hat, psi_true, grid, sign_align: bool = True) -> float:
-    """Integral of (psi_hat - psi_true)^2; components are identified only up
-    to sign, so by default the better of the two orientations is reported."""
-    psi_hat = np.asarray(psi_hat, dtype=float)
-    psi_true = np.asarray(psi_true, dtype=float)
-    grid = np.asarray(grid, dtype=float)
-    if psi_hat.shape != psi_true.shape or psi_hat.shape != grid.shape:
-        raise ValueError("functions and grid must share one shape")
-    raw = float(np.trapezoid((psi_hat - psi_true) ** 2, grid))
-    if not sign_align:
-        return raw
-    flipped = float(np.trapezoid((psi_hat + psi_true) ** 2, grid))
-    return min(raw, flipped)
-
-
 @dataclass(frozen=True)
 class MetricStats:
     mean: float
@@ -282,9 +268,7 @@ def run_replication_study(
             L = basis_size if basis_size is not None else default_basis_size(train.n_obs_total, order)
             basis = make_bspline_basis(config.domain, L, order)
             model = fit_soap(train, basis, n_components, gammas, opts)
-            predicted = np.vstack(
-                [predict_trajectory(s, model, grid).values for s in test.subjects]
-            )
+            predicted = np.vstack([t.values for t in predict_trajectories(test.subjects, model, grid)])
             truth = truth_test.curves_matrix(grid)
             fitted = model.component_values(grid)
             record = {
@@ -292,7 +276,7 @@ def run_replication_study(
                 "impe": impe(predicted, truth, grid),
             }
             for m in range(n_cmp_tracked):
-                record[f"imse_{m + 1}"] = imse(fitted[:, m], true_values[m], grid)
+                record[f"imse_{m + 1}"] = sign_aligned_imse(fitted[:, m], true_values[m], grid)
             return record
         except Exception:  # noqa: BLE001 - a failed replication is data, not a crash
             return None

@@ -51,15 +51,13 @@ class SolverOptions:
     ``init_rule`` is one of ``svd_ridge`` (deterministic spectral start from
     per-subject ridge fits), ``first_basis`` (G-normalized basis functions),
     or ``user_supplied`` (``init_coef`` holds a vector or L x M matrix).
-    ``rng_seed`` is reserved for randomized fallbacks; the default rules are
-    fully deterministic and never draw from it.
+    Every rule is deterministic.
     """
 
     max_inner_iters: int = 200
     max_outer_sweeps: int = 20
     rel_tol: float = 1e-7
     init_rule: str = "svd_ridge"
-    rng_seed: int = 0
     init_coef: np.ndarray | None = None
 
     def __post_init__(self):
@@ -129,13 +127,9 @@ class _Workspace:
         reused by every batched score step.
         """
         if self._groups is None:
-            groups = []
-            for size in np.unique(self.sizes):
-                idx = np.flatnonzero(self.sizes == size)
-                designs = np.stack([self.B[self.rows(i)] for i in idx])
-                values = np.stack([self.y[self.rows(i)] for i in idx])
-                groups.append((idx, designs, values))
-            self._groups = groups
+            self._groups = [
+                (idx, self.B[rows], self.y[rows]) for idx, rows in _size_groups(self.sizes)
+            ]
         return self._groups
 
     def drop_subject(self, i: int) -> "_Workspace":
@@ -167,21 +161,48 @@ def _minnorm_lstsq(a: np.ndarray, b: np.ndarray, cond: float) -> np.ndarray:
     return sol
 
 
-def _solve_scores(values: np.ndarray, y: np.ndarray, floor: float) -> np.ndarray:
-    """Minimum-norm least-squares scores with a truncated singular spectrum.
+def _size_groups(sizes: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Subjects grouped by observation count: (indices (k,), row indices (k, n_i)).
 
-    Directions are kept when their singular value clears both the relative
-    rank tolerance and the absolute floor (see SCORE_SINGULAR_FLOOR); the
-    rule depends only on the component values, never on y, so score
-    estimation stays exactly linear and scale-equivariant in the data.
+    Row indices address data stored subject after subject with the given
+    sizes, so ``X[rows]`` stacks the k subjects' rows into one (k, n_i, ...)
+    array.
     """
-    u, s, vt = np.linalg.svd(values, full_matrices=False)
-    if s.size == 0 or s[0] == 0.0:
-        return np.zeros(values.shape[1])
-    keep = s > max(SCORE_RANK_TOL * s[0], floor)
-    if not np.any(keep):
-        return np.zeros(values.shape[1])
-    return vt[keep].T @ ((u[:, keep].T @ y) / s[keep])
+    starts = np.concatenate([[0], np.cumsum(sizes)[:-1]])
+    groups = []
+    for size in np.unique(sizes):
+        idx = np.flatnonzero(sizes == size)
+        groups.append((idx, starts[idx, None] + np.arange(size)))
+    return groups
+
+
+def _batched_scores(psi: np.ndarray, y: np.ndarray, prev: np.ndarray | None = None) -> np.ndarray:
+    """Minimum-norm least-squares scores on a truncated singular spectrum.
+
+    ``psi`` is (k, n_i, M), each subject's component values at its n_i
+    observation times, and ``y`` is (k, n_i); returns (k, M). Directions are
+    kept when their singular value clears both the relative rank tolerance
+    and the absolute floor (see SCORE_SINGULAR_FLOOR); the rule depends only
+    on the component values, never on y, so score estimation stays exactly
+    linear and scale-equivariant in the data. Every subject is solved on its
+    own slice, so its scores do not depend on which subjects share the stack.
+
+    With ``prev`` (k, M) given, a subject keeps its previous scores when
+    those fit it at least as well under the current components: the
+    truncation subspace can change between iterations as components rotate,
+    and this guard is what keeps the recorded objective trace non-increasing.
+    """
+    u, s, vt = np.linalg.svd(psi, full_matrices=False)
+    inv = np.zeros_like(s)
+    np.divide(1.0, s, out=inv, where=s > np.maximum(SCORE_RANK_TOL * s[..., :1], SCORE_SINGULAR_FLOOR))
+    uy = np.matmul(u.transpose(0, 2, 1), y[..., None])[..., 0]
+    sol = np.matmul(vt.transpose(0, 2, 1), (inv * uy)[..., None])[..., 0]
+    if prev is not None:
+        r_new = y - np.matmul(psi, sol[..., None])[..., 0]
+        r_old = y - np.matmul(psi, prev[..., None])[..., 0]
+        worse = np.einsum("ki,ki->k", r_new, r_new) > np.einsum("ki,ki->k", r_old, r_old)
+        sol[worse] = prev[worse]
+    return sol
 
 
 def _loss(ws: _Workspace, coef, scores, gammas) -> tuple[float, float]:
@@ -209,11 +230,7 @@ def objective(dataset: LongitudinalDataset, model: FecModel) -> float:
     return full
 
 
-def score_step(
-    dataset: LongitudinalDataset,
-    fec_values: Sequence[np.ndarray],
-    floor: float = SCORE_SINGULAR_FLOOR,
-) -> np.ndarray:
+def score_step(dataset: LongitudinalDataset, fec_values: Sequence[np.ndarray]) -> np.ndarray:
     """Per-subject least-squares scores given component values at observation times.
 
     ``fec_values[i]`` holds the n_i x M matrix of component values at subject
@@ -222,60 +239,28 @@ def score_step(
     """
     if len(fec_values) != dataset.n_subjects:
         raise ValueError("need one value matrix per subject")
-    m_cols = {np.atleast_2d(v).shape[1] for v in fec_values}
+    values = [np.atleast_2d(np.asarray(v, dtype=float)) for v in fec_values]
+    m_cols = {v.shape[1] for v in values}
     if len(m_cols) != 1:
         raise ValueError(f"inconsistent component counts across subjects: {sorted(m_cols)}")
-    out = np.empty((dataset.n_subjects, m_cols.pop()))
-    for i, subject in enumerate(dataset.subjects):
-        vals = np.atleast_2d(np.asarray(fec_values[i], dtype=float))
+    for vals, subject in zip(values, dataset.subjects):
         if vals.shape[0] != subject.n_obs:
             raise ValueError(f"subject {subject.id}: {vals.shape[0]} rows for {subject.n_obs} observations")
-        out[i] = _solve_scores(vals, subject.y, floor)
+    stacked = np.concatenate(values)
+    y = np.concatenate([s.y for s in dataset.subjects])
+    out = np.empty((dataset.n_subjects, m_cols.pop()))
+    for idx, rows in _size_groups(np.array([s.n_obs for s in dataset.subjects])):
+        out[idx] = _batched_scores(stacked[rows], y[rows])
     return out
 
 
-def _score_step_ws(
-    ws: _Workspace,
-    coef: np.ndarray,
-    prev: np.ndarray | None = None,
-    floor: float = SCORE_SINGULAR_FLOOR,
-) -> np.ndarray:
-    """Per-subject truncated least-squares scores under the current components.
-
-    With ``prev`` given, each subject keeps its previous scores when those
-    fit it at least as well under the current components: the truncation
-    subspace can change between iterations as components rotate, and this
-    guard is what keeps the recorded objective trace non-increasing. Guarded
-    steps run batched over subjects with equal observation counts.
-
-    Without ``prev`` (the final refit), the per-subject product is taken on
-    the sliced rows so the result is bit-identical to projecting that
-    subject's design alone: prediction reuses that exact computation.
-    """
-    if prev is not None:
-        return _score_step_batched(ws, coef, prev, floor)
-    out = np.empty((ws.n, coef.shape[1]))
-    for i in range(ws.n):
-        sl = ws.rows(i)
-        psi_i = ws.B[sl] @ coef
-        out[i] = _solve_scores(psi_i, ws.y[sl], floor)
-    return out
-
-
-def _score_step_batched(ws: _Workspace, coef, prev, floor: float) -> np.ndarray:
+def _score_step_ws(ws: _Workspace, coef: np.ndarray, prev: np.ndarray | None = None) -> np.ndarray:
+    """Per-subject truncated least-squares scores under the current components,
+    batched over subjects with equal observation counts; ``prev`` enables the
+    guard of ``_batched_scores``."""
     out = np.empty((ws.n, coef.shape[1]))
     for idx, designs, values in ws.size_groups():
-        psi = designs @ coef  # (k, n_i, M)
-        u, s, vt = np.linalg.svd(psi, full_matrices=False)
-        inv = np.zeros_like(s)
-        np.divide(1.0, s, out=inv, where=s > np.maximum(SCORE_RANK_TOL * s[..., :1], floor))
-        uy = np.matmul(u.transpose(0, 2, 1), values[..., None])[..., 0]
-        sol = np.matmul(vt.transpose(0, 2, 1), (inv * uy)[..., None])[..., 0]
-        r_new = values - np.matmul(psi, sol[..., None])[..., 0]
-        r_old = values - np.matmul(psi, prev[idx][..., None])[..., 0]
-        worse = np.einsum("ki,ki->k", r_new, r_new) > np.einsum("ki,ki->k", r_old, r_old)
-        sol[worse] = prev[idx][worse]
-        out[idx] = sol
+        out[idx] = _batched_scores(designs @ coef, values, None if prev is None else prev[idx])
     return out
 
 
@@ -459,54 +444,6 @@ def _psi_update(ws: _Workspace, scores, coef, m: int, gamma: float):
         beta = Z @ beta
     beta = beta / math.sqrt(float(beta @ gram @ beta))
     return beta, s, fallback
-
-
-def psi_step_first(dataset: LongitudinalDataset, scores, basis: BasisSystem) -> np.ndarray:
-    """Unpenalized update of a single component from its score vector.
-
-    Solves the weighted least squares over basis coefficients and scales the
-    result to unit G-norm. Raises ``SingularStepError`` when the design is
-    degenerate (all scores zero, or no observation overlaps the basis).
-    """
-    scores = np.asarray(scores, dtype=float).reshape(-1, 1)
-    ws = _Workspace(dataset, basis)
-    if scores.shape[0] != ws.n:
-        raise ValueError("score vector length does not match subject count")
-    beta, _, _ = _psi_update(ws, scores, np.zeros((basis.size, 1)), 0, 0.0)
-    return beta
-
-
-def psi_step_orthogonal(
-    dataset: LongitudinalDataset,
-    scores,
-    basis: BasisSystem,
-    fixed_coefs,
-    gamma: float = 0.0,
-) -> np.ndarray:
-    """Update the last-scored component subject to orthogonality with fixed ones.
-
-    ``scores`` has one column per fixed component plus a final column for the
-    target; ``fixed_coefs`` is L x (m-1) and must be G-orthonormal. The
-    equality constraints are eliminated by parametrizing over the
-    G-orthogonal complement of the fixed components, after which the reduced
-    problem is solved and scaled to unit norm (penalized exactly when
-    gamma > 0).
-    """
-    scores = np.asarray(scores, dtype=float)
-    fixed = np.asarray(fixed_coefs, dtype=float)
-    if fixed.ndim == 1:
-        fixed = fixed[:, None]
-    if fixed.size:
-        err = np.max(np.abs(fixed.T @ basis.gram @ fixed - np.eye(fixed.shape[1])))
-        if err > 1e-6:
-            raise ValueError(f"fixed components are not G-orthonormal (error {err:.2e})")
-    k = fixed.shape[1] if fixed.size else 0
-    if scores.ndim != 2 or scores.shape[1] != k + 1:
-        raise ValueError(f"scores must have {k + 1} columns (fixed components plus target)")
-    ws = _Workspace(dataset, basis)
-    coef = np.column_stack([fixed, np.zeros(basis.size)]) if k else np.zeros((basis.size, 1))
-    beta, _, _ = _psi_update(ws, scores, coef, k, gamma)
-    return beta
 
 
 # ---------------------------------------------------------------------------
@@ -733,7 +670,8 @@ def fit_soap(
                 new_coef[:, m] = beta
                 new_scores = scores.copy()
                 new_scores[:, m] = scores[:, m] * s
-                full_before, _ = _loss(ws, coef, scores, gam)
+                # every path appends the objective of the current (coef, scores) last
+                full_before = trace[-1]
                 full_after, _ = _loss(ws, new_coef, new_scores, gam)
                 if full_after <= full_before + _UPHILL_TOL * max(1.0, full_before):
                     coef, scores = new_coef, new_scores
@@ -749,10 +687,10 @@ def fit_soap(
             prev = cur
         all_converged &= refined
 
-    # Finalize with pure projections: the returned scores are exactly the
-    # per-subject least-squares projections onto the final components (the
-    # same computation `predict.project_scores` performs), not the guarded
-    # iterates, so fitting and prediction agree bitwise on training data.
+    # Finalize with pure projections: the returned scores are the unguarded
+    # output of the score kernel that `predict.project_scores` also uses, not
+    # the guarded iterates, so fitting and prediction agree bitwise on
+    # training data.
     coef = _fix_signs(ws, coef)
     scores = _score_step_ws(ws, coef)
     _, base = _loss(ws, coef, scores, gam)
@@ -774,14 +712,3 @@ def fit_soap(
         noise_var=base,
         report=report,
     )
-
-
-def fit_first_fec(
-    dataset: LongitudinalDataset,
-    basis: BasisSystem,
-    gamma: float = 0.0,
-    opts: SolverOptions | None = None,
-) -> tuple[np.ndarray, np.ndarray, FitReport]:
-    """Fit the leading component only; returns (coef vector, score column, report)."""
-    model = fit_soap(dataset, basis, 1, [gamma], opts)
-    return model.coef[:, 0], model.scores[:, 0], model.report

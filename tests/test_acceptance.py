@@ -17,7 +17,6 @@ from soapfda import (
     aic,
     fit_soap,
     gen_sparse_dataset,
-    imse,
     kkt_residual,
     make_bspline_basis,
     psi_step_penalized,
@@ -29,7 +28,13 @@ from soapfda import (
 from soapfda.basis import default_basis_size, eval_basis_matrix
 from soapfda.cli import main as cli_main
 from soapfda.core import FecModel, dataset_to_rows, write_long_csv
-from soapfda.oracle import DenseCurveSet, compare_to_soap, grid_eigenfunctions, uncentered_cov
+from soapfda.oracle import (
+    DenseCurveSet,
+    compare_to_soap,
+    grid_eigenfunctions,
+    sign_aligned_imse,
+    uncentered_cov,
+)
 from soapfda.predict import default_grid, predict_trajectory
 from soapfda.sim import cosine_pair, gen_scores, impe
 
@@ -237,7 +242,7 @@ class TestCriterion6:
                 ds, _, truth = gen_sparse_dataset(cfg, n, rng)
                 basis = make_bspline_basis(cfg.domain, default_basis_size(ds.n_obs_total), 4)
                 model = fit_soap(ds, basis, 2, STUDY_GAMMA)
-                vals.append(imse(model.component_values(grid)[:, 0], truth.f1(grid), grid))
+                vals.append(sign_aligned_imse(model.component_values(grid)[:, 0], truth.f1(grid), grid))
             medians.append(float(np.median(vals)))
         elapsed = time.time() - start
         ok = medians[0] >= medians[1] >= medians[2] and elapsed < 900.0
@@ -308,7 +313,7 @@ class TestCriterion8:
         imse_naive = min(
             np.trapezoid((f - g) ** 2, grid), np.trapezoid((f + g) ** 2, grid)
         )
-        imse_err = abs(imse(f, g, grid) - imse_naive)
+        imse_err = abs(sign_aligned_imse(f, g, grid) - imse_naive)
 
         ok = chosen == 3 and sigma2_err <= 1e-12 and impe_err <= 1e-12 and imse_err <= 1e-12
         verdict(

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -8,6 +10,7 @@ from soapfda import (
     holdout_last_mspe,
     holdout_last_mspe_model,
     make_bspline_basis,
+    predict_trajectories,
     predict_trajectory,
     project_scores,
     reconstruct,
@@ -31,6 +34,19 @@ def make_model(basis, rng, n=12):
             noise_var=0.0,
         ),
         scores,
+    )
+
+
+def vanishing_at_right_end(model):
+    """The model with every component zero at the right end of the domain."""
+    coef = model.coef.copy()
+    coef[-1, :] = 0.0  # components at the right endpoint depend only on the last entry
+    return FecModel(
+        basis=model.basis,
+        coef=coef / np.sqrt(np.diag(coef.T @ model.basis.gram @ coef)),
+        scores=model.scores,
+        gammas=model.gammas,
+        noise_var=0.0,
     )
 
 
@@ -60,21 +76,69 @@ class TestProjectScores:
         np.testing.assert_allclose(s3, 3.0 * s1, rtol=1e-12)
 
     def test_vanishing_components_warn_and_zero(self, cubic_basis, rng):
-        model, _ = make_model(cubic_basis, rng)
-        # components at the right endpoint depend only on the last coef entry
-        coef = model.coef.copy()
-        coef[-1, :] = 0.0
-        model0 = FecModel(
-            basis=cubic_basis,
-            coef=coef / np.sqrt(np.diag(coef.T @ cubic_basis.gram @ coef)),
-            scores=model.scores,
-            gammas=model.gammas,
-            noise_var=0.0,
-        )
+        model0 = vanishing_at_right_end(make_model(cubic_basis, rng)[0])
         subject = Subject(id="s", t=np.array([1.0]), y=np.array([5.0]))
         with pytest.warns(UserWarning, match="vanish"):
             got = project_scores(subject, model0)
         np.testing.assert_array_equal(got, np.zeros(2))
+
+
+class TestBatchedProjection:
+    def test_alone_equals_row_of_mixed_size_batch(self, cubic_basis, rng):
+        model, _ = make_model(cubic_basis, rng)
+        grid = np.linspace(0, 1, 11)
+        subjects = [
+            Subject(id=f"s{i}", t=np.sort(rng.uniform(0, 1, n_i)), y=rng.normal(size=n_i))
+            for i, n_i in enumerate([1, 3, 2, 3, 6, 1, 2, 4])
+        ]
+        subjects.append(Subject(id="tied", t=np.array([0.5, 0.5, 0.5]), y=np.array([1.0, 2.0, 0.5])))
+        batch = predict_trajectories(subjects, model, grid)
+        for subject, traj in zip(subjects, batch):
+            assert traj.subject_id == subject.id
+            np.testing.assert_array_equal(project_scores(subject, model), traj.scores)
+            np.testing.assert_array_equal(predict_trajectory(subject, model, grid).values, traj.values)
+
+    def test_no_subjects_no_trajectories(self, cubic_basis, rng):
+        model, _ = make_model(cubic_basis, rng)
+        assert predict_trajectories([], model, np.linspace(0, 1, 11)) == []
+
+    @pytest.mark.parametrize("gamma", [0.0, 1e-3])
+    def test_fit_scores_equal_projection_bitwise(self, gamma):
+        cfg = SimulationConfig(seed=11, noise_sd=1.0)
+        ds, _, _ = gen_sparse_dataset(cfg, 60, np.random.default_rng(11))
+        model = fit_soap(ds, make_bspline_basis(cfg.domain, 8, 4), 2, gamma)
+        for i, subject in enumerate(ds.subjects):
+            np.testing.assert_array_equal(project_scores(subject, model), model.scores[i])
+
+    def test_holdout_matches_per_subject_loop(self, cubic_basis, rng):
+        model = vanishing_at_right_end(make_model(cubic_basis, rng)[0])
+        rows = [("vanish", 1.0, 3.0), ("vanish", 1.0, 4.0), ("lonely", 0.3, 1.0)]
+        for i, n_i in enumerate([2, 5, 3, 2, 4, 3]):
+            t = np.sort(rng.uniform(0, 1, n_i))
+            rows += [(f"s{i}", float(a), float(b)) for a, b in zip(t, rng.normal(size=n_i))]
+        ds = validate_dataset(rows, (0.0, 1.0))
+
+        with warnings.catch_warnings(record=True) as got_warnings:
+            warnings.simplefilter("always")
+            report = holdout_last_mspe_model(model, ds)
+        expected = []
+        with warnings.catch_warnings(record=True) as ref_warnings:
+            warnings.simplefilter("always")
+            for s in ds.subjects:
+                if s.n_obs < 2:
+                    continue
+                kept = Subject(id=s.id, t=s.t[:-1].copy(), y=s.y[:-1].copy())
+                pred = float((model.component_values(s.t[-1:]) @ project_scores(kept, model))[0])
+                expected.append((s.id, (pred - float(s.y[-1])) ** 2))
+
+        assert [sid for sid, _ in report.per_subject] == [sid for sid, _ in expected]
+        for (_, err), (_, ref) in zip(report.per_subject, expected):
+            assert abs(err - ref) <= 1e-12 * max(1.0, ref)
+        assert (report.n_eligible, report.n_excluded) == (len(expected), 1)
+        assert abs(report.mspe_mean - np.mean([e for _, e in expected])) <= 1e-12 * report.mspe_mean
+        messages = [str(w.message) for w in got_warnings]
+        assert messages == [str(w.message) for w in ref_warnings]
+        assert len(messages) == 1 and "subject vanish" in messages[0]
 
 
 class TestReconstruct:

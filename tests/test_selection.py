@@ -176,13 +176,6 @@ class TestLocoCv:
         assert res1.cv_errors == res2.cv_errors
         assert res1.chosen == res2.chosen
 
-    def test_threaded_matches_sequential(self):
-        ds = small_dataset(8, n=12)
-        basis = make_bspline_basis((0.0, 1.0), 6, 4)
-        res1 = loco_cv_gamma(ds, basis, 1, None, [0.0, 1e-2], threads=1)
-        res4 = loco_cv_gamma(ds, basis, 1, None, [0.0, 1e-2], threads=4)
-        assert res1.cv_errors == res4.cv_errors
-
     def test_empty_candidates_rejected(self):
         ds = small_dataset(9, n=8)
         basis = make_bspline_basis((0.0, 1.0), 6, 4)

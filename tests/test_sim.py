@@ -9,11 +9,10 @@ from soapfda import (
     gen_scores,
     gen_sparse_dataset,
     impe,
-    imse,
     run_replication_study,
     validate_dataset,
 )
-from soapfda.oracle import trapezoid_weights
+from soapfda.oracle import sign_aligned_imse, trapezoid_weights
 from soapfda.sim import check_orthonormal, cosine_pair, parse_config_file
 
 
@@ -110,9 +109,8 @@ class TestMetrics:
     def test_imse_zero_and_sign_aligned(self):
         grid = np.linspace(0, 1, 101)
         f = np.sin(2 * np.pi * grid)
-        assert imse(f, f, grid) == 0.0
-        assert imse(-f, f, grid) == 0.0
-        assert imse(-f, f, grid, sign_align=False) > 1.0
+        assert sign_aligned_imse(f, f, grid) == 0.0
+        assert sign_aligned_imse(-f, f, grid) == 0.0
 
     def test_imse_perturbation(self):
         grid = np.linspace(0, 1, 4001)
@@ -121,7 +119,7 @@ class TestMetrics:
         eta = np.sqrt(2.0) * np.cos(4 * np.pi * grid)
         eta /= np.sqrt(w @ eta**2)
         eps = 0.01
-        got = imse(f + eps * eta, f, grid)
+        got = sign_aligned_imse(f + eps * eta, f, grid)
         assert abs(got - eps**2) < 0.02 * eps**2
 
 
