@@ -137,23 +137,13 @@ def _gram_and_penalty(knots, order, lo, hi, interior, size):
     gram = (gram + gram.T) / 2.0
 
     if order >= 3:
-        d2 = _second_derivative_matrix(x, knots, order, size)
+        d2 = BSpline(knots, np.eye(size), order - 1).derivative(2)(x)
         penalty = d2.T @ (w[:, None] * d2)
         penalty = (penalty + penalty.T) / 2.0
     else:
         # order-2 splines are piecewise linear: a.e. zero curvature
         penalty = np.zeros((size, size))
     return gram, penalty
-
-
-def _second_derivative_matrix(x, knots, order, size):
-    out = np.empty((len(x), size))
-    coef = np.zeros(size)
-    for j in range(size):
-        coef[j] = 1.0
-        out[:, j] = BSpline(knots, coef, order - 1).derivative(2)(x)
-        coef[j] = 0.0
-    return out
 
 
 def eval_basis_matrix(basis: BasisSystem, times) -> np.ndarray:

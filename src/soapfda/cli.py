@@ -167,12 +167,19 @@ def cmd_fit(args) -> int:
         {
             "converged": fit_report.converged,
             "n_sweeps": fit_report.n_sweeps,
+            "n_fallbacks": fit_report.n_fallbacks,
             "loss_trace": list(fit_report.loss_trace),
             "sweep_objectives": list(fit_report.sweep_objectives),
             "noise_var": model.noise_var,
             "orthonormality_error": model.orthonormality_error(),
         }
     )
+
+    if not fit_report.converged:
+        _log(
+            f"warning: fit did not converge within max_inner_iters={opts.max_inner_iters}, "
+            f"max_outer_sweeps={opts.max_outer_sweeps}; final objective {fit_report.loss_trace[-1]!r}"
+        )
 
     grid = default_grid(dataset.domain, args.grid_size)
     trajectories = predict_trajectories(dataset.subjects, model, grid)

@@ -49,12 +49,11 @@ def sigma2_hat(dataset: LongitudinalDataset, model: FecModel) -> float:
     """Average squared residual: (1/n) sum_i (1/n_i) ||y_i - yhat_i||^2."""
     if model.scores.shape[0] != dataset.n_subjects:
         raise ValueError("model scores do not match the dataset's subject count")
-    total = 0.0
-    for i, subject in enumerate(dataset.subjects):
-        fitted = model.component_values(subject.t) @ model.scores[i]
-        resid = subject.y - fitted
-        total += float(resid @ resid) / subject.n_obs
-    return total / dataset.n_subjects
+    sizes = np.array([s.n_obs for s in dataset.subjects])
+    scores = np.repeat(model.scores, sizes, axis=0)
+    fitted = (model.component_values(dataset.all_times()) * scores).sum(axis=1)
+    resid = np.concatenate([s.y for s in dataset.subjects]) - fitted
+    return float(np.repeat(1.0 / (dataset.n_subjects * sizes), sizes) @ (resid * resid))
 
 
 def aic_values(n_obs_total: int, n_subjects: int, candidate_m, sigma2s) -> list[float]:

@@ -38,6 +38,10 @@ SCORE_SINGULAR_FLOOR = 0.2
 _NORMAL_RANK_TOL = 1e-12
 # accepted relative uphill movement attributable to floating point
 _UPHILL_TOL = 1e-12
+# secular equation: Newton stops at |f| <= 2 eps or on a step without
+# progress, well before this safety cap
+_EPS = float(np.finfo(float).eps)
+_SECULAR_MAX_ITERS = 100
 
 
 class SingularStepError(RuntimeError):
@@ -82,7 +86,11 @@ class PenalizedStepResult(NamedTuple):
 
 
 class _Workspace:
-    def __init__(self, dataset: LongitudinalDataset, basis: BasisSystem):
+    def __init__(
+        self, dataset: LongitudinalDataset, basis: BasisSystem, B: np.ndarray | None = None
+    ):
+        """``B``, when given, is the basis already evaluated at the dataset's
+        observation times in subject order; otherwise it is evaluated here."""
         if tuple(dataset.domain) != tuple(basis.domain):
             raise ValueError(
                 f"basis domain {basis.domain} does not match dataset domain {dataset.domain}"
@@ -95,7 +103,7 @@ class _Workspace:
         self.t = np.concatenate([s.t for s in dataset.subjects])
         self.y = np.concatenate([s.y for s in dataset.subjects])
         self.subj_of_row = np.repeat(np.arange(len(sizes)), sizes)
-        self.B = eval_basis_matrix(basis, self.t)
+        self.B = eval_basis_matrix(basis, self.t) if B is None else B
         self.w2 = np.repeat(1.0 / (len(sizes) * sizes), sizes)
         self._ridge_coefs: np.ndarray | None = None
         self._groups: list[tuple[np.ndarray, np.ndarray, np.ndarray]] | None = None
@@ -134,25 +142,14 @@ class _Workspace:
 
     def drop_subject(self, i: int) -> "_Workspace":
         """Fold workspace with subject i removed; shares basis evaluations."""
-        keep = np.ones(len(self.t), dtype=bool)
-        keep[self.rows(i)] = False
-        sub = object.__new__(_Workspace)
-        sub.dataset = LongitudinalDataset(
-            domain=self.dataset.domain,
-            subjects=self.dataset.subjects[:i] + self.dataset.subjects[i + 1 :],
+        rest = self.dataset.subjects[:i] + self.dataset.subjects[i + 1 :]
+        sub = _Workspace(
+            LongitudinalDataset(domain=self.dataset.domain, subjects=rest),
+            self.basis,
+            np.delete(self.B, self.rows(i), axis=0),
         )
-        sub.basis = self.basis
-        sub.sizes = np.delete(self.sizes, i)
-        sub.offsets = np.concatenate([[0], np.cumsum(sub.sizes)])
-        sub.t = self.t[keep]
-        sub.y = self.y[keep]
-        sub.subj_of_row = np.repeat(np.arange(len(sub.sizes)), sub.sizes)
-        sub.B = self.B[keep]
-        sub.w2 = np.repeat(1.0 / (len(sub.sizes) * sub.sizes), sub.sizes)
-        sub._ridge_coefs = (
-            None if self._ridge_coefs is None else np.delete(self._ridge_coefs, i, axis=0)
-        )
-        sub._groups = None
+        if self._ridge_coefs is not None:
+            sub._ridge_coefs = np.delete(self._ridge_coefs, i, axis=0)
         return sub
 
 
@@ -303,76 +300,51 @@ def _normalized_unconstrained(ata, rhs, gram) -> tuple[np.ndarray, float]:
 def _solve_norm_constrained(H, rhs, gram) -> tuple[np.ndarray, float, bool]:
     """Global minimizer of b'Hb - 2 rhs'b subject to b' gram b = 1.
 
-    Reduces to a secular equation via the generalized eigenproblem
-    H v = mu * gram * v: the stationarity system (H - lam*gram) b = rhs
-    decouples, and the constraint function is strictly increasing in lam on
-    (-inf, mu_1), so the root on that branch (which is the objective-minimal
-    stationary point) is found by bisection plus safeguarded Newton polish.
-    Returns (beta, lam, fallback); fallback=True means no root was bracketed
-    (hard case: rhs orthogonal to the lowest eigenvector) and a scaled ridge
-    solution is returned instead.
+    The generalized eigenproblem H v = mu * gram * v decouples the
+    stationarity system (H - lam*gram) b = rhs into z_j = d_j / (mu_j - lam)
+    with d = V'rhs. The objective-minimal stationary point has lam <= mu_1;
+    in the shift delta = mu_1 - lam >= 0 the coordinates are
+    z(delta) = d / (gap + delta) with gap = mu - mu_1, and the root of
+    f(delta) = 1/||z(delta)|| - 1 lies in [max(0, max_j(|d_j| - gap_j)), ||d||].
+    f is increasing and concave there (Reinsch 1967; Moré & Sorensen 1983),
+    so Newton from the lower end climbs to the root in a few steps; a step
+    that leaves the bracket is replaced by bisection.
+    Returns (beta, lam, fallback); fallback=True marks the hard case (no
+    root with delta > 0: rhs has no weight on the lowest eigenspace and the
+    pole-free norm at delta = 0 is at most 1), where a scaled ridge solution
+    is returned instead.
     """
     rhs_norm = float(np.linalg.norm(rhs))
     if rhs_norm == 0.0:
         raise SingularStepError("zero right-hand side in norm-constrained component step")
     mu, V = sla.eigh(H, gram)
     d = V.T @ rhs
-    mu1 = mu[0]
-    scale = max(abs(mu[0]), abs(mu[-1]), 1.0)
-    nonzero = d != 0.0
-
-    def coords(lam):
-        # directions with zero rhs component contribute nothing, even at a pole
-        z = np.zeros_like(d)
-        z[nonzero] = d[nonzero] / (mu[nonzero] - lam)
-        return z
-
-    def constraint(lam):
-        z = coords(lam)
-        return float(z @ z)
-
-    # bracket the root: expand right end toward the pole at mu1, left end away
-    hi = None
-    eps = 1e-3 * scale
-    for _ in range(80):
-        if constraint(mu1 - eps) > 1.0:
-            hi = mu1 - eps
-            break
-        eps *= 0.5
-        if eps < 1e-18 * scale:
-            break
-    if hi is None:
+    # directions with zero rhs component contribute nothing, even at a pole
+    nz = d != 0.0
+    d, gap, V = d[nz], (mu - mu[0])[nz], V[:, nz]
+    lo = float(np.max(np.abs(d) - gap, initial=0.0))
+    hi = float(np.linalg.norm(d))
+    if lo == 0.0 and float(np.sum((d / gap) ** 2)) <= 1.0:
         return _ridge_fallback(H, rhs, gram)
-    lo = None
-    step = scale
-    for _ in range(200):
-        cand = mu1 - step
-        if constraint(cand) < 1.0:
-            lo = cand
+    delta = lo
+    for _ in range(_SECULAR_MAX_ITERS):
+        z = d / (gap + delta)
+        nrm = math.sqrt(float(z @ z))
+        f = 1.0 / nrm - 1.0
+        if abs(f) <= 2.0 * _EPS:
             break
-        step *= 2.0
-    if lo is None:
-        return _ridge_fallback(H, rhs, gram)
-
-    for _ in range(90):
-        mid = 0.5 * (lo + hi)
-        if constraint(mid) < 1.0:
-            lo = mid
+        if f < 0.0:
+            lo = delta
         else:
-            hi = mid
-    lam = 0.5 * (lo + hi)
-    for _ in range(4):  # Newton polish, kept inside the bracket
-        z = coords(lam)
-        f = float(z @ z) - 1.0
-        fp = float(2.0 * np.sum(z[nonzero] ** 2 / (mu[nonzero] - lam)))
-        if fp <= 0:
+            hi = delta
+        step = delta - f * nrm**3 / float(z @ (z / (gap + delta)))
+        if not lo <= step <= hi:
+            step = 0.5 * (lo + hi)
+        if step == delta:
             break
-        lam_new = lam - f / fp
-        if lo < lam_new < hi:
-            lam = lam_new
-    beta = V @ coords(lam)
-    nrm = math.sqrt(float(beta @ gram @ beta))
-    return beta / nrm, lam, False
+        delta = step
+    beta = V @ (d / (gap + delta))
+    return beta / math.sqrt(float(beta @ gram @ beta)), float(mu[0] - delta), False
 
 
 def _ridge_fallback(H, rhs, gram) -> tuple[np.ndarray, float, bool]:
@@ -395,8 +367,9 @@ def psi_step_penalized(normal_matrix, rhs, gram, penalty, gamma: float) -> Penal
     G-norm (the scaling is absorbed by the paired score column, so the norm
     constraint costs nothing). With gamma > 0 the penalty breaks that scale
     invariance and the constrained problem is solved exactly through its
-    secular equation; if no root can be bracketed, a G-normalized ridge
-    solution is returned with ``fallback=True``.
+    secular equation; in its hard case (no root left of the lowest
+    eigenvalue), a G-normalized ridge solution is returned with
+    ``fallback=True``.
     """
     if gamma < 0:
         raise ValueError("gamma must be >= 0")
@@ -449,6 +422,25 @@ def _psi_update(ws: _Workspace, scores, coef, m: int, gamma: float):
 # ---------------------------------------------------------------------------
 # Full fits.
 # ---------------------------------------------------------------------------
+
+
+def _guarded_update(ws: _Workspace, coef, scores, m: int, gammas, current: float):
+    """Update component m and rescale its score column, if that does not go uphill.
+
+    ``current`` is the objective of (coef, scores). The update is accepted
+    unless it raises the objective by more than floating-point noise
+    (_UPHILL_TOL relative); a rejected update leaves the state unchanged.
+    Returns (coef, scores, objective, accepted, fallback).
+    """
+    beta, s, fallback = _psi_update(ws, scores, coef, m, gammas[m])
+    new_coef = coef.copy()
+    new_coef[:, m] = beta
+    new_scores = scores.copy()
+    new_scores[:, m] = scores[:, m] * s
+    new_full, _ = _loss(ws, new_coef, new_scores, gammas)
+    if new_full <= current + _UPHILL_TOL * max(1.0, current):
+        return new_coef, new_scores, new_full, True, fallback
+    return coef, scores, current, False, fallback
 
 
 def _orthonormal_against(v: np.ndarray, fixed: np.ndarray, gram: np.ndarray) -> np.ndarray | None:
@@ -562,26 +554,20 @@ def _alternate(ws, coef, scores, m, gammas, opts, trace):
         full, _ = _loss(ws, coef, scores, gammas)
         trace.append(full)
         try:
-            beta, s, fb = _psi_update(ws, scores, coef, m, gammas[m])
+            coef, scores, full, accepted, fb = _guarded_update(ws, coef, scores, m, gammas, full)
         except SingularStepError as exc:
             raise SingularStepError(f"component {m + 1}, iteration {it + 1}: {exc}") from exc
         n_fb += int(fb)
-        new_coef = coef.copy()
-        new_coef[:, m] = beta
-        new_scores = scores.copy()
-        new_scores[:, m] = scores[:, m] * s
-        new_full, _ = _loss(ws, new_coef, new_scores, gammas)
-        if new_full > full + _UPHILL_TOL * max(1.0, full):
+        if not accepted:
             converged = True  # stalled at the numerical floor; keep previous iterate
             break
-        coef, scores = new_coef, new_scores
-        trace.append(new_full)
-        if prev_cycle is not None and abs(prev_cycle - new_full) <= opts.rel_tol * max(
+        trace.append(full)
+        if prev_cycle is not None and abs(prev_cycle - full) <= opts.rel_tol * max(
             1.0, abs(prev_cycle)
         ):
             converged = True
             break
-        prev_cycle = new_full
+        prev_cycle = full
     return coef, scores, converged, cycles, n_fb
 
 
@@ -661,21 +647,16 @@ def fit_soap(
         for _ in range(opts.max_outer_sweeps):
             n_sweeps += 1
             for m in range(n_components):
+                # every path appends the objective of the current (coef, scores) last
                 try:
-                    beta, s, fb = _psi_update(ws, scores, coef, m, gam[m])
+                    coef, scores, full, accepted, fb = _guarded_update(
+                        ws, coef, scores, m, gam, trace[-1]
+                    )
                 except SingularStepError as exc:
                     raise SingularStepError(f"refinement of component {m + 1}: {exc}") from exc
                 n_fb += int(fb)
-                new_coef = coef.copy()
-                new_coef[:, m] = beta
-                new_scores = scores.copy()
-                new_scores[:, m] = scores[:, m] * s
-                # every path appends the objective of the current (coef, scores) last
-                full_before = trace[-1]
-                full_after, _ = _loss(ws, new_coef, new_scores, gam)
-                if full_after <= full_before + _UPHILL_TOL * max(1.0, full_before):
-                    coef, scores = new_coef, new_scores
-                    trace.append(full_after)
+                if accepted:
+                    trace.append(full)
                 scores = _score_step_ws(ws, coef, prev=scores)
                 full, _ = _loss(ws, coef, scores, gam)
                 trace.append(full)

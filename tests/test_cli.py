@@ -7,9 +7,9 @@ import sys
 import numpy as np
 import pytest
 
-from soapfda import SimulationConfig, gen_sparse_dataset
+from soapfda import SimulationConfig, SolverOptions, cli, fit_soap, gen_sparse_dataset, validate_dataset
 from soapfda.cli import main
-from soapfda.core import dataset_to_rows, load_model, write_long_csv
+from soapfda.core import dataset_to_rows, load_model, read_long_csv, write_long_csv
 from soapfda.basis import eval_basis_matrix, make_bspline_basis
 
 
@@ -114,6 +114,44 @@ class TestFit:
         assert report["chosen_m"] in (1, 2)
         model = load_model(out / "model.json")
         assert model.n_components == report["chosen_m"]
+
+    def test_report_carries_fallback_count(self, sparse_fixture, tmp_path):
+        out = tmp_path / "fb"
+        status = run_cli(
+            "fit", "--input", sparse_fixture, "--output-dir", str(out),
+            "--domain", "0,1", "--m", "2", "--gamma", "0.001", "--basis-size", "8",
+        )
+        assert status == 0
+        report = json.loads((out / "report.json").read_text())
+        ds = validate_dataset(read_long_csv(sparse_fixture), (0.0, 1.0))
+        model = fit_soap(ds, make_bspline_basis((0.0, 1.0), 8, 4), 2, 0.001)
+        assert report["n_fallbacks"] == model.report.n_fallbacks
+        assert report["loss_trace"] == list(model.report.loss_trace)
+
+    def test_unconverged_fit_warns_on_stderr(self, sparse_fixture, tmp_path, capsys, monkeypatch):
+        # one inner iteration cannot meet the convergence test, which compares two cycles
+        monkeypatch.setattr(cli, "SolverOptions", lambda: SolverOptions(max_inner_iters=1))
+        out = tmp_path / "warn"
+        status = run_cli(
+            "fit", "--input", sparse_fixture, "--output-dir", str(out),
+            "--domain", "0,1", "--m", "1", "--basis-size", "8",
+        )
+        assert status == 0
+        assert json.loads((out / "report.json").read_text())["converged"] is False
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        warnings = [line for line in captured.err.splitlines() if line.startswith("warning:")]
+        assert len(warnings) == 1 and "did not converge" in warnings[0]
+
+    def test_converged_fit_does_not_warn(self, sparse_fixture, tmp_path, capsys):
+        out = tmp_path / "quiet"
+        status = run_cli(
+            "fit", "--input", sparse_fixture, "--output-dir", str(out),
+            "--domain", "0,1", "--m", "1", "--basis-size", "8",
+        )
+        assert status == 0
+        assert json.loads((out / "report.json").read_text())["converged"] is True
+        assert "warning:" not in capsys.readouterr().err
 
     def test_missing_input_gives_error_json(self, tmp_path, capsys):
         status = run_cli("fit", "--input", str(tmp_path / "nope.csv"), "--output-dir", str(tmp_path / "o"))
@@ -260,10 +298,13 @@ class TestDeterminism:
 class TestEntryPoint:
     def test_module_invocation(self, sparse_fixture, tmp_path):
         out = tmp_path / "cli"
+        # the child imports the same soapfda as this process, installed or not
+        src = os.path.dirname(os.path.dirname(cli.__file__))
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
         proc = subprocess.run(
             [sys.executable, "-m", "soapfda.cli", "fit", "--input", sparse_fixture,
              "--output-dir", str(out), "--domain", "0,1", "--m", "1"],
-            capture_output=True, text=True,
+            capture_output=True, text=True, env=env,
         )
         assert proc.returncode == 0, proc.stderr
         assert (out / "model.json").exists()

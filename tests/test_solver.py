@@ -261,6 +261,36 @@ class TestPsiStepPenalized:
         assert res.fallback
         assert abs(res.beta @ res.beta - 1.0) <= 1e-12
 
+    @pytest.mark.parametrize("d1", [1e-6, 1e-9, 1e-12, 1e-30])
+    def test_near_hard_case_solved_exactly(self, d1):
+        # rhs nearly orthogonal to the lowest eigenvector: the root sits within
+        # about d1 of the pole at mu_1 = 6, yet the step is an exact solution
+        ata, rhs, eye = np.diag([5.0, 6.0, 7.0]), np.array([d1, 0.5, 0.0]), np.eye(3)
+        res = psi_step_penalized(ata, rhs, eye, eye, 1.0)
+        assert not res.fallback
+        assert np.all(np.isfinite(res.beta))
+        assert abs(res.beta @ res.beta - 1.0) <= 1e-12
+        resid = kkt_residual(ata, rhs, eye, eye, 1.0, res.beta, res.multiplier)
+        assert resid <= 1e-12 * np.linalg.norm(rhs)
+
+    def test_repeated_lowest_eigenvalue(self):
+        # rhs lies in a two-dimensional lowest eigenspace; the root is at
+        # delta = ||d|| = 0.5, whatever basis of that space eigh returns
+        H, rhs = np.diag([1.0, 1.0, 3.0]), [0.0, 0.5, 0.0]
+        res = psi_step_penalized(H, rhs, np.eye(3), np.zeros((3, 3)), 1.0)
+        assert not res.fallback
+        assert abs(res.multiplier - 0.5) <= 1e-12
+        np.testing.assert_allclose(np.abs(res.beta), [0.0, 1.0, 0.0], atol=1e-12)
+
+    def test_root_without_pole(self):
+        # no rhs weight on the lowest eigenvector, but the other directions
+        # alone have norm 2 at delta = 0, so the root exists at lam = -1
+        H, rhs = np.diag([0.0, 1.0, 2.0]), [0.0, 2.0, 0.0]
+        res = psi_step_penalized(H, rhs, np.eye(3), np.zeros((3, 3)), 1.0)
+        assert not res.fallback
+        assert abs(res.multiplier + 1.0) <= 1e-12
+        np.testing.assert_allclose(np.abs(res.beta), [0.0, 1.0, 0.0], atol=1e-12)
+
     def test_negative_gamma_rejected(self, cubic_basis):
         with pytest.raises(ValueError, match=">= 0"):
             psi_step_penalized(np.eye(8), np.ones(8), cubic_basis.gram, cubic_basis.penalty, -1.0)
@@ -329,7 +359,7 @@ class TestFitSoap:
     # digest; another BLAS build may round differently and need a new record.
     DEFAULT_TRACES = {
         0.0: (516, False, 20, "23b206421ab38fffe030b0631012d9c6c2cdde1583262270496ae28cd8ed3def"),
-        1e-3: (214, False, 20, "15b3dce21bf68382328e64d6c01d8ccbe8f474889e47a1a7fdf31cfeb63643bc"),
+        1e-3: (214, False, 20, "4c5cc4880bafc6f165b84f2105fa7766e903648eced6453f80b874b50303a62f"),
     }
 
     @pytest.mark.parametrize("gamma", [0.0, 1e-3])
