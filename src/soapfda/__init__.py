@@ -37,7 +37,6 @@ from .oracle import (
 from .predict import (
     MspeReport,
     TrajectoryEstimate,
-    holdout_last_mspe,
     holdout_last_mspe_model,
     predict_trajectories,
     predict_trajectory,
@@ -65,7 +64,6 @@ from .sim import (
 from .solver import (
     PenalizedStepResult,
     SingularStepError,
-    SolverOptions,
     fit_soap,
     kkt_residual,
     objective,

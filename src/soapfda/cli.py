@@ -29,7 +29,7 @@ from .core import (
 from .oracle import compare_to_soap, dense_curves_from_rows, grid_eigenfunctions, uncentered_cov
 from .predict import default_grid, holdout_last_mspe_model, predict_trajectories
 from .sim import SimulationConfig, parse_config_file, run_replication_study
-from .solver import SingularStepError, SolverOptions, fit_soap
+from .solver import SingularStepError, fit_soap
 
 
 class CliError(Exception):
@@ -119,7 +119,6 @@ def _write_trajectories_csv(path, trajectories) -> None:
 def cmd_fit(args) -> int:
     dataset = _load_dataset(args.input, args.domain)
     basis = _build_basis(dataset, args)
-    opts = SolverOptions()
     os.makedirs(args.output_dir, exist_ok=True)
 
     m_grid = _parse_m_grid(args.m_grid) if args.m_grid else None
@@ -134,7 +133,7 @@ def cmd_fit(args) -> int:
     if args.gamma_grid:
         candidates = _parse_gamma_grid(args.gamma_grid)
         _log(f"selecting gamma for {max_m} component(s) over {candidates} by LOCO-CV")
-        gammas, cv_tables = selection.select_gammas_sequential(dataset, basis, max_m, candidates, opts)
+        gammas, cv_tables = selection.select_gammas_sequential(dataset, basis, max_m, candidates)
         report["cv"] = [
             {
                 "component": m + 1,
@@ -150,7 +149,7 @@ def cmd_fit(args) -> int:
 
     if m_grid:
         _log(f"fitting candidate component counts {m_grid}")
-        fits = [fit_soap(dataset, basis, m, gammas[:m], opts) for m in m_grid]
+        fits = [fit_soap(dataset, basis, m, gammas[:m]) for m in m_grid]
         aic_result = selection.aic(dataset, fits)
         report["aic"] = [
             {"m": m, "aic": a, "sigma2": s2}
@@ -160,7 +159,7 @@ def cmd_fit(args) -> int:
         model = fits[m_grid.index(aic_result.chosen)]
     else:
         _log(f"fitting {max_m} component(s), gammas {report['gammas']}")
-        model = fit_soap(dataset, basis, max_m, gammas, opts)
+        model = fit_soap(dataset, basis, max_m, gammas)
 
     fit_report = model.report
     report.update(
@@ -168,6 +167,7 @@ def cmd_fit(args) -> int:
             "converged": fit_report.converged,
             "n_sweeps": fit_report.n_sweeps,
             "n_fallbacks": fit_report.n_fallbacks,
+            "stage_offsets": list(fit_report.stage_offsets),
             "loss_trace": list(fit_report.loss_trace),
             "sweep_objectives": list(fit_report.sweep_objectives),
             "noise_var": model.noise_var,
@@ -177,8 +177,8 @@ def cmd_fit(args) -> int:
 
     if not fit_report.converged:
         _log(
-            f"warning: fit did not converge within max_inner_iters={opts.max_inner_iters}, "
-            f"max_outer_sweeps={opts.max_outer_sweeps}; final objective {fit_report.loss_trace[-1]!r}"
+            "warning: fit did not converge within the iteration caps; "
+            f"final objective {fit_report.loss_trace[-1]!r}"
         )
 
     grid = default_grid(dataset.domain, args.grid_size)

@@ -259,25 +259,49 @@ def model_to_dict(model: FecModel) -> dict:
     return doc
 
 
+def _field(doc, key: str, section: str | None = None):
+    """``doc[key]`` from a model document or one of its sections; a
+    ValueError names what is missing."""
+    if not isinstance(doc, dict):
+        raise ValueError(f"model {section or 'document'} must be a JSON object, got {type(doc).__name__}")
+    if key not in doc:
+        name = f"{section}.{key}" if section else key
+        raise ValueError(f"model document lacks key {name!r}")
+    return doc[key]
+
+
 def model_from_dict(doc: dict) -> FecModel:
-    b = doc["basis"]
+    """Rebuild a fitted model from ``model_to_dict`` output.
+
+    The document comes from outside the program, so a missing key, or a
+    ``coef`` or ``scores`` whose shape does not match ``l`` and ``m``, raises
+    a ValueError that names the key.
+    """
+    b = _field(doc, "basis")
+    domain = _field(b, "domain", "basis")
+    L, M = int(_field(doc, "l")), int(_field(doc, "m"))
     basis = make_bspline_basis(
-        domain=(float(b["domain"][0]), float(b["domain"][1])),
-        size=int(doc["l"]),
-        order=int(b["order"]),
-        interior_knots=np.asarray(b["interior_knots"], dtype=float),
+        domain=(float(domain[0]), float(domain[1])),
+        size=L,
+        order=int(_field(b, "order", "basis")),
+        interior_knots=np.asarray(_field(b, "interior_knots", "basis"), dtype=float),
     )
-    L, M = int(doc["l"]), int(doc["m"])
+    coef = np.asarray(_field(doc, "coef"), dtype=float)
+    if coef.shape != (L * M,):
+        raise ValueError(f"model key 'coef' has shape {coef.shape}, expected ({L * M},) for l={L}, m={M}")
     # C-contiguous so downstream BLAS calls match the freshly fitted model bitwise
-    coef = np.ascontiguousarray(np.asarray(doc["coef"], dtype=float).reshape((L, M), order="F"))
+    coef = np.ascontiguousarray(coef.reshape((L, M), order="F"))
+    scores = np.asarray(_field(doc, "scores"), dtype=float)
+    if scores.ndim != 2 or scores.shape[1] != M:
+        raise ValueError(f"model key 'scores' has shape {scores.shape}, expected (n, {M}) for m={M}")
     report = None
     if "report" in doc:
         r = doc["report"]
         report = FitReport(
-            loss_trace=tuple(r["loss_trace"]),
-            converged=bool(r["converged"]),
-            n_sweeps=int(r["n_sweeps"]),
-            tolerance_used=float(r["tolerance_used"]),
+            loss_trace=tuple(_field(r, "loss_trace", "report")),
+            converged=bool(_field(r, "converged", "report")),
+            n_sweeps=int(_field(r, "n_sweeps", "report")),
+            tolerance_used=float(_field(r, "tolerance_used", "report")),
             sweep_objectives=tuple(r.get("sweep_objectives", ())),
             stage_offsets=tuple(r.get("stage_offsets", ())),
             n_fallbacks=int(r.get("n_fallbacks", 0)),
@@ -285,9 +309,9 @@ def model_from_dict(doc: dict) -> FecModel:
     return FecModel(
         basis=basis,
         coef=coef,
-        scores=np.asarray(doc["scores"], dtype=float).reshape(-1, M),
-        gammas=np.asarray(doc["gammas"], dtype=float),
-        noise_var=float(doc["noise_var"]),
+        scores=scores,
+        gammas=np.asarray(_field(doc, "gammas"), dtype=float),
+        noise_var=float(_field(doc, "noise_var")),
         report=report,
     )
 

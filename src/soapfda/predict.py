@@ -9,9 +9,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .basis import BasisSystem, eval_basis_matrix
+from .basis import eval_basis_matrix
 from .core import FecModel, LongitudinalDataset, Subject
-from .solver import SolverOptions, _batched_scores, _size_groups, fit_soap
+from .solver import _batched_scores, _size_groups
 
 
 @dataclass(frozen=True)
@@ -139,16 +139,3 @@ def holdout_last_mspe_model(model: FecModel, test: LongitudinalDataset) -> MspeR
         n_excluded=n_excluded,
         per_subject=tuple(errors),
     )
-
-
-def holdout_last_mspe(
-    train: LongitudinalDataset,
-    test: LongitudinalDataset,
-    basis: BasisSystem,
-    n_components: int,
-    gammas,
-    opts: SolverOptions | None = None,
-) -> MspeReport:
-    """Fit on the training set, then run the held-out-last protocol on test."""
-    model = fit_soap(train, basis, n_components, gammas, opts)
-    return holdout_last_mspe_model(model, test)

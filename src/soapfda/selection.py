@@ -10,7 +10,7 @@ import numpy as np
 
 from .basis import BasisSystem
 from .core import FecModel, LongitudinalDataset
-from .solver import SingularStepError, SolverOptions, _batched_scores, _extract_stage, _Workspace
+from .solver import SingularStepError, _batched_scores, _extract_stage, _loss, _Workspace
 
 DEFAULT_GAMMA_GRID = (0.0, 1e-2, 1.0, 1e2, 1e4, 1e8)
 
@@ -49,11 +49,7 @@ def sigma2_hat(dataset: LongitudinalDataset, model: FecModel) -> float:
     """Average squared residual: (1/n) sum_i (1/n_i) ||y_i - yhat_i||^2."""
     if model.scores.shape[0] != dataset.n_subjects:
         raise ValueError("model scores do not match the dataset's subject count")
-    sizes = np.array([s.n_obs for s in dataset.subjects])
-    scores = np.repeat(model.scores, sizes, axis=0)
-    fitted = (model.component_values(dataset.all_times()) * scores).sum(axis=1)
-    resid = np.concatenate([s.y for s in dataset.subjects]) - fitted
-    return float(np.repeat(1.0 / (dataset.n_subjects * sizes), sizes) @ (resid * resid))
+    return _loss(_Workspace(dataset, model.basis), model.coef, model.scores, np.zeros(model.n_components))[1]
 
 
 def aic_values(n_obs_total: int, n_subjects: int, candidate_m, sigma2s) -> list[float]:
@@ -100,19 +96,19 @@ def aic(dataset: LongitudinalDataset, fits: Sequence[FecModel]) -> AicResult:
     )
 
 
-def _fit_component_on(ws, fixed: np.ndarray, gamma: float, opts: SolverOptions) -> np.ndarray:
+def _fit_component_on(ws, fixed: np.ndarray, gamma: float) -> np.ndarray:
     """Extract one component on the given workspace with earlier ones fixed."""
     gammas = np.concatenate([np.zeros(fixed.shape[1]), [gamma]])
     coef, _, _, _, _, _ = _extract_stage(
-        ws, fixed, np.zeros((ws.n, fixed.shape[1])), gammas, opts
+        ws, fixed, np.zeros((ws.n, fixed.shape[1])), gammas
     )
     return coef[:, -1]
 
 
-def _cv_fold_error(parent: _Workspace, i: int, fixed, gamma, opts) -> float:
+def _cv_fold_error(parent: _Workspace, i: int, fixed, gamma) -> float:
     """Prediction error for held-out subject i: (1/n_i) sum_j (yhat - y)^2."""
     fold = parent.drop_subject(i)
-    beta = _fit_component_on(fold, fixed, gamma, opts)
+    beta = _fit_component_on(fold, fixed, gamma)
     y = parent.y[parent.rows(i)]
     psi = parent.B[parent.rows(i)] @ np.column_stack([fixed, beta])
     alpha = _batched_scores(psi[None], y[None])[0]
@@ -126,7 +122,6 @@ def loco_cv_gamma(
     component: int,
     fixed_coefs,
     candidates: Sequence[float],
-    opts: SolverOptions | None = None,
     max_folds: int | None = None,
     fold_seed: int = 0,
 ) -> CvResult:
@@ -144,6 +139,9 @@ def loco_cv_gamma(
     """
     if len(candidates) == 0:
         raise ValueError("need at least one candidate gamma")
+    for g in candidates:
+        if not (math.isfinite(g) and g >= 0):
+            raise ValueError(f"candidate gamma {float(g)!r} must be finite and >= 0")
     if component < 1:
         raise ValueError("component index starts at 1")
     fixed = np.asarray(fixed_coefs, dtype=float) if fixed_coefs is not None else np.zeros((basis.size, 0))
@@ -151,8 +149,6 @@ def loco_cv_gamma(
         fixed = fixed[:, None]
     if fixed.shape[1] != component - 1:
         raise ValueError(f"component {component} needs {component - 1} fixed components, got {fixed.shape[1]}")
-    if opts is None:
-        opts = SolverOptions()
 
     parent = _Workspace(dataset, basis)
     parent.ridge_coefs()  # shared by every fold
@@ -164,7 +160,7 @@ def loco_cv_gamma(
     errors = []
     for gamma in candidates:
         try:
-            errors.append(float(sum(_cv_fold_error(parent, i, fixed, gamma, opts) for i in folds)))
+            errors.append(float(sum(_cv_fold_error(parent, i, fixed, gamma) for i in folds)))
         except SingularStepError:
             errors.append(math.inf)
 
@@ -188,7 +184,6 @@ def select_gammas_sequential(
     basis: BasisSystem,
     n_components: int,
     candidates: Sequence[float] = DEFAULT_GAMMA_GRID,
-    opts: SolverOptions | None = None,
     max_folds: int | None = None,
     fold_seed: int = 0,
 ) -> tuple[list[float], list[CvResult]]:
@@ -198,16 +193,14 @@ def select_gammas_sequential(
     chosen gamma and held fixed for the next stage. Returns the selected
     gammas and the per-component CV tables.
     """
-    if opts is None:
-        opts = SolverOptions()
     ws = _Workspace(dataset, basis)
     fixed = np.zeros((basis.size, 0))
     chosen: list[float] = []
     tables: list[CvResult] = []
     for m in range(1, n_components + 1):
-        result = loco_cv_gamma(dataset, basis, m, fixed, candidates, opts, max_folds, fold_seed)
+        result = loco_cv_gamma(dataset, basis, m, fixed, candidates, max_folds, fold_seed)
         chosen.append(result.chosen)
         tables.append(result)
-        beta = _fit_component_on(ws, fixed, result.chosen, opts)
+        beta = _fit_component_on(ws, fixed, result.chosen)
         fixed = np.column_stack([fixed, beta])
     return chosen, tables

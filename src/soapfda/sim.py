@@ -17,7 +17,7 @@ from .basis import default_basis_size, make_bspline_basis
 from .core import LongitudinalDataset, validate_dataset
 from .oracle import sign_aligned_imse
 from .predict import default_grid, predict_trajectories
-from .solver import SolverOptions, fit_soap
+from .solver import fit_soap
 
 
 def cosine_pair(domain: tuple[float, float]) -> tuple[Callable, Callable]:
@@ -241,7 +241,6 @@ def run_replication_study(
     basis_size: int | None = None,
     order: int = 4,
     grid_size: int = 101,
-    opts: SolverOptions | None = None,
     threads: int = 1,
 ) -> StudySummary:
     """Repeatedly generate train/test data, fit, predict, and aggregate errors.
@@ -267,7 +266,7 @@ def run_replication_study(
             test, _, truth_test = gen_sparse_dataset(config, config.n_test, rng)
             L = basis_size if basis_size is not None else default_basis_size(train.n_obs_total, order)
             basis = make_bspline_basis(config.domain, L, order)
-            model = fit_soap(train, basis, n_components, gammas, opts)
+            model = fit_soap(train, basis, n_components, gammas)
             predicted = np.vstack([t.values for t in predict_trajectories(test.subjects, model, grid)])
             truth = truth_test.curves_matrix(grid)
             fitted = model.component_values(grid)

@@ -16,7 +16,6 @@ objective trace is non-increasing.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -42,35 +41,15 @@ _UPHILL_TOL = 1e-12
 # progress, well before this safety cap
 _EPS = float(np.finfo(float).eps)
 _SECULAR_MAX_ITERS = 100
+# iteration caps and the relative-change stopping tolerance of the fit: the
+# alternation within each extraction stage, then the refinement sweeps (M >= 2)
+_MAX_INNER_ITERS = 200
+_MAX_OUTER_SWEEPS = 20
+_REL_TOL = 1e-7
 
 
 class SingularStepError(RuntimeError):
     """A least-squares step had no usable solution; the message names the cause."""
-
-
-@dataclass(frozen=True)
-class SolverOptions:
-    """Iteration controls for the alternating fit.
-
-    ``init_rule`` is one of ``svd_ridge`` (deterministic spectral start from
-    per-subject ridge fits), ``first_basis`` (G-normalized basis functions),
-    or ``user_supplied`` (``init_coef`` holds a vector or L x M matrix).
-    Every rule is deterministic.
-    """
-
-    max_inner_iters: int = 200
-    max_outer_sweeps: int = 20
-    rel_tol: float = 1e-7
-    init_rule: str = "svd_ridge"
-    init_coef: np.ndarray | None = None
-
-    def __post_init__(self):
-        if self.rel_tol <= 0:
-            raise ValueError("rel_tol must be > 0")
-        if self.max_inner_iters < 1 or self.max_outer_sweeps < 1:
-            raise ValueError("iteration caps must be >= 1")
-        if self.init_rule not in ("svd_ridge", "first_basis", "user_supplied"):
-            raise ValueError(f"unknown init_rule {self.init_rule!r}")
 
 
 class PenalizedStepResult(NamedTuple):
@@ -455,54 +434,33 @@ def _orthonormal_against(v: np.ndarray, fixed: np.ndarray, gram: np.ndarray) -> 
     return None
 
 
-def _init_candidates(ws: _Workspace, opts: SolverOptions, m: int):
-    if opts.init_rule == "user_supplied" and opts.init_coef is not None:
-        arr = np.asarray(opts.init_coef, dtype=float)
-        if arr.ndim == 1:
-            arr = arr[:, None]
-        if arr.shape[0] != ws.basis.size:
-            raise ValueError("init_coef rows do not match basis size")
-        if m < arr.shape[1]:
-            yield "user_supplied", arr[:, m].copy()
-    if opts.init_rule in ("svd_ridge", "user_supplied"):
-        coefs = ws.ridge_coefs()
-        _, _, vt = np.linalg.svd(coefs, full_matrices=False)
-        for row in vt:
-            yield "svd_ridge", row.copy()
-    for j in range(ws.basis.size):
-        e = np.zeros(ws.basis.size)
-        e[j] = 1.0
-        yield "first_basis", e
-
-
-def _stage_inits(ws: _Workspace, opts: SolverOptions, fixed: np.ndarray) -> list[np.ndarray]:
-    """Distinct starting vectors for one component stage, one per init family.
+def _stage_inits(ws: _Workspace, fixed: np.ndarray) -> list[np.ndarray]:
+    """Deterministic starting vectors for one component stage.
 
     The alternation is a local method, so each extraction is started from
-    every available family (user vector, leading ridge-SVD direction,
-    first viable basis function) and the best final objective wins.
+    the first usable leading ridge-SVD direction and from the first usable
+    basis function (dropped when parallel to the first start), and the best
+    final objective wins. A direction is usable when it keeps a G-norm after
+    projecting out the fixed components.
     """
     gram = ws.basis.gram
+    _, _, vt = np.linalg.svd(ws.ridge_coefs(), full_matrices=False)
     inits: list[np.ndarray] = []
-    seen_rules: set[str] = set()
-    for rule, v in _init_candidates(ws, opts, fixed.shape[1]):
-        if rule in seen_rules:
-            continue
-        u = _orthonormal_against(v, fixed, gram)
-        if u is None:
-            continue
-        if any(abs(float(u @ gram @ w)) > 1.0 - 1e-8 for w in inits):
-            seen_rules.add(rule)
-            continue
-        inits.append(u)
-        seen_rules.add(rule)
+    for family in (vt, np.eye(ws.basis.size)):
+        for v in family:
+            u = _orthonormal_against(v, fixed, gram)
+            if u is None:
+                continue
+            if not any(abs(float(u @ gram @ w)) > 1.0 - 1e-8 for w in inits):
+                inits.append(u)
+            break
     if not inits:
         raise SingularStepError("no usable initial direction orthogonal to fixed components")
     return inits
 
 
-def _extract_stage(ws: _Workspace, coef, scores, gammas, opts: SolverOptions):
-    """Append and fit one more component, starting from every init family.
+def _extract_stage(ws: _Workspace, coef, scores, gammas):
+    """Append and fit one more component from each start of ``_stage_inits``.
 
     ``coef`` holds the already-fitted components (kept fixed as constraints
     during this stage); the run with the lowest final objective wins.
@@ -511,7 +469,7 @@ def _extract_stage(ws: _Workspace, coef, scores, gammas, opts: SolverOptions):
     m = coef.shape[1]
     best = None
     last_error: SingularStepError | None = None
-    for beta0 in _stage_inits(ws, opts, coef):
+    for beta0 in _stage_inits(ws, coef):
         segment: list[float] = []
         try:
             result = _alternate(
@@ -520,7 +478,6 @@ def _extract_stage(ws: _Workspace, coef, scores, gammas, opts: SolverOptions):
                 np.column_stack([scores, np.zeros(ws.n)]),
                 m,
                 gammas,
-                opts,
                 segment,
             )
         except SingularStepError as exc:
@@ -537,7 +494,7 @@ def _extract_stage(ws: _Workspace, coef, scores, gammas, opts: SolverOptions):
     return coef, scores, conv, cycles, fb, segment
 
 
-def _alternate(ws, coef, scores, m, gammas, opts, trace):
+def _alternate(ws, coef, scores, m, gammas, trace):
     """Alternate joint score steps with updates of component m until converged.
 
     Returns (coef, scores, converged, n_cycles, n_fallbacks). Component
@@ -548,7 +505,7 @@ def _alternate(ws, coef, scores, m, gammas, opts, trace):
     converged = False
     n_fb = 0
     cycles = 0
-    for it in range(opts.max_inner_iters):
+    for it in range(_MAX_INNER_ITERS):
         cycles += 1
         scores = _score_step_ws(ws, coef, prev=scores)
         full, _ = _loss(ws, coef, scores, gammas)
@@ -562,7 +519,7 @@ def _alternate(ws, coef, scores, m, gammas, opts, trace):
             converged = True  # stalled at the numerical floor; keep previous iterate
             break
         trace.append(full)
-        if prev_cycle is not None and abs(prev_cycle - full) <= opts.rel_tol * max(
+        if prev_cycle is not None and abs(prev_cycle - full) <= _REL_TOL * max(
             1.0, abs(prev_cycle)
         ):
             converged = True
@@ -589,25 +546,24 @@ def fit_soap(
     basis: BasisSystem,
     n_components: int,
     gammas,
-    opts: SolverOptions | None = None,
 ) -> FecModel:
     """Fit M orthonormal components and per-subject scores to sparse curves.
 
     Components are extracted sequentially: component m is alternated to
     convergence with components 1..m-1 fixed (and is constrained orthogonal
-    to them), trying one start per init family and keeping the best. With
-    M >= 2, refinement sweeps then re-optimize each component in turn
-    against all the others, with a joint score refit after every component
-    update, until the full objective's relative change drops below
-    ``opts.rel_tol`` or ``opts.max_outer_sweeps`` is hit.
+    to them), from two deterministic starts (the leading ridge-SVD direction
+    and the first basis function), keeping the better run. With M >= 2,
+    refinement sweeps then re-optimize each component in turn against all
+    the others, with a joint score refit after every component update. A
+    stage stops when its objective changes by at most 1e-7 relative between
+    cycles (cap 200 cycles), the sweeps when they change it by at most 1e-7
+    relative (cap 20 sweeps); ``report.converged`` is false if a cap was hit.
 
     ``gammas`` is a scalar or a length-M sequence of roughness penalty
     weights. The returned model has G-orthonormal coefficient columns, a
     sign convention of nonnegative component integrals, scores from a final
     joint refit, and ``noise_var`` set to the mean squared residual.
     """
-    if opts is None:
-        opts = SolverOptions()
     if n_components < 1:
         raise ValueError("need at least one component")
     if n_components > basis.size:
@@ -632,7 +588,7 @@ def fit_soap(
     for m in range(n_components):
         stage_offsets.append(len(trace))
         coef, scores, conv, cycles, fb, segment = _extract_stage(
-            ws, coef, scores, gam[: m + 1], opts
+            ws, coef, scores, gam[: m + 1]
         )
         trace.extend(segment)
         all_converged &= conv
@@ -644,7 +600,7 @@ def fit_soap(
     if n_components > 1:
         prev = trace[-1]
         refined = False
-        for _ in range(opts.max_outer_sweeps):
+        for _ in range(_MAX_OUTER_SWEEPS):
             n_sweeps += 1
             for m in range(n_components):
                 # every path appends the objective of the current (coef, scores) last
@@ -662,7 +618,7 @@ def fit_soap(
                 trace.append(full)
             cur = trace[-1]
             sweep_objectives.append(cur)
-            if abs(prev - cur) <= opts.rel_tol * max(1.0, abs(prev)):
+            if abs(prev - cur) <= _REL_TOL * max(1.0, abs(prev)):
                 refined = True
                 break
             prev = cur
@@ -680,7 +636,7 @@ def fit_soap(
         loss_trace=tuple(trace),
         converged=bool(all_converged),
         n_sweeps=n_sweeps if n_components > 1 else inner_cycles,
-        tolerance_used=opts.rel_tol,
+        tolerance_used=_REL_TOL,
         sweep_objectives=tuple(sweep_objectives),
         stage_offsets=tuple(stage_offsets),
         n_fallbacks=n_fb,

@@ -8,7 +8,7 @@ import numpy as np
 
 from soapfda.basis import BasisSystem
 from soapfda.core import FitReport, LongitudinalDataset
-from soapfda.solver import SolverOptions, _psi_update, _Workspace, fit_soap
+from soapfda.solver import _psi_update, _Workspace, fit_soap
 
 
 def psi_step_first(dataset: LongitudinalDataset, scores, basis: BasisSystem) -> np.ndarray:
@@ -63,8 +63,7 @@ def fit_first_fec(
     dataset: LongitudinalDataset,
     basis: BasisSystem,
     gamma: float = 0.0,
-    opts: SolverOptions | None = None,
 ) -> tuple[np.ndarray, np.ndarray, FitReport]:
     """Fit the leading component only; returns (coef vector, score column, report)."""
-    model = fit_soap(dataset, basis, 1, [gamma], opts)
+    model = fit_soap(dataset, basis, 1, [gamma])
     return model.coef[:, 0], model.scores[:, 0], model.report

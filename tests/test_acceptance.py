@@ -13,7 +13,6 @@ import pytest
 
 from soapfda import (
     SimulationConfig,
-    SolverOptions,
     aic,
     fit_soap,
     gen_sparse_dataset,

@@ -7,7 +7,7 @@ import sys
 import numpy as np
 import pytest
 
-from soapfda import SimulationConfig, SolverOptions, cli, fit_soap, gen_sparse_dataset, validate_dataset
+from soapfda import SimulationConfig, cli, fit_soap, gen_sparse_dataset, solver, validate_dataset
 from soapfda.cli import main
 from soapfda.core import dataset_to_rows, load_model, read_long_csv, write_long_csv
 from soapfda.basis import eval_basis_matrix, make_bspline_basis
@@ -126,11 +126,12 @@ class TestFit:
         ds = validate_dataset(read_long_csv(sparse_fixture), (0.0, 1.0))
         model = fit_soap(ds, make_bspline_basis((0.0, 1.0), 8, 4), 2, 0.001)
         assert report["n_fallbacks"] == model.report.n_fallbacks
+        assert report["stage_offsets"] == list(model.report.stage_offsets)
         assert report["loss_trace"] == list(model.report.loss_trace)
 
     def test_unconverged_fit_warns_on_stderr(self, sparse_fixture, tmp_path, capsys, monkeypatch):
         # one inner iteration cannot meet the convergence test, which compares two cycles
-        monkeypatch.setattr(cli, "SolverOptions", lambda: SolverOptions(max_inner_iters=1))
+        monkeypatch.setattr(solver, "_MAX_INNER_ITERS", 1)
         out = tmp_path / "warn"
         status = run_cli(
             "fit", "--input", sparse_fixture, "--output-dir", str(out),
@@ -214,6 +215,28 @@ class TestPredict:
         )
         assert status == 2
         assert "domain" in json.loads(capsys.readouterr().out)["error"]["message"]
+
+    def test_malformed_model_gives_error_json(self, sparse_fixture, tmp_path, capsys):
+        fit_out = tmp_path / "fit"
+        run_cli("fit", "--input", sparse_fixture, "--output-dir", str(fit_out),
+                "--domain", "0,1", "--m", "1", "--basis-size", "8")
+        good = json.loads((fit_out / "model.json").read_text())
+        capsys.readouterr()
+        cases = [
+            ({k: v for k, v in good.items() if k != "coef"}, "lacks key 'coef'"),
+            ([good], "JSON object"),
+            ({**good, "coef": good["coef"][:-1]}, "'coef' has shape"),
+            ({**good, "scores": [row * 2 for row in good["scores"]]}, "'scores' has shape"),
+        ]
+        for doc, expected in cases:
+            bad = tmp_path / "bad_model.json"
+            bad.write_text(json.dumps(doc))
+            status = run_cli(
+                "predict", "--input", sparse_fixture, "--model", str(bad),
+                "--output-dir", str(tmp_path / "o"),
+            )
+            assert status == 2, expected
+            assert expected in json.loads(capsys.readouterr().out)["error"]["message"]
 
 
 class TestSimulate:

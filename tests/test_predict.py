@@ -7,7 +7,6 @@ from soapfda import (
     FecModel,
     Subject,
     fit_soap,
-    holdout_last_mspe,
     holdout_last_mspe_model,
     make_bspline_basis,
     predict_trajectories,
@@ -184,7 +183,7 @@ class TestHoldoutLast:
         scores = rng.normal(size=(30, 2)) * [4.0, 2.0]
         grid = np.linspace(0, 1, 15)
         train, _ = dense_rank2_dataset(cubic_basis, 30, grid, scores, (c1, c2))
-        report = holdout_last_mspe(train, train, cubic_basis, 2, 0.0)
+        report = holdout_last_mspe_model(fit_soap(train, cubic_basis, 2, 0.0), train)
         assert report.mspe_mean < 1e-8
         assert report.n_eligible == 30
         assert report.n_excluded == 0
@@ -237,7 +236,7 @@ class TestHoldoutLast:
                 y = 5.0 + rng.normal(0, sd, size=8)
                 rows += [(f"s{i:02d}", float(a), float(b)) for a, b in zip(t, y)]
             ds = validate_dataset(rows, (0.0, 1.0))
-            mspes[sd] = holdout_last_mspe(ds, ds, basis, 1, 0.0).mspe_mean
+            mspes[sd] = holdout_last_mspe_model(fit_soap(ds, basis, 1, 0.0), ds).mspe_mean
         assert 0.001 < mspes[0.1] / mspes[1.0] < 0.1
         assert 0.001 < mspes[0.01] / mspes[0.1] < 0.1
 

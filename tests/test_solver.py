@@ -6,7 +6,6 @@ import pytest
 from soapfda import (
     FecModel,
     SingularStepError,
-    SolverOptions,
     fit_soap,
     kkt_residual,
     make_bspline_basis,
@@ -330,17 +329,6 @@ class TestFitFirstFec:
         np.testing.assert_array_equal(b1, b2)
         np.testing.assert_array_equal(s1, s2)
         assert r1.loss_trace == r2.loss_trace
-
-    def test_user_supplied_init(self, rng):
-        ds, basis = sparse_instance(43)
-        c1, _ = orthonormal_pair_in_span(basis, rng)
-        opts = SolverOptions(init_rule="user_supplied", init_coef=c1)
-        b1, _, _ = fit_first_fec(ds, basis, 0.0, opts)
-        b2, _, _ = fit_first_fec(ds, basis, 0.0, opts)
-        np.testing.assert_array_equal(b1, b2)
-        assert abs(b1 @ basis.gram @ b1 - 1.0) <= 1e-12
-        with pytest.raises(ValueError, match="rows do not match"):
-            fit_first_fec(ds, basis, 0.0, SolverOptions(init_rule="user_supplied", init_coef=np.ones(3)))
 
 
 class TestFitSoap:
