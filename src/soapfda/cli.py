@@ -167,6 +167,7 @@ def cmd_fit(args) -> int:
             "converged": fit_report.converged,
             "n_sweeps": fit_report.n_sweeps,
             "n_fallbacks": fit_report.n_fallbacks,
+            "n_truncated": fit_report.n_truncated,
             "stage_offsets": list(fit_report.stage_offsets),
             "loss_trace": list(fit_report.loss_trace),
             "sweep_objectives": list(fit_report.sweep_objectives),

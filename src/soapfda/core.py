@@ -68,7 +68,9 @@ class FitReport:
     roughness penalties at the current component count) after every score
     and component update. ``sweep_objectives`` holds the objective at the
     end of each refinement sweep; ``stage_offsets`` marks where each
-    component's extraction begins in ``loss_trace``.
+    component's extraction begins in ``loss_trace``. ``n_truncated`` counts
+    the subjects whose final score solve kept fewer than M directions
+    (n_i < M, or a direction cut by the score kernel's floor or rank rule).
     """
 
     loss_trace: tuple[float, ...]
@@ -78,6 +80,7 @@ class FitReport:
     sweep_objectives: tuple[float, ...] = ()
     stage_offsets: tuple[int, ...] = ()
     n_fallbacks: int = 0
+    n_truncated: int = 0
 
 
 @dataclass(frozen=True)
@@ -255,8 +258,13 @@ def model_to_dict(model: FecModel) -> dict:
             "sweep_objectives": list(r.sweep_objectives),
             "stage_offsets": list(r.stage_offsets),
             "n_fallbacks": r.n_fallbacks,
+            "n_truncated": r.n_truncated,
         }
     return doc
+
+
+def _name(key: str, section: str | None) -> str:
+    return f"{section}.{key}" if section else key
 
 
 def _field(doc, key: str, section: str | None = None):
@@ -265,55 +273,94 @@ def _field(doc, key: str, section: str | None = None):
     if not isinstance(doc, dict):
         raise ValueError(f"model {section or 'document'} must be a JSON object, got {type(doc).__name__}")
     if key not in doc:
-        name = f"{section}.{key}" if section else key
-        raise ValueError(f"model document lacks key {name!r}")
+        raise ValueError(f"model document lacks key {_name(key, section)!r}")
     return doc[key]
+
+
+def _converted(doc, key: str, convert, section: str | None = None, default=None):
+    """``convert(doc[key])``; a value of the wrong type raises a ValueError
+    naming the key. With ``default`` given, a missing key yields it."""
+    if default is not None and isinstance(doc, dict) and key not in doc:
+        return default
+    value = _field(doc, key, section)
+    try:
+        return convert(value)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ValueError(f"model key {_name(key, section)!r} has an invalid value: {exc}") from exc
+
+
+def _finite(doc, key: str, section: str | None = None, convert=lambda v: np.asarray(v, dtype=float)):
+    """``doc[key]`` as a float array (or through ``convert``), all entries finite."""
+    value = _converted(doc, key, convert, section)
+    if not np.all(np.isfinite(value)):
+        raise ValueError(f"model key {_name(key, section)!r} has a non-finite value")
+    return value
+
+
+def _floats(values) -> tuple[float, ...]:
+    return tuple(float(v) for v in values)
+
+
+# a fitted model's coefficients are G-orthonormal to about 1e-16
+_MAX_ORTHONORMALITY_ERROR = 1e-8
 
 
 def model_from_dict(doc: dict) -> FecModel:
     """Rebuild a fitted model from ``model_to_dict`` output.
 
-    The document comes from outside the program, so a missing key, or a
-    ``coef`` or ``scores`` whose shape does not match ``l`` and ``m``, raises
-    a ValueError that names the key.
+    The document comes from outside the program, so each of these raises a
+    ValueError that names the key: a missing key, a value of the wrong type,
+    a non-finite ``coef``, ``scores``, ``gammas`` or ``noise_var``, a ``coef``
+    or ``scores`` whose shape does not match ``l`` and ``m``, and a ``coef``
+    whose columns are not G-orthonormal to 1e-8. A report without
+    ``n_truncated`` (an older file) loads with 0.
     """
     b = _field(doc, "basis")
-    domain = _field(b, "domain", "basis")
-    L, M = int(_field(doc, "l")), int(_field(doc, "m"))
+    domain = _finite(b, "domain", "basis")
+    if domain.shape != (2,):
+        raise ValueError(f"model key 'basis.domain' has shape {domain.shape}, expected (2,)")
+    L, M = _converted(doc, "l", int), _converted(doc, "m", int)
     basis = make_bspline_basis(
         domain=(float(domain[0]), float(domain[1])),
         size=L,
-        order=int(_field(b, "order", "basis")),
-        interior_knots=np.asarray(_field(b, "interior_knots", "basis"), dtype=float),
+        order=_converted(b, "order", int, "basis"),
+        interior_knots=_finite(b, "interior_knots", "basis"),
     )
-    coef = np.asarray(_field(doc, "coef"), dtype=float)
+    coef = _finite(doc, "coef")
     if coef.shape != (L * M,):
         raise ValueError(f"model key 'coef' has shape {coef.shape}, expected ({L * M},) for l={L}, m={M}")
     # C-contiguous so downstream BLAS calls match the freshly fitted model bitwise
     coef = np.ascontiguousarray(coef.reshape((L, M), order="F"))
-    scores = np.asarray(_field(doc, "scores"), dtype=float)
+    scores = _finite(doc, "scores")
     if scores.ndim != 2 or scores.shape[1] != M:
         raise ValueError(f"model key 'scores' has shape {scores.shape}, expected (n, {M}) for m={M}")
     report = None
     if "report" in doc:
         r = doc["report"]
         report = FitReport(
-            loss_trace=tuple(_field(r, "loss_trace", "report")),
+            loss_trace=_converted(r, "loss_trace", _floats, "report"),
             converged=bool(_field(r, "converged", "report")),
-            n_sweeps=int(_field(r, "n_sweeps", "report")),
-            tolerance_used=float(_field(r, "tolerance_used", "report")),
-            sweep_objectives=tuple(r.get("sweep_objectives", ())),
-            stage_offsets=tuple(r.get("stage_offsets", ())),
-            n_fallbacks=int(r.get("n_fallbacks", 0)),
+            n_sweeps=_converted(r, "n_sweeps", int, "report"),
+            tolerance_used=_converted(r, "tolerance_used", float, "report"),
+            sweep_objectives=_converted(r, "sweep_objectives", _floats, "report", ()),
+            stage_offsets=_converted(r, "stage_offsets", lambda v: tuple(map(int, v)), "report", ()),
+            n_fallbacks=_converted(r, "n_fallbacks", int, "report", 0),
+            n_truncated=_converted(r, "n_truncated", int, "report", 0),
         )
-    return FecModel(
+    model = FecModel(
         basis=basis,
         coef=coef,
         scores=scores,
-        gammas=np.asarray(_field(doc, "gammas"), dtype=float),
-        noise_var=float(_field(doc, "noise_var")),
+        gammas=_finite(doc, "gammas"),
+        noise_var=_finite(doc, "noise_var", convert=float),
         report=report,
     )
+    err = model.orthonormality_error()
+    if err > _MAX_ORTHONORMALITY_ERROR:
+        raise ValueError(
+            f"model key 'coef' is not G-orthonormal: error {err:.3g} exceeds {_MAX_ORTHONORMALITY_ERROR:g}"
+        )
+    return model
 
 
 def save_model(model: FecModel, path) -> None:

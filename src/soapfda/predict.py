@@ -47,14 +47,14 @@ class MspeReport:
 def _project(subjects: Sequence[Subject], model: FecModel) -> np.ndarray:
     """Scores of every subject, (len(subjects), M), batched by observation count.
 
-    The basis is evaluated once at all the subjects' times, and each group of
-    equal-size subjects goes through the fit's score kernel on the same
-    stacked designs the fit builds.
+    The basis is evaluated once at all the subjects' times, and the groups of
+    equal-size subjects go through one call of the fit's score kernel on the
+    same stacked designs the fit builds.
     """
     sizes = np.array([s.n_obs for s in subjects])
     B = eval_basis_matrix(model.basis, np.concatenate([s.t for s in subjects]))
     y = np.concatenate([s.y for s in subjects])
-    out = np.empty((len(subjects), model.n_components))
+    groups = []
     for idx, rows in _size_groups(sizes):
         psi = B[rows] @ model.coef
         for i in idx[~psi.any(axis=(1, 2))]:
@@ -63,8 +63,8 @@ def _project(subjects: Sequence[Subject], model: FecModel) -> np.ndarray:
                 "returning zero scores",
                 stacklevel=3,
             )
-        out[idx] = _batched_scores(psi, y[rows])
-    return out
+        groups.append((idx, psi, y[rows]))
+    return _batched_scores(groups)[0]
 
 
 def project_scores(subject: Subject, model: FecModel) -> np.ndarray:

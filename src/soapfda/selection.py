@@ -111,7 +111,7 @@ def _cv_fold_error(parent: _Workspace, i: int, fixed, gamma) -> float:
     beta = _fit_component_on(fold, fixed, gamma)
     y = parent.y[parent.rows(i)]
     psi = parent.B[parent.rows(i)] @ np.column_stack([fixed, beta])
-    alpha = _batched_scores(psi[None], y[None])[0]
+    alpha = _batched_scores([(np.zeros(1, dtype=int), psi[None], y[None])])[0][0]
     resid = y - psi @ alpha
     return float(resid @ resid) / len(y)
 

@@ -152,33 +152,48 @@ def _size_groups(sizes: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
     return groups
 
 
-def _batched_scores(psi: np.ndarray, y: np.ndarray, prev: np.ndarray | None = None) -> np.ndarray:
-    """Minimum-norm least-squares scores on a truncated singular spectrum.
+def _batched_scores(groups, prev: np.ndarray | None = None) -> tuple[np.ndarray, int]:
+    """Minimum-norm least-squares scores on a truncated Gram spectrum.
 
-    ``psi`` is (k, n_i, M), each subject's component values at its n_i
-    observation times, and ``y`` is (k, n_i); returns (k, M). Directions are
-    kept when their singular value clears both the relative rank tolerance
-    and the absolute floor (see SCORE_SINGULAR_FLOOR); the rule depends only
-    on the component values, never on y, so score estimation stays exactly
-    linear and scale-equivariant in the data. Every subject is solved on its
-    own slice, so its scores do not depend on which subjects share the stack.
+    ``groups`` holds (idx (k,), psi (k, n_i, M), y (k, n_i)) triples: psi is
+    each of k subjects' component values at its n_i observation times, and
+    idx their rows in the output. The idx arrays together must number the
+    rows 0..n-1. Returns (scores (n, M), n_truncated), the number of
+    subjects whose solve kept fewer than M directions.
 
-    With ``prev`` (k, M) given, a subject keeps its previous scores when
+    The M x M Gram matrices psi_i'psi_i of every group are decomposed in one
+    batched ``eigh``. An eigenvalue w_j is kept when it clears both the
+    relative rank tolerance and the absolute floor, each squared
+    (w_j > max(SCORE_RANK_TOL^2 w_max, SCORE_SINGULAR_FLOOR^2)): the
+    singular-value rule of the value matrix. The rule depends only on the
+    component values, never on y, so score estimation stays exactly linear
+    and scale-equivariant in the data. Every subject is solved on its own
+    slice, so its scores do not depend on which subjects share the stack.
+
+    With ``prev`` (n, M) given, a subject keeps its previous scores when
     those fit it at least as well under the current components: the
     truncation subspace can change between iterations as components rotate,
     and this guard is what keeps the recorded objective trace non-increasing.
     """
-    u, s, vt = np.linalg.svd(psi, full_matrices=False)
-    inv = np.zeros_like(s)
-    np.divide(1.0, s, out=inv, where=s > np.maximum(SCORE_RANK_TOL * s[..., :1], SCORE_SINGULAR_FLOOR))
-    uy = np.matmul(u.transpose(0, 2, 1), y[..., None])[..., 0]
-    sol = np.matmul(vt.transpose(0, 2, 1), (inv * uy)[..., None])[..., 0]
+    idx = np.concatenate([g[0] for g in groups])
+    gram = np.concatenate([np.matmul(psi.transpose(0, 2, 1), psi) for _, psi, _ in groups])
+    rhs = np.concatenate([np.matmul(y[:, None, :], psi)[:, 0] for _, psi, y in groups])
+    w, v = np.linalg.eigh(gram)
+    keep = w > np.maximum(SCORE_RANK_TOL**2 * w[:, -1:], SCORE_SINGULAR_FLOOR**2)
+    inv = np.zeros_like(w)
+    np.divide(1.0, w, out=inv, where=keep)
+    vy = np.matmul(rhs[:, None, :], v)[:, 0]
+    sol = np.empty_like(rhs)
+    sol[idx] = np.matmul(v, (inv * vy)[..., None])[..., 0]
+    # eigenvalues ascend, so a subject is truncated exactly when its smallest is cut
+    n_truncated = len(w) - int(np.count_nonzero(keep[:, 0]))
     if prev is not None:
-        r_new = y - np.matmul(psi, sol[..., None])[..., 0]
-        r_old = y - np.matmul(psi, prev[..., None])[..., 0]
-        worse = np.einsum("ki,ki->k", r_new, r_new) > np.einsum("ki,ki->k", r_old, r_old)
-        sol[worse] = prev[worse]
-    return sol
+        for rows, psi, y in groups:
+            r_new = y - np.matmul(psi, sol[rows, :, None])[..., 0]
+            r_old = y - np.matmul(psi, prev[rows, :, None])[..., 0]
+            worse = rows[np.einsum("ki,ki->k", r_new, r_new) > np.einsum("ki,ki->k", r_old, r_old)]
+            sol[worse] = prev[worse]
+    return sol, n_truncated
 
 
 def _loss(ws: _Workspace, coef, scores, gammas) -> tuple[float, float]:
@@ -224,20 +239,17 @@ def score_step(dataset: LongitudinalDataset, fec_values: Sequence[np.ndarray]) -
             raise ValueError(f"subject {subject.id}: {vals.shape[0]} rows for {subject.n_obs} observations")
     stacked = np.concatenate(values)
     y = np.concatenate([s.y for s in dataset.subjects])
-    out = np.empty((dataset.n_subjects, m_cols.pop()))
-    for idx, rows in _size_groups(np.array([s.n_obs for s in dataset.subjects])):
-        out[idx] = _batched_scores(stacked[rows], y[rows])
-    return out
+    groups = _size_groups(np.array([s.n_obs for s in dataset.subjects]))
+    return _batched_scores([(idx, stacked[rows], y[rows]) for idx, rows in groups])[0]
 
 
-def _score_step_ws(ws: _Workspace, coef: np.ndarray, prev: np.ndarray | None = None) -> np.ndarray:
+def _score_step_ws(ws: _Workspace, coef: np.ndarray, prev: np.ndarray | None = None):
     """Per-subject truncated least-squares scores under the current components,
-    batched over subjects with equal observation counts; ``prev`` enables the
-    guard of ``_batched_scores``."""
-    out = np.empty((ws.n, coef.shape[1]))
-    for idx, designs, values in ws.size_groups():
-        out[idx] = _batched_scores(designs @ coef, values, None if prev is None else prev[idx])
-    return out
+    stacked by observation count; returns (scores, n_truncated) of
+    ``_batched_scores``, whose guard ``prev`` enables."""
+    return _batched_scores(
+        [(idx, designs @ coef, values) for idx, designs, values in ws.size_groups()], prev
+    )
 
 
 def _psi_normal(ws: _Workspace, scores, coef, m: int) -> tuple[np.ndarray, np.ndarray]:
@@ -375,7 +387,9 @@ def _psi_update(ws: _Workspace, scores, coef, m: int, gamma: float):
     Returns (beta, score_scale, fallback).
     """
     gram, penalty = ws.basis.gram, ws.basis.penalty
-    if not np.any(scores[:, m]):
+    # relative, not exact zero: a column left only with rounding noise of
+    # the score kernel has nothing to fit
+    if np.max(np.abs(scores[:, m])) <= 64 * _EPS * np.max(np.abs(scores)):
         raise SingularStepError(f"all scores for component {m + 1} are zero")
     ata, rhs = _psi_normal(ws, scores, coef, m)
     others = np.delete(coef, m, axis=1)
@@ -507,7 +521,7 @@ def _alternate(ws, coef, scores, m, gammas, trace):
     cycles = 0
     for it in range(_MAX_INNER_ITERS):
         cycles += 1
-        scores = _score_step_ws(ws, coef, prev=scores)
+        scores, _ = _score_step_ws(ws, coef, prev=scores)
         full, _ = _loss(ws, coef, scores, gammas)
         trace.append(full)
         try:
@@ -613,7 +627,7 @@ def fit_soap(
                 n_fb += int(fb)
                 if accepted:
                     trace.append(full)
-                scores = _score_step_ws(ws, coef, prev=scores)
+                scores, _ = _score_step_ws(ws, coef, prev=scores)
                 full, _ = _loss(ws, coef, scores, gam)
                 trace.append(full)
             cur = trace[-1]
@@ -629,7 +643,7 @@ def fit_soap(
     # the guarded iterates, so fitting and prediction agree bitwise on
     # training data.
     coef = _fix_signs(ws, coef)
-    scores = _score_step_ws(ws, coef)
+    scores, n_truncated = _score_step_ws(ws, coef)
     _, base = _loss(ws, coef, scores, gam)
 
     report = FitReport(
@@ -640,6 +654,7 @@ def fit_soap(
         sweep_objectives=tuple(sweep_objectives),
         stage_offsets=tuple(stage_offsets),
         n_fallbacks=n_fb,
+        n_truncated=n_truncated,
     )
     return FecModel(
         basis=basis,

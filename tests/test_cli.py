@@ -1,5 +1,6 @@
 import filecmp
 import json
+import math
 import os
 import subprocess
 import sys
@@ -126,6 +127,8 @@ class TestFit:
         ds = validate_dataset(read_long_csv(sparse_fixture), (0.0, 1.0))
         model = fit_soap(ds, make_bspline_basis((0.0, 1.0), 8, 4), 2, 0.001)
         assert report["n_fallbacks"] == model.report.n_fallbacks
+        saved = json.loads((out / "model.json").read_text())["report"]
+        assert report["n_truncated"] == saved["n_truncated"] == model.report.n_truncated
         assert report["stage_offsets"] == list(model.report.stage_offsets)
         assert report["loss_trace"] == list(model.report.loss_trace)
 
@@ -227,6 +230,11 @@ class TestPredict:
             ([good], "JSON object"),
             ({**good, "coef": good["coef"][:-1]}, "'coef' has shape"),
             ({**good, "scores": [row * 2 for row in good["scores"]]}, "'scores' has shape"),
+            ({**good, "basis": {**good["basis"], "domain": 5}}, "'basis.domain'"),
+            ({**good, "l": None}, "'l' has an invalid value"),
+            ({**good, "coef": [math.nan] + good["coef"][1:]}, "'coef' has a non-finite value"),
+            ({**good, "coef": [2 * c for c in good["coef"]]}, "'coef' is not G-orthonormal"),
+            ({**good, "noise_var": math.inf}, "'noise_var' has a non-finite value"),
         ]
         for doc, expected in cases:
             bad = tmp_path / "bad_model.json"

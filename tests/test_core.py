@@ -127,6 +127,7 @@ class TestModelRoundTrip:
                 tolerance_used=1e-7,
                 sweep_objectives=(1.6, 1.5),
                 stage_offsets=(0, 1),
+                n_truncated=3,
             )
         return FecModel(
             basis=basis,
@@ -147,6 +148,11 @@ class TestModelRoundTrip:
         assert back.report == model.report
         np.testing.assert_array_equal(back.basis.gram, model.basis.gram)
         np.testing.assert_array_equal(back.basis.penalty, model.basis.penalty)
+
+    def test_report_without_truncation_count_loads_as_zero(self, rng):
+        doc = model_to_dict(self.make_model(rng))
+        del doc["report"]["n_truncated"]  # written before the field existed
+        assert model_from_dict(doc).report.n_truncated == 0
 
     def test_round_trip_without_report(self, rng):
         model = self.make_model(rng, with_report=False)

@@ -84,18 +84,27 @@ class TestProjectScores:
 
 class TestBatchedProjection:
     def test_alone_equals_row_of_mixed_size_batch(self, cubic_basis, rng):
-        model, _ = make_model(cubic_basis, rng)
+        # at a realistic batch size: a kernel whose rounding depends on how
+        # many subjects share a call (as a 2-D B @ coef does under OpenBLAS)
+        # passes on a handful of subjects and fails here
         grid = np.linspace(0, 1, 11)
+        sizes = list(rng.integers(1, 7, size=300)) + [401]
         subjects = [
             Subject(id=f"s{i}", t=np.sort(rng.uniform(0, 1, n_i)), y=rng.normal(size=n_i))
-            for i, n_i in enumerate([1, 3, 2, 3, 6, 1, 2, 4])
+            for i, n_i in enumerate(sizes)
         ]
         subjects.append(Subject(id="tied", t=np.array([0.5, 0.5, 0.5]), y=np.array([1.0, 2.0, 0.5])))
-        batch = predict_trajectories(subjects, model, grid)
-        for subject, traj in zip(subjects, batch):
-            assert traj.subject_id == subject.id
-            np.testing.assert_array_equal(project_scores(subject, model), traj.scores)
-            np.testing.assert_array_equal(predict_trajectory(subject, model, grid).values, traj.values)
+        for m in (1, 2, 3):
+            coef = rng.normal(size=(cubic_basis.size, m))
+            coef = coef @ np.linalg.inv(np.linalg.cholesky(coef.T @ cubic_basis.gram @ coef)).T
+            model = FecModel(
+                basis=cubic_basis, coef=coef, scores=np.zeros((1, m)), gammas=np.zeros(m), noise_var=0.0
+            )
+            batch = predict_trajectories(subjects, model, grid)
+            for subject, traj in zip(subjects, batch):
+                assert traj.subject_id == subject.id
+                np.testing.assert_array_equal(project_scores(subject, model), traj.scores)
+                np.testing.assert_array_equal(predict_trajectory(subject, model, grid).values, traj.values)
 
     def test_no_subjects_no_trajectories(self, cubic_basis, rng):
         model, _ = make_model(cubic_basis, rng)

@@ -17,6 +17,7 @@ from soapfda import (
 from soapfda.basis import eval_basis_matrix, eval_function
 from soapfda.oracle import grid_eigenfunctions, sign_aligned_imse, uncentered_cov, DenseCurveSet
 from soapfda.sim import SimulationConfig, gen_sparse_dataset
+from soapfda.solver import SCORE_RANK_TOL, SCORE_SINGULAR_FLOOR, _batched_scores
 
 from conftest import dense_rank2_dataset, orthonormal_pair_in_span
 from solver_steps import fit_first_fec, psi_step_first, psi_step_orthogonal
@@ -126,6 +127,65 @@ class TestScoreStep:
         ds = validate_dataset([("a", 0.5, 2.0), ("b", 0.5, 2.0)], (0.0, 1.0))
         with pytest.raises(ValueError, match="inconsistent"):
             score_step(ds, [np.ones((1, 2)), np.ones((1, 3))])
+
+
+def svd_reference_scores(psi, y, prev=None):
+    """One subject's scores by truncated minimum-norm least squares on the SVD
+    of its value matrix, keeping s_j > max(SCORE_RANK_TOL s_max,
+    SCORE_SINGULAR_FLOOR), then the residual guard against ``prev``.
+    Returns (scores, directions kept)."""
+    u, s, vt = np.linalg.svd(psi, full_matrices=False)
+    keep = s > max(SCORE_RANK_TOL * s[0], SCORE_SINGULAR_FLOOR)
+    sol = vt[keep].T @ ((u[:, keep].T @ y) / s[keep])
+    if prev is not None:
+        r_new, r_old = y - psi @ sol, y - psi @ prev
+        if r_new @ r_new > r_old @ r_old:
+            sol = prev
+    return sol, int(keep.sum())
+
+
+class TestScoreKernel:
+    def mixed_stack(self, m, rng):
+        """Value matrices: every size 1-5 (so n_i = 1 and n_i < M), repeated
+        times, singular values straddling the floor, a vanishing subject."""
+        psis = [rng.normal(size=(n_i, m)) * 2.0 for n_i in (1, 2, 3, 4, 5) for _ in range(4)]
+        psis.append(np.repeat(rng.normal(size=(1, m)), 3, axis=0))
+        spectra = [(0.21,), (0.19,)] if m == 1 else [(1.3,) * (m - 2) + (0.21, 0.19)]
+        for spectrum in spectra:
+            u, _ = np.linalg.qr(rng.normal(size=(m + 2, m)))
+            v, _ = np.linalg.qr(rng.normal(size=(m, m)))
+            psis.append(u @ np.diag(spectrum) @ v.T)
+        psis.append(np.zeros((3, m)))
+        return psis, [rng.normal(size=len(p)) * 5.0 for p in psis]
+
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    @pytest.mark.parametrize("guarded", [False, True])
+    def test_matches_svd_reference(self, m, guarded, rng):
+        psis, ys = self.mixed_stack(m, rng)
+        prev = None
+        if guarded:
+            prev = rng.normal(size=(len(psis), m)) * 3.0
+            # untruncated, the subject with singular value 0.19 fits better
+            prev[-2] = np.linalg.pinv(psis[-2]) @ ys[-2]
+        sizes = np.array([len(p) for p in psis])
+        groups = [
+            (idx, np.stack([psis[i] for i in idx]), np.stack([ys[i] for i in idx]))
+            for idx in (np.flatnonzero(sizes == n_i) for n_i in np.unique(sizes))
+        ]
+        got, n_truncated = _batched_scores(groups, prev)
+        ranks = []
+        for i, (psi, y) in enumerate(zip(psis, ys)):
+            ref, rank = svd_reference_scores(psi, y, None if prev is None else prev[i])
+            np.testing.assert_allclose(got[i], ref, rtol=1e-10, atol=1e-10 * np.abs(ref).max())
+            alone = _batched_scores([(np.zeros(1, dtype=int), psi[None], y[None])])[1]
+            assert alone == int(rank < m)
+            ranks.append(rank)
+        assert n_truncated == sum(r < m for r in ranks)
+        assert ranks[-2] == m - 1
+        if guarded:
+            np.testing.assert_array_equal(got[-2], prev[-2])
+        assert ranks[-1] == 0
+        np.testing.assert_array_equal(got[-1], np.zeros(m))
 
 
 class TestPsiStepFirst:
@@ -332,6 +392,12 @@ class TestFitFirstFec:
 
 
 class TestFitSoap:
+    def test_truncation_count_matches_final_spectra(self):
+        ds, basis = sparse_instance(52, n=60)
+        model = fit_soap(ds, basis, 2, 1e-3)
+        ranks = [svd_reference_scores(model.component_values(s.t), s.y)[1] for s in ds.subjects]
+        assert model.report.n_truncated == sum(r < 2 for r in ranks) > 0
+
     def test_m1_reduces_to_fit_first_fec(self):
         ds, basis = sparse_instance(51)
         model = fit_soap(ds, basis, 1, [0.0])
@@ -346,8 +412,8 @@ class TestFitSoap:
     # component arithmetic that moves one iterate by one ulp changes the
     # digest; another BLAS build may round differently and need a new record.
     DEFAULT_TRACES = {
-        0.0: (516, False, 20, "23b206421ab38fffe030b0631012d9c6c2cdde1583262270496ae28cd8ed3def"),
-        1e-3: (214, False, 20, "4c5cc4880bafc6f165b84f2105fa7766e903648eced6453f80b874b50303a62f"),
+        0.0: (516, False, 20, "2ff7a0eb972d3249685e717e9905c7b6cce55a631b98aa729d4cd8938613570e"),
+        1e-3: (214, False, 20, "3f0637c3dda885a712b1aa44d69ec692a362552f1045e550edb17018ee6abc9a"),
     }
 
     @pytest.mark.parametrize("gamma", [0.0, 1e-3])
