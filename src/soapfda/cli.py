@@ -1,7 +1,7 @@
 """Command-line interface: fit, predict, simulate, oracle-check.
 
 Diagnostics go to stderr; data goes to files in --output-dir (or stdout).
-Every subcommand is deterministic given its inputs, flags, and seed. On
+Every subcommand is deterministic given its inputs and flags. On
 failure a machine-readable error JSON is printed to stdout and the exit
 status is 2.
 """
@@ -28,7 +28,7 @@ from .core import (
 )
 from .oracle import compare_to_soap, dense_curves_from_rows, grid_eigenfunctions, uncentered_cov
 from .predict import default_grid, holdout_last_mspe_model, predict_trajectories
-from .sim import SimulationConfig, parse_config_file, run_replication_study
+from .sim import SimulationConfig, draw_replication, parse_config_file, run_replication_study
 from .solver import SingularStepError, fit_soap
 
 
@@ -166,11 +166,13 @@ def cmd_fit(args) -> int:
         {
             "converged": fit_report.converged,
             "n_sweeps": fit_report.n_sweeps,
+            "stage_cycles": list(fit_report.stage_cycles),
             "n_fallbacks": fit_report.n_fallbacks,
             "n_truncated": fit_report.n_truncated,
             "stage_offsets": list(fit_report.stage_offsets),
             "loss_trace": list(fit_report.loss_trace),
             "sweep_objectives": list(fit_report.sweep_objectives),
+            "final_objective": fit_report.final_objective,
             "noise_var": model.noise_var,
             "orthonormality_error": model.orthonormality_error(),
         }
@@ -179,7 +181,7 @@ def cmd_fit(args) -> int:
     if not fit_report.converged:
         _log(
             "warning: fit did not converge within the iteration caps; "
-            f"final objective {fit_report.loss_trace[-1]!r}"
+            f"final objective {fit_report.final_objective!r}"
         )
 
     grid = default_grid(dataset.domain, args.grid_size)
@@ -240,7 +242,6 @@ def cmd_simulate(args) -> int:
         basis_size=args.basis_size,
         order=args.order,
         grid_size=args.grid_size,
-        threads=args.threads,
     )
     _write_json(summary.to_dict(), os.path.join(args.output_dir, "summary.json"))
 
@@ -253,12 +254,9 @@ def cmd_simulate(args) -> int:
 
     if args.dump_data:
         from .core import dataset_to_rows, write_long_csv
-        from .sim import gen_sparse_dataset
 
         for rep in range(args.reps):
-            rng = np.random.default_rng(config.seed + rep)
-            train, _, _ = gen_sparse_dataset(config, config.n_train, rng)
-            test, _, _ = gen_sparse_dataset(config, config.n_test, rng)
+            train, test, _ = draw_replication(config, rep)
             write_long_csv(os.path.join(args.output_dir, f"train_{rep:03d}.csv"), dataset_to_rows(train))
             write_long_csv(os.path.join(args.output_dir, f"test_{rep:03d}.csv"), dataset_to_rows(test))
     _log(f"wrote summary.json, replications.csv to {args.output_dir}")
@@ -297,7 +295,6 @@ def cmd_oracle_check(args) -> int:
 def _add_common(parser, with_domain=True):
     parser.add_argument("--basis-size", type=int, default=None, help="number of basis functions")
     parser.add_argument("--order", type=int, default=4, help="spline order (4 = cubic)")
-    parser.add_argument("--seed", type=int, default=0, help="accepted and unused: the fit is deterministic")
     if with_domain:
         parser.add_argument("--domain", type=_parse_domain, default=None, metavar="a,b")
 
@@ -342,7 +339,6 @@ def build_parser() -> argparse.ArgumentParser:
     simulate.add_argument("--grid-size", type=int, default=101)
     simulate.add_argument("--seed", type=int, default=None, help="overrides the config seed")
     simulate.add_argument("--dump-data", action="store_true")
-    simulate.add_argument("--threads", type=int, default=1)
     simulate.set_defaults(func=cmd_simulate)
 
     oracle = sub.add_parser("oracle-check", help="compare a fit against the dense-grid eigenfunctions")

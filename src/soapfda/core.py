@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 from dataclasses import dataclass, field
 from typing import Iterable
 
@@ -66,21 +67,27 @@ class FitReport:
 
     ``loss_trace`` records the full objective (residual term plus any
     roughness penalties at the current component count) after every score
-    and component update. ``sweep_objectives`` holds the objective at the
-    end of each refinement sweep; ``stage_offsets`` marks where each
-    component's extraction begins in ``loss_trace``. ``n_truncated`` counts
-    the subjects whose final score solve kept fewer than M directions
-    (n_i < M, or a direction cut by the score kernel's floor or rank rule).
+    and component update. ``stage_cycles`` counts the alternation cycles of
+    each component's extraction stage and ``n_sweeps`` the refinement sweeps
+    (0 for one component); ``sweep_objectives`` holds the objective at the
+    end of each sweep; ``stage_offsets`` marks where each component's
+    extraction begins in ``loss_trace``. ``n_truncated`` counts the subjects
+    whose final score solve kept fewer than M directions (n_i < M, or a
+    direction cut by the score kernel's floor or rank rule).
+    ``final_objective`` is the objective of the returned model, whose scores
+    come from a final unguarded refit, so it can differ from the trace's
+    last entry.
     """
 
     loss_trace: tuple[float, ...]
     converged: bool
     n_sweeps: int
-    tolerance_used: float
+    stage_cycles: tuple[int, ...] = ()
     sweep_objectives: tuple[float, ...] = ()
     stage_offsets: tuple[int, ...] = ()
     n_fallbacks: int = 0
     n_truncated: int = 0
+    final_objective: float = math.nan
 
 
 @dataclass(frozen=True)
@@ -254,11 +261,12 @@ def model_to_dict(model: FecModel) -> dict:
             "loss_trace": list(r.loss_trace),
             "converged": r.converged,
             "n_sweeps": r.n_sweeps,
-            "tolerance_used": r.tolerance_used,
+            "stage_cycles": list(r.stage_cycles),
             "sweep_objectives": list(r.sweep_objectives),
             "stage_offsets": list(r.stage_offsets),
             "n_fallbacks": r.n_fallbacks,
             "n_truncated": r.n_truncated,
+            "final_objective": r.final_objective,
         }
     return doc
 
@@ -301,6 +309,10 @@ def _floats(values) -> tuple[float, ...]:
     return tuple(float(v) for v in values)
 
 
+def _ints(values) -> tuple[int, ...]:
+    return tuple(int(v) for v in values)
+
+
 # a fitted model's coefficients are G-orthonormal to about 1e-16
 _MAX_ORTHONORMALITY_ERROR = 1e-8
 
@@ -312,8 +324,9 @@ def model_from_dict(doc: dict) -> FecModel:
     ValueError that names the key: a missing key, a value of the wrong type,
     a non-finite ``coef``, ``scores``, ``gammas`` or ``noise_var``, a ``coef``
     or ``scores`` whose shape does not match ``l`` and ``m``, and a ``coef``
-    whose columns are not G-orthonormal to 1e-8. A report without
-    ``n_truncated`` (an older file) loads with 0.
+    whose columns are not G-orthonormal to 1e-8. A report from an older
+    file loads without ``stage_cycles`` as (), ``n_truncated`` as 0 and
+    ``final_objective`` as NaN; a ``tolerance_used`` key in it is ignored.
     """
     b = _field(doc, "basis")
     domain = _finite(b, "domain", "basis")
@@ -341,11 +354,12 @@ def model_from_dict(doc: dict) -> FecModel:
             loss_trace=_converted(r, "loss_trace", _floats, "report"),
             converged=bool(_field(r, "converged", "report")),
             n_sweeps=_converted(r, "n_sweeps", int, "report"),
-            tolerance_used=_converted(r, "tolerance_used", float, "report"),
+            stage_cycles=_converted(r, "stage_cycles", _ints, "report", ()),
             sweep_objectives=_converted(r, "sweep_objectives", _floats, "report", ()),
-            stage_offsets=_converted(r, "stage_offsets", lambda v: tuple(map(int, v)), "report", ()),
+            stage_offsets=_converted(r, "stage_offsets", _ints, "report", ()),
             n_fallbacks=_converted(r, "n_fallbacks", int, "report", 0),
             n_truncated=_converted(r, "n_truncated", int, "report", 0),
+            final_objective=_converted(r, "final_objective", float, "report", math.nan),
         )
     model = FecModel(
         basis=basis,

@@ -172,6 +172,20 @@ def gen_sparse_dataset(
     return dataset, scores, TrueCurves(scores=scores, f1=f1, f2=f2)
 
 
+def draw_replication(
+    config: SimulationConfig, rep: int
+) -> tuple[LongitudinalDataset, LongitudinalDataset, TrueCurves]:
+    """Training and test sets of replication ``rep`` of a study.
+
+    Both are drawn, training set first, from the substream seeded with the
+    config seed plus ``rep``. Returns (train, test, truth of the test set).
+    """
+    rng = np.random.default_rng(config.seed + rep)
+    train, _, _ = gen_sparse_dataset(config, config.n_train, rng)
+    test, _, truth = gen_sparse_dataset(config, config.n_test, rng)
+    return train, test, truth
+
+
 def impe(predicted: np.ndarray, true_curves: np.ndarray, grid) -> float:
     """Mean over subjects of the trapezoid integral of (xhat - x)^2."""
     predicted = np.asarray(predicted, dtype=float)
@@ -241,14 +255,12 @@ def run_replication_study(
     basis_size: int | None = None,
     order: int = 4,
     grid_size: int = 101,
-    threads: int = 1,
 ) -> StudySummary:
     """Repeatedly generate train/test data, fit, predict, and aggregate errors.
 
-    Each replication draws from its own substream (config seed plus the
-    replication index), so the study is reproducible, replications are
-    independent, and running them on ``threads`` workers changes nothing but
-    wall time. Per replication we record IMPE of the predicted test
+    Each replication draws its data with ``draw_replication``, from its own
+    substream, so the study is reproducible and replications are
+    independent. Per replication we record IMPE of the predicted test
     trajectories and the sign-aligned IMSE of each fitted component against
     the generating pair; failed replications are excluded and counted.
     """
@@ -260,10 +272,8 @@ def run_replication_study(
     n_cmp_tracked = min(n_components, 2)
 
     def one_rep(rep: int) -> dict | None:
-        rng = np.random.default_rng(config.seed + rep)
         try:
-            train, _, _ = gen_sparse_dataset(config, config.n_train, rng)
-            test, _, truth_test = gen_sparse_dataset(config, config.n_test, rng)
+            train, test, truth_test = draw_replication(config, rep)
             L = basis_size if basis_size is not None else default_basis_size(train.n_obs_total, order)
             basis = make_bspline_basis(config.domain, L, order)
             model = fit_soap(train, basis, n_components, gammas)
@@ -280,13 +290,7 @@ def run_replication_study(
         except Exception:  # noqa: BLE001 - a failed replication is data, not a crash
             return None
 
-    if threads > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(one_rep, range(n_reps)))
-    else:
-        results = [one_rep(rep) for rep in range(n_reps)]
+    results = [one_rep(rep) for rep in range(n_reps)]
     per_rep = [r for r in results if r is not None]
     failed = [rep for rep, r in enumerate(results) if r is None]
 

@@ -41,8 +41,8 @@ _UPHILL_TOL = 1e-12
 # progress, well before this safety cap
 _EPS = float(np.finfo(float).eps)
 _SECULAR_MAX_ITERS = 100
-# iteration caps and the relative-change stopping tolerance of the fit: the
-# alternation within each extraction stage, then the refinement sweeps (M >= 2)
+# cycle caps of the one alternation loop, per extraction stage and for the
+# refinement sweeps (M >= 2), and its relative-change stopping tolerance
 _MAX_INNER_ITERS = 200
 _MAX_OUTER_SWEEPS = 20
 _REL_TOL = 1e-7
@@ -417,25 +417,6 @@ def _psi_update(ws: _Workspace, scores, coef, m: int, gamma: float):
 # ---------------------------------------------------------------------------
 
 
-def _guarded_update(ws: _Workspace, coef, scores, m: int, gammas, current: float):
-    """Update component m and rescale its score column, if that does not go uphill.
-
-    ``current`` is the objective of (coef, scores). The update is accepted
-    unless it raises the objective by more than floating-point noise
-    (_UPHILL_TOL relative); a rejected update leaves the state unchanged.
-    Returns (coef, scores, objective, accepted, fallback).
-    """
-    beta, s, fallback = _psi_update(ws, scores, coef, m, gammas[m])
-    new_coef = coef.copy()
-    new_coef[:, m] = beta
-    new_scores = scores.copy()
-    new_scores[:, m] = scores[:, m] * s
-    new_full, _ = _loss(ws, new_coef, new_scores, gammas)
-    if new_full <= current + _UPHILL_TOL * max(1.0, current):
-        return new_coef, new_scores, new_full, True, fallback
-    return coef, scores, current, False, fallback
-
-
 def _orthonormal_against(v: np.ndarray, fixed: np.ndarray, gram: np.ndarray) -> np.ndarray | None:
     """G-normalize v after projecting out the fixed components; None if degenerate."""
     u = v.copy()
@@ -490,9 +471,10 @@ def _extract_stage(ws: _Workspace, coef, scores, gammas):
                 ws,
                 np.column_stack([coef, beta0]),
                 np.column_stack([scores, np.zeros(ws.n)]),
-                m,
+                [m],
                 gammas,
                 segment,
+                _MAX_INNER_ITERS,
             )
         except SingularStepError as exc:
             last_error = exc
@@ -504,42 +486,54 @@ def _extract_stage(ws: _Workspace, coef, scores, gammas):
         if last_error is not None:
             raise last_error
         raise SingularStepError(f"component {m + 1}: every start failed")
-    _, (coef, scores, conv, cycles, fb), segment = best
-    return coef, scores, conv, cycles, fb, segment
+    _, (coef, scores, conv, ends, fb), segment = best
+    return coef, scores, conv, len(ends), fb, segment
 
 
-def _alternate(ws, coef, scores, m, gammas, trace):
-    """Alternate joint score steps with updates of component m until converged.
+def _alternate(ws, coef, scores, active, gammas, trace, cap):
+    """Alternate guarded score steps with updates of the components in ``active``.
 
-    Returns (coef, scores, converged, n_cycles, n_fallbacks). Component
-    updates that would move the objective uphill beyond floating-point noise
-    are rejected and treated as convergence at the numerical floor.
+    A cycle runs, for each m in ``active``, a joint score step (its objective
+    is appended to ``trace``) and then an update of component m with its
+    score column rescaled. An update is accepted unless it raises the
+    objective by more than floating-point noise (_UPHILL_TOL relative); an
+    accepted update's objective is appended too, a rejected one leaves the
+    state unchanged. The loop has converged when a cycle accepts no update
+    (a stall at the numerical floor) or ends within _REL_TOL relative of
+    the previous cycle's end (for the first cycle, of the objective ``trace``
+    ends with on entry, if any); it stops unconverged after ``cap`` cycles.
+    Returns (coef, scores, converged, cycle_ends, n_fallbacks), where
+    ``cycle_ends`` holds the objective at the end of every cycle.
     """
-    prev_cycle = None
-    converged = False
+    prev = trace[-1] if trace else None
+    ends: list[float] = []
     n_fb = 0
-    cycles = 0
-    for it in range(_MAX_INNER_ITERS):
-        cycles += 1
-        scores, _ = _score_step_ws(ws, coef, prev=scores)
-        full, _ = _loss(ws, coef, scores, gammas)
-        trace.append(full)
-        try:
-            coef, scores, full, accepted, fb = _guarded_update(ws, coef, scores, m, gammas, full)
-        except SingularStepError as exc:
-            raise SingularStepError(f"component {m + 1}, iteration {it + 1}: {exc}") from exc
-        n_fb += int(fb)
-        if not accepted:
-            converged = True  # stalled at the numerical floor; keep previous iterate
-            break
-        trace.append(full)
-        if prev_cycle is not None and abs(prev_cycle - full) <= _REL_TOL * max(
-            1.0, abs(prev_cycle)
-        ):
-            converged = True
-            break
-        prev_cycle = full
-    return coef, scores, converged, cycles, n_fb
+    for it in range(cap):
+        accepted = False
+        for m in active:
+            scores, _ = _score_step_ws(ws, coef, prev=scores)
+            current, _ = _loss(ws, coef, scores, gammas)
+            trace.append(current)
+            try:
+                beta, s, fallback = _psi_update(ws, scores, coef, m, gammas[m])
+            except SingularStepError as exc:
+                raise SingularStepError(f"component {m + 1}, iteration {it + 1}: {exc}") from exc
+            n_fb += int(fallback)
+            new_coef = coef.copy()
+            new_coef[:, m] = beta
+            new_scores = scores.copy()
+            new_scores[:, m] = scores[:, m] * s
+            full, _ = _loss(ws, new_coef, new_scores, gammas)
+            if full <= current + _UPHILL_TOL * max(1.0, current):
+                coef, scores = new_coef, new_scores
+                trace.append(full)
+                accepted = True
+        end = trace[-1]
+        ends.append(end)
+        if not accepted or (prev is not None and abs(prev - end) <= _REL_TOL * max(1.0, abs(prev))):
+            return coef, scores, True, ends, n_fb
+        prev = end
+    return coef, scores, False, ends, n_fb
 
 
 def _fix_signs(ws: _Workspace, coef: np.ndarray) -> np.ndarray:
@@ -568,10 +562,13 @@ def fit_soap(
     to them), from two deterministic starts (the leading ridge-SVD direction
     and the first basis function), keeping the better run. With M >= 2,
     refinement sweeps then re-optimize each component in turn against all
-    the others, with a joint score refit after every component update. A
-    stage stops when its objective changes by at most 1e-7 relative between
-    cycles (cap 200 cycles), the sweeps when they change it by at most 1e-7
-    relative (cap 20 sweeps); ``report.converged`` is false if a cap was hit.
+    the others. Stages and sweeps run the same alternation: a joint score
+    refit before every component update. Each stops when a cycle (a sweep)
+    changes the objective by at most 1e-7 relative or accepts no update, or
+    at its cap of 200 cycles per stage and 20 sweeps; ``report.converged``
+    is false if a cap was hit. ``report.stage_cycles`` counts each stage's
+    cycles and ``report.n_sweeps`` the sweeps; ``report.final_objective`` is
+    the objective of the returned model.
 
     ``gammas`` is a scalar or a length-M sequence of roughness penalty
     weights. The returned model has G-orthonormal coefficient columns, a
@@ -595,9 +592,9 @@ def fit_soap(
     scores = np.zeros((ws.n, 0))
     trace: list[float] = []
     stage_offsets: list[int] = []
+    stage_cycles: list[int] = []
     n_fb = 0
     all_converged = True
-    inner_cycles = 0
 
     for m in range(n_components):
         stage_offsets.append(len(trace))
@@ -606,37 +603,16 @@ def fit_soap(
         )
         trace.extend(segment)
         all_converged &= conv
-        inner_cycles += cycles
+        stage_cycles.append(cycles)
         n_fb += fb
 
     sweep_objectives: list[float] = []
-    n_sweeps = 0
     if n_components > 1:
-        prev = trace[-1]
-        refined = False
-        for _ in range(_MAX_OUTER_SWEEPS):
-            n_sweeps += 1
-            for m in range(n_components):
-                # every path appends the objective of the current (coef, scores) last
-                try:
-                    coef, scores, full, accepted, fb = _guarded_update(
-                        ws, coef, scores, m, gam, trace[-1]
-                    )
-                except SingularStepError as exc:
-                    raise SingularStepError(f"refinement of component {m + 1}: {exc}") from exc
-                n_fb += int(fb)
-                if accepted:
-                    trace.append(full)
-                scores, _ = _score_step_ws(ws, coef, prev=scores)
-                full, _ = _loss(ws, coef, scores, gam)
-                trace.append(full)
-            cur = trace[-1]
-            sweep_objectives.append(cur)
-            if abs(prev - cur) <= _REL_TOL * max(1.0, abs(prev)):
-                refined = True
-                break
-            prev = cur
+        coef, scores, refined, sweep_objectives, fb = _alternate(
+            ws, coef, scores, range(n_components), gam, trace, _MAX_OUTER_SWEEPS
+        )
         all_converged &= refined
+        n_fb += fb
 
     # Finalize with pure projections: the returned scores are the unguarded
     # output of the score kernel that `predict.project_scores` also uses, not
@@ -644,17 +620,18 @@ def fit_soap(
     # training data.
     coef = _fix_signs(ws, coef)
     scores, n_truncated = _score_step_ws(ws, coef)
-    _, base = _loss(ws, coef, scores, gam)
+    full, base = _loss(ws, coef, scores, gam)
 
     report = FitReport(
         loss_trace=tuple(trace),
         converged=bool(all_converged),
-        n_sweeps=n_sweeps if n_components > 1 else inner_cycles,
-        tolerance_used=_REL_TOL,
+        n_sweeps=len(sweep_objectives),
+        stage_cycles=tuple(stage_cycles),
         sweep_objectives=tuple(sweep_objectives),
         stage_offsets=tuple(stage_offsets),
         n_fallbacks=n_fb,
         n_truncated=n_truncated,
+        final_objective=full,
     )
     return FecModel(
         basis=basis,

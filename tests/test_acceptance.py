@@ -414,7 +414,7 @@ class TestCriterion10:
         results = {
             "fit": self.run_twice(
                 ["fit", "--input", str(train_csv), "--domain", "0,1", "--m", "2",
-                 "--gamma", "0.001", "--seed", "1"],
+                 "--gamma", "0.001"],
                 tmp_path, "fit",
             ),
         }

@@ -129,6 +129,8 @@ class TestFit:
         assert report["n_fallbacks"] == model.report.n_fallbacks
         saved = json.loads((out / "model.json").read_text())["report"]
         assert report["n_truncated"] == saved["n_truncated"] == model.report.n_truncated
+        assert report["stage_cycles"] == saved["stage_cycles"] == list(model.report.stage_cycles)
+        assert report["final_objective"] == saved["final_objective"] == model.report.final_objective
         assert report["stage_offsets"] == list(model.report.stage_offsets)
         assert report["loss_trace"] == list(model.report.loss_trace)
 
@@ -146,6 +148,9 @@ class TestFit:
         assert captured.out == ""
         warnings = [line for line in captured.err.splitlines() if line.startswith("warning:")]
         assert len(warnings) == 1 and "did not converge" in warnings[0]
+        # the objective of the saved model, not the end of the loss trace
+        final = load_model(out / "model.json").report.final_objective
+        assert f"final objective {final!r}" in warnings[0]
 
     def test_converged_fit_does_not_warn(self, sparse_fixture, tmp_path, capsys):
         out = tmp_path / "quiet"
@@ -268,9 +273,11 @@ class TestSimulate:
         out = tmp_path / "sim"
         run_cli("simulate", "--config", str(cfg), "--output-dir", str(out),
                 "--reps", "1", "--basis-size", "6", "--dump-data")
-        from soapfda.core import read_long_csv
+        from soapfda.sim import draw_replication, parse_config_file
         rows = read_long_csv(out / "train_000.csv")
         assert len({r[0] for r in rows}) == 10
+        train, _, _ = draw_replication(parse_config_file(cfg), 0)
+        assert rows == dataset_to_rows(train)
 
 
 class TestOracleCheck:
@@ -298,7 +305,7 @@ class TestDeterminism:
         for tag in ("a", "b"):
             out = tmp_path / tag
             run_cli("fit", "--input", sparse_fixture, "--output-dir", str(out),
-                    "--domain", "0,1", "--m", "2", "--gamma", "0.001", "--seed", "9")
+                    "--domain", "0,1", "--m", "2", "--gamma", "0.001")
             outs.append(out)
         assert tree_bytes(outs[0]) == tree_bytes(outs[1])
 

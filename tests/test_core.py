@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -124,10 +126,11 @@ class TestModelRoundTrip:
                 loss_trace=(3.0, 2.0, 1.5),
                 converged=True,
                 n_sweeps=2,
-                tolerance_used=1e-7,
+                stage_cycles=(4, 1),
                 sweep_objectives=(1.6, 1.5),
                 stage_offsets=(0, 1),
                 n_truncated=3,
+                final_objective=1.75,
             )
         return FecModel(
             basis=basis,
@@ -153,6 +156,16 @@ class TestModelRoundTrip:
         doc = model_to_dict(self.make_model(rng))
         del doc["report"]["n_truncated"]  # written before the field existed
         assert model_from_dict(doc).report.n_truncated == 0
+
+    def test_older_report_loads(self, rng):
+        doc = model_to_dict(self.make_model(rng))
+        # written before stage_cycles and final_objective, with a key since removed
+        del doc["report"]["stage_cycles"], doc["report"]["final_objective"]
+        doc["report"]["tolerance_used"] = 1e-7
+        report = model_from_dict(doc).report
+        assert report.stage_cycles == ()
+        assert math.isnan(report.final_objective)
+        assert report.n_sweeps == 2
 
     def test_round_trip_without_report(self, rng):
         model = self.make_model(rng, with_report=False)

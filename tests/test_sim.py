@@ -169,13 +169,6 @@ class TestReplicationStudy:
         s2 = run_replication_study(cfg, n_reps=2, basis_size=8)
         assert s1.to_dict() == s2.to_dict()
 
-    def test_threaded_matches_sequential(self):
-        cfg = SimulationConfig(seed=47, n_train=25, n_test=25)
-        s1 = run_replication_study(cfg, n_reps=3, basis_size=8)
-        s3 = run_replication_study(cfg, n_reps=3, basis_size=8, threads=3)
-        assert s1.to_dict() == s3.to_dict()
-        assert s1.per_rep == s3.per_rep
-
     def test_summary_has_five_statistics(self):
         cfg = SimulationConfig(seed=43, n_train=20, n_test=20)
         summary = run_replication_study(cfg, n_reps=2, basis_size=8)

@@ -17,6 +17,7 @@ from soapfda import (
 from soapfda.basis import eval_basis_matrix, eval_function
 from soapfda.oracle import grid_eigenfunctions, sign_aligned_imse, uncentered_cov, DenseCurveSet
 from soapfda.sim import SimulationConfig, gen_sparse_dataset
+from soapfda import solver
 from soapfda.solver import SCORE_RANK_TOL, SCORE_SINGULAR_FLOOR, _batched_scores
 
 from conftest import dense_rank2_dataset, orthonormal_pair_in_span
@@ -369,7 +370,7 @@ class TestFitFirstFec:
         ds = validate_dataset(rows, (0.0, 1.0))
         beta, scores, report = fit_first_fec(ds, cubic_basis, 0.0)
         assert report.converged
-        assert report.n_sweeps <= 3
+        assert report.stage_cycles[0] <= 3
         fine = np.linspace(0, 1, 801)
         imse = sign_aligned_imse(
             eval_function(cubic_basis, beta, fine), eval_function(cubic_basis, c1, fine), fine
@@ -398,6 +399,27 @@ class TestFitSoap:
         ranks = [svd_reference_scores(model.component_values(s.t), s.y)[1] for s in ds.subjects]
         assert model.report.n_truncated == sum(r < 2 for r in ranks) > 0
 
+    def test_final_objective_is_the_returned_models(self):
+        ds, basis = sparse_instance(57, n=60)
+        model = fit_soap(ds, basis, 2, 1e-3)
+        full = objective(ds, model)
+        assert abs(model.report.final_objective - full) <= 1e-12 * full
+
+    @pytest.mark.parametrize("gamma", [0.0, 1e-3])
+    def test_stall_when_every_update_is_rejected(self, gamma, monkeypatch):
+        # with a negative uphill tolerance no update is accepted, so each
+        # stage and the sweeps stop after their first cycle as converged
+        monkeypatch.setattr(solver, "_UPHILL_TOL", -1.0)
+        cfg = SimulationConfig(seed=3, n_train=60)
+        ds, _, _ = gen_sparse_dataset(cfg)
+        basis = make_bspline_basis(cfg.domain, 10, 4)
+        for m, length in ((1, 1), (2, 4)):
+            report = fit_soap(ds, basis, m, gamma).report
+            assert report.converged
+            assert len(report.loss_trace) == length
+            assert report.stage_cycles == (1,) * m
+            assert report.n_sweeps == m - 1
+
     def test_m1_reduces_to_fit_first_fec(self):
         ds, basis = sparse_instance(51)
         model = fit_soap(ds, basis, 1, [0.0])
@@ -412,8 +434,8 @@ class TestFitSoap:
     # component arithmetic that moves one iterate by one ulp changes the
     # digest; another BLAS build may round differently and need a new record.
     DEFAULT_TRACES = {
-        0.0: (516, False, 20, "2ff7a0eb972d3249685e717e9905c7b6cce55a631b98aa729d4cd8938613570e"),
-        1e-3: (214, False, 20, "3f0637c3dda885a712b1aa44d69ec692a362552f1045e550edb17018ee6abc9a"),
+        0.0: (516, False, 20, "7c3fb0e89c7c82f72b3212e4f732e2993140d014dfadccb27b2c02e66f83af17"),
+        1e-3: (214, False, 20, "c6fedc8bc8f228185942476984fe8022e661c65974510778667274695ce7f5f6"),
     }
 
     @pytest.mark.parametrize("gamma", [0.0, 1e-3])
