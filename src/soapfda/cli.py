@@ -9,7 +9,6 @@ status is 2.
 from __future__ import annotations
 
 import argparse
-import csv
 import dataclasses
 import json
 import os
@@ -21,10 +20,13 @@ from . import selection
 from .basis import default_basis_size, make_bspline_basis, quantile_interior_knots
 from .core import (
     DataValidationError,
+    dataset_to_rows,
     load_model,
     read_long_csv,
     save_model,
     validate_dataset,
+    write_csv,
+    write_long_csv,
 )
 from .oracle import compare_to_soap, dense_curves_from_rows, grid_eigenfunctions, uncentered_cov
 from .predict import default_grid, holdout_last_mspe_model, predict_trajectories
@@ -100,24 +102,25 @@ def _build_basis(dataset, args):
 
 
 def _write_scores_csv(path, ids, scores) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["subject_id"] + [f"score_{m + 1}" for m in range(scores.shape[1])])
-        for sid, row in zip(ids, scores):
-            writer.writerow([sid] + [repr(float(v)) for v in row])
+    header = ["subject_id"] + [f"score_{m + 1}" for m in range(scores.shape[1])]
+    write_csv(path, header, [ids, *scores.T])
 
 
 def _write_trajectories_csv(path, trajectories) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["subject_id", "t", "x_hat"])
-        for traj in trajectories:
-            for t, v in zip(traj.grid, traj.values):
-                writer.writerow([traj.subject_id, repr(float(t)), repr(float(v))])
+    write_csv(
+        path,
+        ["subject_id", "t", "x_hat"],
+        [
+            [traj.subject_id for traj in trajectories for _ in range(len(traj.grid))],
+            np.concatenate([traj.grid for traj in trajectories]),
+            np.concatenate([traj.values for traj in trajectories]),
+        ],
+    )
 
 
 def cmd_fit(args) -> int:
     dataset = _load_dataset(args.input, args.domain)
+    grid = default_grid(dataset.domain, args.grid_size)
     basis = _build_basis(dataset, args)
     os.makedirs(args.output_dir, exist_ok=True)
 
@@ -134,15 +137,7 @@ def cmd_fit(args) -> int:
         candidates = _parse_gamma_grid(args.gamma_grid)
         _log(f"selecting gamma for {max_m} component(s) over {candidates} by LOCO-CV")
         gammas, cv_tables = selection.select_gammas_sequential(dataset, basis, max_m, candidates)
-        report["cv"] = [
-            {
-                "component": m + 1,
-                "candidate_gammas": list(tab.candidate_gammas),
-                "cv_errors": list(tab.cv_errors),
-                "chosen": tab.chosen,
-            }
-            for m, tab in enumerate(cv_tables)
-        ]
+        report["cv"] = [{"component": m + 1, **dataclasses.asdict(tab)} for m, tab in enumerate(cv_tables)]
     else:
         gammas = [args.gamma] * max_m
     report["gammas"] = list(map(float, gammas))
@@ -162,21 +157,9 @@ def cmd_fit(args) -> int:
         model = fit_soap(dataset, basis, max_m, gammas)
 
     fit_report = model.report
-    report.update(
-        {
-            "converged": fit_report.converged,
-            "n_sweeps": fit_report.n_sweeps,
-            "stage_cycles": list(fit_report.stage_cycles),
-            "n_fallbacks": fit_report.n_fallbacks,
-            "n_truncated": fit_report.n_truncated,
-            "stage_offsets": list(fit_report.stage_offsets),
-            "loss_trace": list(fit_report.loss_trace),
-            "sweep_objectives": list(fit_report.sweep_objectives),
-            "final_objective": fit_report.final_objective,
-            "noise_var": model.noise_var,
-            "orthonormality_error": model.orthonormality_error(),
-        }
-    )
+    report.update(dataclasses.asdict(fit_report))
+    report["noise_var"] = model.noise_var
+    report["orthonormality_error"] = model.orthonormality_error()
 
     if not fit_report.converged:
         _log(
@@ -184,7 +167,6 @@ def cmd_fit(args) -> int:
             f"final objective {fit_report.final_objective!r}"
         )
 
-    grid = default_grid(dataset.domain, args.grid_size)
     trajectories = predict_trajectories(dataset.subjects, model, grid)
     save_model(model, os.path.join(args.output_dir, "model.json"))
     _write_scores_csv(os.path.join(args.output_dir, "scores.csv"), dataset.ids, model.scores)
@@ -234,27 +216,26 @@ def cmd_simulate(args) -> int:
     os.makedirs(args.output_dir, exist_ok=True)
 
     _log(f"running {args.reps} replication(s), {args.m} component(s), seed {config.seed}")
-    summary = run_replication_study(
-        config,
-        n_reps=args.reps,
-        n_components=args.m,
-        gammas=args.gamma,
-        basis_size=args.basis_size,
-        order=args.order,
-        grid_size=args.grid_size,
-    )
+    try:
+        summary = run_replication_study(
+            config,
+            n_reps=args.reps,
+            n_components=args.m,
+            gammas=args.gamma,
+            basis_size=args.basis_size,
+            order=args.order,
+            grid_size=args.grid_size,
+        )
+    except RuntimeError as exc:  # every replication failed
+        raise CliError(str(exc)) from exc
     _write_json(summary.to_dict(), os.path.join(args.output_dir, "summary.json"))
 
     fields = ["rep", "impe"] + [f"imse_{m + 1}" for m in range(len(summary.imse_components))]
-    with open(os.path.join(args.output_dir, "replications.csv"), "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(fields)
-        for record in summary.per_rep:
-            writer.writerow([record["rep"]] + [repr(float(record[f])) for f in fields[1:]])
+    columns = [[r["rep"] for r in summary.per_rep]]
+    columns += [np.array([r[f] for r in summary.per_rep], dtype=float) for f in fields[1:]]
+    write_csv(os.path.join(args.output_dir, "replications.csv"), fields, columns)
 
     if args.dump_data:
-        from .core import dataset_to_rows, write_long_csv
-
         for rep in range(args.reps):
             train, test, _ = draw_replication(config, rep)
             write_long_csv(os.path.join(args.output_dir, f"train_{rep:03d}.csv"), dataset_to_rows(train))
@@ -351,9 +332,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        # inside the try: type functions such as _parse_domain raise CliError
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except CliError as exc:
         _write_json({"error": {"type": "cli", "message": str(exc)}})

@@ -5,8 +5,8 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import dataclass, field
-from typing import Iterable
+from dataclasses import MISSING, asdict, dataclass, field, fields
+from typing import Iterable, get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -218,12 +218,23 @@ def read_long_csv(path) -> list[tuple[str, float, float]]:
     return rows
 
 
-def write_long_csv(path, rows: Iterable[tuple[str, float, float]]) -> None:
+def write_csv(path, header, columns) -> None:
+    """Write equal-length columns under a header row.
+
+    Every value of a numpy-array column is written as its ``repr``, which
+    reads back bitwise; other columns, such as subject ids, are written as
+    they are.
+    """
+    cells = [map(repr, col.tolist()) if isinstance(col, np.ndarray) else col for col in columns]
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
-        writer.writerow(CSV_HEADER)
-        for sid, t, y in rows:
-            writer.writerow([sid, repr(float(t)), repr(float(y))])
+        writer.writerow(header)
+        writer.writerows(zip(*cells))
+
+
+def write_long_csv(path, rows: Iterable[tuple[str, float, float]]) -> None:
+    ids, t, y = tuple(zip(*rows)) or ((), (), ())
+    write_csv(path, CSV_HEADER, [ids, np.asarray(t, dtype=float), np.asarray(y, dtype=float)])
 
 
 def dataset_to_rows(dataset: LongitudinalDataset) -> list[tuple[str, float, float]]:
@@ -256,18 +267,7 @@ def model_to_dict(model: FecModel) -> dict:
         "noise_var": float(model.noise_var),
     }
     if model.report is not None:
-        r = model.report
-        doc["report"] = {
-            "loss_trace": list(r.loss_trace),
-            "converged": r.converged,
-            "n_sweeps": r.n_sweeps,
-            "stage_cycles": list(r.stage_cycles),
-            "sweep_objectives": list(r.sweep_objectives),
-            "stage_offsets": list(r.stage_offsets),
-            "n_fallbacks": r.n_fallbacks,
-            "n_truncated": r.n_truncated,
-            "final_objective": r.final_objective,
-        }
+        doc["report"] = asdict(model.report)
     return doc
 
 
@@ -285,10 +285,10 @@ def _field(doc, key: str, section: str | None = None):
     return doc[key]
 
 
-def _converted(doc, key: str, convert, section: str | None = None, default=None):
+def _converted(doc, key: str, convert, section: str | None = None, default=MISSING):
     """``convert(doc[key])``; a value of the wrong type raises a ValueError
     naming the key. With ``default`` given, a missing key yields it."""
-    if default is not None and isinstance(doc, dict) and key not in doc:
+    if default is not MISSING and isinstance(doc, dict) and key not in doc:
         return default
     value = _field(doc, key, section)
     try:
@@ -305,12 +305,13 @@ def _finite(doc, key: str, section: str | None = None, convert=lambda v: np.asar
     return value
 
 
-def _floats(values) -> tuple[float, ...]:
-    return tuple(float(v) for v in values)
-
-
-def _ints(values) -> tuple[int, ...]:
-    return tuple(int(v) for v in values)
+def _converter(hint):
+    """The function that reads a JSON value back as type ``hint``: a scalar
+    type itself, or a tuple of one item type."""
+    if get_origin(hint) is tuple:
+        item = get_args(hint)[0]
+        return lambda values: tuple(item(v) for v in values)
+    return hint
 
 
 # a fitted model's coefficients are G-orthonormal to about 1e-16
@@ -324,21 +325,34 @@ def model_from_dict(doc: dict) -> FecModel:
     ValueError that names the key: a missing key, a value of the wrong type,
     a non-finite ``coef``, ``scores``, ``gammas`` or ``noise_var``, a ``coef``
     or ``scores`` whose shape does not match ``l`` and ``m``, and a ``coef``
-    whose columns are not G-orthonormal to 1e-8. A report from an older
-    file loads without ``stage_cycles`` as (), ``n_truncated`` as 0 and
-    ``final_objective`` as NaN; a ``tolerance_used`` key in it is ignored.
+    whose columns are not G-orthonormal to 1e-8; so does a basis that
+    ``make_bspline_basis`` would reject. The report's fields are those of
+    ``FitReport``: one missing from an older file loads as the field's
+    default, and a key that is no field (such as ``tolerance_used``) is
+    ignored.
     """
     b = _field(doc, "basis")
     domain = _finite(b, "domain", "basis")
     if domain.shape != (2,):
         raise ValueError(f"model key 'basis.domain' has shape {domain.shape}, expected (2,)")
+    lo, hi = float(domain[0]), float(domain[1])
+    if lo >= hi:
+        raise ValueError(f"model key 'basis.domain' is ({lo}, {hi}), not an interval")
     L, M = _converted(doc, "l", int), _converted(doc, "m", int)
-    basis = make_bspline_basis(
-        domain=(float(domain[0]), float(domain[1])),
-        size=L,
-        order=_converted(b, "order", int, "basis"),
-        interior_knots=_finite(b, "interior_knots", "basis"),
-    )
+    order = _converted(b, "order", int, "basis")
+    if order < 2:
+        raise ValueError(f"model key 'basis.order' is {order}, expected >= 2")
+    if L < order:
+        raise ValueError(f"model key 'l' is {L}, below basis.order {order}")
+    knots = _finite(b, "interior_knots", "basis")
+    if knots.shape != (L - order,):
+        raise ValueError(
+            f"model key 'basis.interior_knots' has shape {knots.shape}, "
+            f"expected ({L - order},) for l={L}, order={order}"
+        )
+    if np.any(knots <= lo) or np.any(knots >= hi) or np.any(np.diff(knots) <= 0):
+        raise ValueError("model key 'basis.interior_knots' is not strictly increasing inside basis.domain")
+    basis = make_bspline_basis((lo, hi), L, order, interior_knots=knots)
     coef = _finite(doc, "coef")
     if coef.shape != (L * M,):
         raise ValueError(f"model key 'coef' has shape {coef.shape}, expected ({L * M},) for l={L}, m={M}")
@@ -349,17 +363,12 @@ def model_from_dict(doc: dict) -> FecModel:
         raise ValueError(f"model key 'scores' has shape {scores.shape}, expected (n, {M}) for m={M}")
     report = None
     if "report" in doc:
-        r = doc["report"]
+        r, hints = doc["report"], get_type_hints(FitReport)
         report = FitReport(
-            loss_trace=_converted(r, "loss_trace", _floats, "report"),
-            converged=bool(_field(r, "converged", "report")),
-            n_sweeps=_converted(r, "n_sweeps", int, "report"),
-            stage_cycles=_converted(r, "stage_cycles", _ints, "report", ()),
-            sweep_objectives=_converted(r, "sweep_objectives", _floats, "report", ()),
-            stage_offsets=_converted(r, "stage_offsets", _ints, "report", ()),
-            n_fallbacks=_converted(r, "n_fallbacks", int, "report", 0),
-            n_truncated=_converted(r, "n_truncated", int, "report", 0),
-            final_objective=_converted(r, "final_objective", float, "report", math.nan),
+            **{
+                f.name: _converted(r, f.name, _converter(hints[f.name]), "report", f.default)
+                for f in fields(FitReport)
+            }
         )
     model = FecModel(
         basis=basis,

@@ -111,6 +111,8 @@ def predict_trajectory(subject: Subject, model: FecModel, grid) -> TrajectoryEst
 
 
 def default_grid(domain: tuple[float, float], size: int = 101) -> np.ndarray:
+    if size < 1:
+        raise ValueError(f"grid size must be >= 1, got {size}")
     return np.linspace(domain[0], domain[1], size)
 
 

@@ -8,6 +8,7 @@ random times, Gaussian measurement noise).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 from typing import Callable
 
@@ -69,7 +70,7 @@ class SimulationConfig:
     ``normal_scale_is_sd=False`` to read them as variances instead);
     ``gamma_rates`` are the rate parameters of the centered-Gamma score law.
     ``components`` may supply any orthonormal pair; the default is the
-    cosine pair above.
+    cosine pair above. An invalid setting raises a ValueError naming it.
     """
 
     n_train: int = 300
@@ -87,10 +88,14 @@ class SimulationConfig:
     def __post_init__(self):
         if self.score_dist not in ("gaussian", "gamma_centered"):
             raise ValueError(f"unknown score_dist {self.score_dist!r}")
-        if min(self.score_scales) <= 0 or min(self.gamma_rates) <= 0:
-            raise ValueError("score scales and gamma rates must be > 0")
-        if self.noise_sd < 0:
-            raise ValueError("noise_sd must be >= 0")
+        for name in ("n_train", "n_test"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
+        for name in ("score_scales", "gamma_rates"):
+            if not all(math.isfinite(v) and v > 0 for v in getattr(self, name)):
+                raise ValueError(f"{name} must be finite and > 0, got {getattr(self, name)}")
+        if not (math.isfinite(self.noise_sd) and self.noise_sd >= 0):
+            raise ValueError(f"noise_sd must be finite and >= 0, got {self.noise_sd}")
         lo, hi = self.ni_range
         if lo < 1 or hi < lo:
             raise ValueError(f"invalid ni_range {self.ni_range}")
@@ -262,7 +267,9 @@ def run_replication_study(
     substream, so the study is reproducible and replications are
     independent. Per replication we record IMPE of the predicted test
     trajectories and the sign-aligned IMSE of each fitted component against
-    the generating pair; failed replications are excluded and counted.
+    the generating pair; failed replications are excluded and counted. If
+    every replication fails, raises a RuntimeError carrying the first
+    failure.
     """
     if n_reps < 1:
         raise ValueError("need at least one replication")
@@ -271,31 +278,32 @@ def run_replication_study(
     true_values = [f1(grid), f2(grid)]
     n_cmp_tracked = min(n_components, 2)
 
-    def one_rep(rep: int) -> dict | None:
-        try:
-            train, test, truth_test = draw_replication(config, rep)
-            L = basis_size if basis_size is not None else default_basis_size(train.n_obs_total, order)
-            basis = make_bspline_basis(config.domain, L, order)
-            model = fit_soap(train, basis, n_components, gammas)
-            predicted = np.vstack([t.values for t in predict_trajectories(test.subjects, model, grid)])
-            truth = truth_test.curves_matrix(grid)
-            fitted = model.component_values(grid)
-            record = {
-                "rep": rep,
-                "impe": impe(predicted, truth, grid),
-            }
-            for m in range(n_cmp_tracked):
-                record[f"imse_{m + 1}"] = sign_aligned_imse(fitted[:, m], true_values[m], grid)
-            return record
-        except Exception:  # noqa: BLE001 - a failed replication is data, not a crash
-            return None
+    def one_rep(rep: int) -> dict:
+        train, test, truth_test = draw_replication(config, rep)
+        L = basis_size if basis_size is not None else default_basis_size(train.n_obs_total, order)
+        basis = make_bspline_basis(config.domain, L, order)
+        model = fit_soap(train, basis, n_components, gammas)
+        predicted = np.vstack([t.values for t in predict_trajectories(test.subjects, model, grid)])
+        truth = truth_test.curves_matrix(grid)
+        fitted = model.component_values(grid)
+        record = {
+            "rep": rep,
+            "impe": impe(predicted, truth, grid),
+        }
+        for m in range(n_cmp_tracked):
+            record[f"imse_{m + 1}"] = sign_aligned_imse(fitted[:, m], true_values[m], grid)
+        return record
 
-    results = [one_rep(rep) for rep in range(n_reps)]
-    per_rep = [r for r in results if r is not None]
-    failed = [rep for rep, r in enumerate(results) if r is None]
+    per_rep, failed, first_error = [], [], None
+    for rep in range(n_reps):
+        try:
+            per_rep.append(one_rep(rep))
+        except Exception as exc:  # noqa: BLE001 - a failed replication is data, not a crash
+            failed.append(rep)
+            first_error = first_error or exc
 
     if not per_rep:
-        raise RuntimeError(f"all {n_reps} replications failed")
+        raise RuntimeError(f"all {n_reps} replications failed; the first with {first_error!r}")
     return StudySummary(
         n_reps=n_reps,
         n_failed=len(failed),
@@ -313,27 +321,44 @@ def run_replication_study(
 # Plain-text key=value config files for the CLI.
 # ---------------------------------------------------------------------------
 
+_BOOLEANS = {"true": True, "false": False, "yes": True, "no": False, "1": True, "0": False}
+
+
+def _parse_bool(text: str) -> bool:
+    if text.lower() not in _BOOLEANS:
+        raise ValueError(f"expected one of {'/'.join(_BOOLEANS)}, got {text!r}")
+    return _BOOLEANS[text.lower()]
+
+
+# file key -> (SimulationConfig field, position within a pair field or None, parser)
 _CONFIG_KEYS = {
-    "n_train": int,
-    "n_test": int,
-    "score_dist": str,
-    "score_scale_1": float,
-    "score_scale_2": float,
-    "gamma_rate_1": float,
-    "gamma_rate_2": float,
-    "normal_scale_is_sd": lambda s: s.strip().lower() in ("1", "true", "yes"),
-    "noise_sd": float,
-    "ni_min": int,
-    "ni_max": int,
-    "domain_lo": float,
-    "domain_hi": float,
-    "seed": int,
+    "n_train": ("n_train", None, int),
+    "n_test": ("n_test", None, int),
+    "score_dist": ("score_dist", None, str),
+    "score_scale_1": ("score_scales", 0, float),
+    "score_scale_2": ("score_scales", 1, float),
+    "gamma_rate_1": ("gamma_rates", 0, float),
+    "gamma_rate_2": ("gamma_rates", 1, float),
+    "normal_scale_is_sd": ("normal_scale_is_sd", None, _parse_bool),
+    "noise_sd": ("noise_sd", None, float),
+    "ni_min": ("ni_range", 0, int),
+    "ni_max": ("ni_range", 1, int),
+    "domain_lo": ("domain", 0, float),
+    "domain_hi": ("domain", 1, float),
+    "seed": ("seed", None, int),
 }
 
 
 def parse_config_file(path) -> SimulationConfig:
-    """Read a key=value config file ('#' starts a comment) into a SimulationConfig."""
-    raw: dict[str, object] = {}
+    """Read a key=value config file ('#' starts a comment) into a SimulationConfig.
+
+    Keys not in the file keep their defaults. An unknown or repeated key, a
+    value its parser rejects and an invalid setting raise a ValueError that
+    names the file; all but the last also name the line and the key.
+    """
+    config = SimulationConfig()
+    updates: dict[str, object] = {}
+    seen: dict[str, int] = {}
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.split("#", 1)[0].strip()
@@ -341,34 +366,23 @@ def parse_config_file(path) -> SimulationConfig:
                 continue
             if "=" not in line:
                 raise ValueError(f"{path}:{lineno}: expected key=value, got {line!r}")
-            key, value = (part.strip() for part in line.split("=", 1))
+            key, text = (part.strip() for part in line.split("=", 1))
             if key not in _CONFIG_KEYS:
                 raise ValueError(f"{path}:{lineno}: unknown key {key!r}")
-            raw[key] = _CONFIG_KEYS[key](value)
-
-    config = SimulationConfig()
-    updates: dict[str, object] = {}
-    for name in ("n_train", "n_test", "score_dist", "noise_sd", "seed", "normal_scale_is_sd"):
-        if name in raw:
-            updates[name] = raw[name]
-    if "score_scale_1" in raw or "score_scale_2" in raw:
-        updates["score_scales"] = (
-            float(raw.get("score_scale_1", config.score_scales[0])),
-            float(raw.get("score_scale_2", config.score_scales[1])),
-        )
-    if "gamma_rate_1" in raw or "gamma_rate_2" in raw:
-        updates["gamma_rates"] = (
-            float(raw.get("gamma_rate_1", config.gamma_rates[0])),
-            float(raw.get("gamma_rate_2", config.gamma_rates[1])),
-        )
-    if "ni_min" in raw or "ni_max" in raw:
-        updates["ni_range"] = (
-            int(raw.get("ni_min", config.ni_range[0])),
-            int(raw.get("ni_max", config.ni_range[1])),
-        )
-    if "domain_lo" in raw or "domain_hi" in raw:
-        updates["domain"] = (
-            float(raw.get("domain_lo", config.domain[0])),
-            float(raw.get("domain_hi", config.domain[1])),
-        )
-    return replace(config, **updates) if updates else config
+            if key in seen:
+                raise ValueError(f"{path}:{lineno}: key {key!r} repeats line {seen[key]}")
+            seen[key] = lineno
+            name, pos, parse = _CONFIG_KEYS[key]
+            try:
+                value = parse(text)
+            except ValueError as exc:
+                raise ValueError(f"{path}:{lineno}: key {key!r}: {exc}") from None
+            if pos is not None:
+                pair = list(updates.get(name, getattr(config, name)))
+                pair[pos] = value
+                value = tuple(pair)
+            updates[name] = value
+    try:
+        return replace(config, **updates)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None

@@ -571,7 +571,7 @@ def fit_soap(
     the objective of the returned model.
 
     ``gammas`` is a scalar or a length-M sequence of roughness penalty
-    weights. The returned model has G-orthonormal coefficient columns, a
+    weights, each finite and >= 0. The returned model has G-orthonormal coefficient columns, a
     sign convention of nonnegative component integrals, scores from a final
     joint refit, and ``noise_var`` set to the mean squared residual.
     """
@@ -584,8 +584,9 @@ def fit_soap(
         gam = np.full(n_components, float(gam))
     if gam.shape != (n_components,):
         raise ValueError(f"expected {n_components} gamma values, got shape {gam.shape}")
-    if np.any(gam < 0):
-        raise ValueError("gammas must be >= 0")
+    for g in gam:
+        if not (math.isfinite(g) and g >= 0):
+            raise ValueError(f"gamma {float(g)!r} must be finite and >= 0")
 
     ws = _Workspace(dataset, basis)
     coef = np.zeros((basis.size, 0))

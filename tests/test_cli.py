@@ -1,3 +1,4 @@
+import dataclasses
 import filecmp
 import json
 import math
@@ -8,7 +9,7 @@ import sys
 import numpy as np
 import pytest
 
-from soapfda import SimulationConfig, cli, fit_soap, gen_sparse_dataset, solver, validate_dataset
+from soapfda import FitReport, SimulationConfig, cli, fit_soap, gen_sparse_dataset, solver, validate_dataset
 from soapfda.cli import main
 from soapfda.core import dataset_to_rows, load_model, read_long_csv, write_long_csv
 from soapfda.basis import eval_basis_matrix, make_bspline_basis
@@ -134,6 +135,23 @@ class TestFit:
         assert report["stage_offsets"] == list(model.report.stage_offsets)
         assert report["loss_trace"] == list(model.report.loss_trace)
 
+    def test_every_report_field_is_saved_and_reported(self, sparse_fixture, tmp_path):
+        # loops over the dataclass, so a new FitReport field is covered as it lands
+        out = tmp_path / "fields"
+        status = run_cli(
+            "fit", "--input", sparse_fixture, "--output-dir", str(out),
+            "--domain", "0,1", "--m", "2", "--gamma", "0.001", "--basis-size", "8",
+        )
+        assert status == 0
+        ds = validate_dataset(read_long_csv(sparse_fixture), (0.0, 1.0))
+        fitted = fit_soap(ds, make_bspline_basis((0.0, 1.0), 8, 4), 2, 0.001).report
+        loaded = load_model(out / "model.json").report
+        report = json.loads((out / "report.json").read_text())
+        for f in dataclasses.fields(FitReport):
+            value = getattr(fitted, f.name)
+            assert getattr(loaded, f.name) == value, f.name
+            assert report[f.name] == json.loads(json.dumps(value)), f.name
+
     def test_unconverged_fit_warns_on_stderr(self, sparse_fixture, tmp_path, capsys, monkeypatch):
         # one inner iteration cannot meet the convergence test, which compares two cycles
         monkeypatch.setattr(solver, "_MAX_INNER_ITERS", 1)
@@ -175,6 +193,38 @@ class TestFit:
             "--domain", "0,1", "--m", "1", "--knots", "quantile", "--basis-size", "8",
         )
         assert status == 0
+
+    def test_malformed_domain_gives_error_json(self, sparse_fixture, dense_fixture, tmp_path, capsys):
+        cases = [
+            ("fit", "--input", sparse_fixture, "--output-dir", str(tmp_path / "o"), "--domain", "1"),
+            ("fit", "--input", sparse_fixture, "--output-dir", str(tmp_path / "o"), "--domain", "a,b"),
+            ("oracle-check", "--input", dense_fixture, "--domain", "1,2,3"),
+        ]
+        for argv in cases:
+            assert run_cli(*argv) == 2, argv
+            assert "--domain" in json.loads(capsys.readouterr().out)["error"]["message"]
+
+    def test_grid_size_below_one_rejected_before_fitting(self, sparse_fixture, tmp_path, capsys, monkeypatch):
+        def no_fit(*args, **kwargs):
+            raise AssertionError("fit_soap ran")
+
+        monkeypatch.setattr(cli, "fit_soap", no_fit)
+        status = run_cli(
+            "fit", "--input", sparse_fixture, "--output-dir", str(tmp_path / "o"),
+            "--domain", "0,1", "--grid-size", "0",
+        )
+        assert status == 2
+        assert "grid size" in json.loads(capsys.readouterr().out)["error"]["message"]
+
+    @pytest.mark.parametrize("gamma", ["nan", "inf"])
+    def test_non_finite_gamma_gives_error_json(self, sparse_fixture, tmp_path, capsys, gamma):
+        status = run_cli(
+            "fit", "--input", sparse_fixture, "--output-dir", str(tmp_path / "o"),
+            "--domain", "0,1", "--m", "1", "--gamma", gamma,
+        )
+        assert status == 2
+        message = json.loads(capsys.readouterr().out)["error"]["message"]
+        assert f"gamma {gamma} must be finite" in message
 
 
 class TestPredict:
@@ -229,6 +279,7 @@ class TestPredict:
         run_cli("fit", "--input", sparse_fixture, "--output-dir", str(fit_out),
                 "--domain", "0,1", "--m", "1", "--basis-size", "8")
         good = json.loads((fit_out / "model.json").read_text())
+        knots = good["basis"]["interior_knots"]
         capsys.readouterr()
         cases = [
             ({k: v for k, v in good.items() if k != "coef"}, "lacks key 'coef'"),
@@ -240,6 +291,12 @@ class TestPredict:
             ({**good, "coef": [math.nan] + good["coef"][1:]}, "'coef' has a non-finite value"),
             ({**good, "coef": [2 * c for c in good["coef"]]}, "'coef' is not G-orthonormal"),
             ({**good, "noise_var": math.inf}, "'noise_var' has a non-finite value"),
+            ({**good, "basis": {**good["basis"], "domain": [1.0, 0.0]}}, "'basis.domain' is (1.0, 0.0)"),
+            ({**good, "basis": {**good["basis"], "interior_knots": knots[::-1]}}, "'basis.interior_knots'"),
+            ({**good, "basis": {**good["basis"], "interior_knots": knots[:-1] + [1.5]}}, "'basis.interior_knots'"),
+            ({**good, "basis": {**good["basis"], "interior_knots": knots[:-1]}}, "'basis.interior_knots' has shape"),
+            ({**good, "basis": {**good["basis"], "order": 1}}, "'basis.order'"),
+            ({**good, "l": 3}, "'l' is 3, below basis.order 4"),
         ]
         for doc, expected in cases:
             bad = tmp_path / "bad_model.json"
@@ -278,6 +335,36 @@ class TestSimulate:
         assert len({r[0] for r in rows}) == 10
         train, _, _ = draw_replication(parse_config_file(cfg), 0)
         assert rows == dataset_to_rows(train)
+
+
+    @pytest.mark.parametrize(
+        "text, expected",
+        [
+            ("normal_scale_is_sd = maybe\n", "sim.cfg:1: key 'normal_scale_is_sd'"),
+            ("seed = 1\nseed = 2\n", "sim.cfg:2: key 'seed' repeats line 1"),
+            ("n_train = abc\n", "sim.cfg:1: key 'n_train'"),
+            ("n_train = 0\n", "n_train must be >= 1"),
+            ("n_test = -3\n", "n_test must be >= 1"),
+            ("noise_sd = nan\n", "noise_sd must be finite"),
+        ],
+    )
+    def test_bad_config_gives_error_json(self, tmp_path, capsys, text, expected):
+        cfg = tmp_path / "sim.cfg"
+        cfg.write_text(text)
+        status = run_cli("simulate", "--config", str(cfg), "--output-dir", str(tmp_path / "o"), "--reps", "1")
+        assert status == 2
+        assert expected in json.loads(capsys.readouterr().out)["error"]["message"]
+
+    def test_all_failed_study_gives_error_json(self, tmp_path, capsys):
+        cfg = tmp_path / "sim.cfg"
+        cfg.write_text("n_train = 10\nn_test = 10\n")
+        status = run_cli(
+            "simulate", "--config", str(cfg), "--output-dir", str(tmp_path / "o"),
+            "--reps", "2", "--gamma", "nan",
+        )
+        assert status == 2
+        message = json.loads(capsys.readouterr().out)["error"]["message"]
+        assert "all 2 replications failed" in message and "must be finite" in message
 
 
 class TestOracleCheck:

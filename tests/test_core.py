@@ -98,6 +98,13 @@ class TestCsvRoundTrip:
             np.testing.assert_array_equal(a.t, b.t)
             np.testing.assert_array_equal(a.y, b.y)
 
+    def test_floats_written_by_repr(self, tmp_path):
+        path = tmp_path / "data.csv"
+        write_long_csv(path, [("a", 1, 0.1), ("b", np.float64(0.5), 1 / 3)])
+        assert path.read_bytes() == b"subject_id,t,y\r\na,1.0,0.1\r\nb,0.5,0.3333333333333333\r\n"
+        write_long_csv(path, [])
+        assert path.read_bytes() == b"subject_id,t,y\r\n"
+
     def test_header_checked(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("id,time,value\na,0.1,2\n")

@@ -176,6 +176,11 @@ class TestReplicationStudy:
             assert set(block) == {"mean", "sd", "median", "min", "max"}
         assert summary.n_reps == 2 and summary.n_failed == 0
 
+    def test_all_failed_study_names_the_first_failure(self):
+        cfg = SimulationConfig(seed=43, n_train=10, n_test=10)
+        with pytest.raises(RuntimeError, match="all 2 replications failed.*must be finite"):
+            run_replication_study(cfg, n_reps=2, gammas=float("nan"), basis_size=8)
+
 
 class TestConfigFile:
     def test_round_trip(self, tmp_path):
@@ -211,6 +216,34 @@ class TestConfigFile:
         with pytest.raises(ValueError, match="unknown key"):
             parse_config_file(path)
 
+    @pytest.mark.parametrize(
+        "text, expected",
+        [
+            ("true", True), ("TRUE", True), ("yes", True), ("1", True),
+            ("false", False), ("no", False), ("0", False),
+        ],
+    )
+    def test_booleans(self, tmp_path, text, expected):
+        path = tmp_path / "sim.cfg"
+        path.write_text(f"normal_scale_is_sd = {text}\n")
+        assert parse_config_file(path).normal_scale_is_sd is expected
+
+    @pytest.mark.parametrize(
+        "text, expected",
+        [
+            ("seed = 1\nnormal_scale_is_sd = maybe\n", r"sim\.cfg:2: key 'normal_scale_is_sd'.*'maybe'"),
+            ("score_scale_1 = 2\n\nscore_scale_1 = 3\n", r"sim\.cfg:3: key 'score_scale_1' repeats line 1"),
+            ("n_train = abc\n", r"sim\.cfg:1: key 'n_train'.*'abc'"),
+            # a setting out of range is found after parsing, so no line
+            ("n_test = 0\n", r"sim\.cfg: n_test must be >= 1, got 0"),
+        ],
+    )
+    def test_errors_name_file_and_key(self, tmp_path, text, expected):
+        path = tmp_path / "sim.cfg"
+        path.write_text(text)
+        with pytest.raises(ValueError, match=expected):
+            parse_config_file(path)
+
     def test_invalid_config_values_rejected(self):
         with pytest.raises(ValueError):
             SimulationConfig(ni_range=(0, 5))
@@ -218,3 +251,14 @@ class TestConfigFile:
             SimulationConfig(noise_sd=-1.0)
         with pytest.raises(ValueError):
             SimulationConfig(score_dist="lognormal")
+        for kwargs in (
+            {"n_train": 0},
+            {"n_test": -3},
+            {"noise_sd": float("nan")},
+            {"noise_sd": float("inf")},
+            {"score_scales": (float("inf"), 1.0)},
+            {"gamma_rates": (0.1, float("nan"))},
+        ):
+            (name,) = kwargs
+            with pytest.raises(ValueError, match=name):
+                SimulationConfig(**kwargs)

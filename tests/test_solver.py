@@ -1,4 +1,5 @@
 import hashlib
+import math
 
 import numpy as np
 import pytest
@@ -522,6 +523,10 @@ class TestFitSoap:
             fit_soap(ds, basis, 2, [0.1])
         with pytest.raises(ValueError, match=">= 0"):
             fit_soap(ds, basis, 1, [-0.1])
+        for gammas, bad in ((math.nan, "nan"), (math.inf, "inf"), ([0.1, -math.inf], "-inf")):
+            with pytest.raises(ValueError, match=f"gamma {bad} must be finite and >= 0"):
+                fit_soap(ds, basis, 2, gammas)
+
 
 
 class TestDegenerateInputs:
