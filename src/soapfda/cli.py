@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import os
 import sys
 
@@ -28,7 +29,7 @@ from .core import (
     write_csv,
     write_long_csv,
 )
-from .oracle import compare_to_soap, dense_curves_from_rows, grid_eigenfunctions, uncentered_cov
+from .oracle import compare_to_soap, dense_curves, grid_eigenfunctions, uncentered_cov
 from .predict import default_grid, holdout_last_mspe_model, predict_trajectories
 from .sim import SimulationConfig, draw_replication, parse_config_file, run_replication_study
 from .solver import SingularStepError, fit_soap
@@ -63,6 +64,8 @@ def _parse_domain(text: str) -> tuple[float, float]:
         lo, hi = float(parts[0]), float(parts[1])
     except ValueError as exc:
         raise CliError(f"--domain expects numbers: {exc}") from exc
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise CliError(f"--domain expects finite bounds, got {text!r}")
     return lo, hi
 
 
@@ -94,9 +97,13 @@ def _load_dataset(path, domain):
 
 
 def _build_basis(dataset, args):
-    size = args.basis_size or default_basis_size(dataset.n_obs_total, args.order)
+    """The basis of ``fit`` and ``oracle-check`` (which has no --knots) on
+    the dataset's domain."""
+    size = args.basis_size
+    if size is None:  # not `or`: a size of 0 is an error, not the default
+        size = default_basis_size(dataset.n_obs_total, args.order)
     interior = None
-    if args.knots == "quantile":
+    if getattr(args, "knots", "equal") == "quantile":
         interior = quantile_interior_knots(dataset.all_times(), size - args.order, dataset.domain)
     return make_bspline_basis(dataset.domain, size, args.order, interior_knots=interior)
 
@@ -248,13 +255,12 @@ def cmd_oracle_check(args) -> int:
     if not os.path.exists(args.input):
         raise CliError(f"input file not found: {args.input}")
     rows = read_long_csv(args.input)
-    curve_set = dense_curves_from_rows(rows)
-    domain = args.domain or (float(curve_set.grid[0]), float(curve_set.grid[-1]))
-    dataset = validate_dataset(rows, domain=domain)
-
-    basis_size = args.basis_size or default_basis_size(dataset.n_obs_total, args.order)
-    basis = make_bspline_basis(domain, basis_size, args.order)
-    model = fit_soap(dataset, basis, args.m, 0.0)
+    # the default domain is the grid's span; validate_dataset reports empty input
+    times = [t for _, t, _ in rows]
+    span = (min(times), max(times)) if times else None
+    dataset = validate_dataset(rows, domain=args.domain or span)
+    curve_set = dense_curves(dataset)
+    model = fit_soap(dataset, _build_basis(dataset, args), args.m, 0.0)
 
     K = uncentered_cov(curve_set)
     oracle_funcs, eigenvalues = grid_eigenfunctions(K, curve_set.grid, args.m)

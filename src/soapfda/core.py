@@ -73,7 +73,7 @@ class FitReport:
     end of each sweep; ``stage_offsets`` marks where each component's
     extraction begins in ``loss_trace``. ``n_truncated`` counts the subjects
     whose final score solve kept fewer than M directions (n_i < M, or a
-    direction cut by the score kernel's floor or rank rule).
+    direction cut by the score kernel's floor).
     ``final_objective`` is the objective of the returned model, whose scores
     come from a final unguarded refit, so it can differ from the trace's
     last entry.
@@ -141,52 +141,53 @@ def validate_dataset(
 ) -> LongitudinalDataset:
     """Group (id, t, y) triples into a validated dataset.
 
-    Rows are grouped by subject id and sorted ascending by time within each
+    This is the one place where rows become subjects. Rows are grouped by
+    subject id (``str(id)``) and sorted ascending by time within each
     subject (stable, so exact time ties keep their input order). Subjects
-    are ordered by id, making the result independent of input row order.
-    The domain defaults to (0, max observed t) when not supplied.
+    are ordered by id as ``sorted()`` orders strings, making the result
+    independent of input row order. The domain defaults to (0, max observed
+    t) when not supplied.
 
     Raises
     ------
     DataValidationError
-        On empty input, non-finite values or out-of-domain times; the
-        message names the offending input row index.
+        On empty input, a row without three fields, non-finite values or
+        out-of-domain times; the message names the first offending input
+        row index, and for a row with a non-finite time and value, the time.
     """
     rows = list(raw)
     if not rows:
         raise DataValidationError("empty input: no observation rows")
+    lengths = np.fromiter(map(len, rows), dtype=np.intp, count=len(rows))
+    if np.any(lengths != 3):
+        idx = int(np.argmax(lengths != 3))
+        raise DataValidationError(f"row {idx}: expected (id, t, y), got {rows[idx]!r}")
 
-    for idx, row in enumerate(rows):
-        if len(row) != 3:
-            raise DataValidationError(f"row {idx}: expected (id, t, y), got {row!r}")
-        _, t, y = row
-        if not np.isfinite(t):
-            raise DataValidationError(f"row {idx}: non-finite time {t!r}")
-        if not np.isfinite(y):
-            raise DataValidationError(f"row {idx}: non-finite value {y!r}")
+    ids, t, y = zip(*rows)
+    t, y = np.array(t, dtype=float), np.array(y, dtype=float)
+    bad = ~np.isfinite(np.column_stack([t, y])).ravel()  # row by row, time before value
+    if np.any(bad):
+        idx, col = divmod(int(np.argmax(bad)), 2)
+        raise DataValidationError(f"row {idx}: non-finite {('time', 'value')[col]} {rows[idx][col + 1]!r}")
 
     if domain is None:
-        t_max = max(float(r[1]) for r in rows)
-        domain = (0.0, t_max)
+        domain = (0.0, t.max())
     lo, hi = float(domain[0]), float(domain[1])
     if lo >= hi:
         raise DataValidationError(f"invalid domain ({lo}, {hi})")
-    for idx, (_, t, _) in enumerate(rows):
-        if not (lo <= t <= hi):
-            raise DataValidationError(f"row {idx}: time {t} outside domain [{lo}, {hi}]")
+    outside = ~((lo <= t) & (t <= hi))
+    if np.any(outside):
+        idx = int(np.argmax(outside))
+        raise DataValidationError(f"row {idx}: time {rows[idx][1]} outside domain [{lo}, {hi}]")
 
-    grouped: dict[str, list[tuple[float, float]]] = {}
-    for sid, t, y in rows:
-        grouped.setdefault(str(sid), []).append((float(t), float(y)))
-
-    subjects = []
-    for sid in sorted(grouped):
-        pairs = grouped[sid]
-        t = np.array([p[0] for p in pairs])
-        y = np.array([p[1] for p in pairs])
-        order = np.argsort(t, kind="stable")
-        subjects.append(Subject(id=sid, t=t[order], y=y[order]))
-    return LongitudinalDataset(domain=(lo, hi), subjects=tuple(subjects))
+    sids = list(map(str, ids))
+    names = sorted(set(sids))
+    code_of = {sid: k for k, sid in enumerate(names)}
+    codes = np.fromiter(map(code_of.__getitem__, sids), dtype=np.intp, count=len(sids))
+    order = np.lexsort((t, codes))  # stable: by id, then time, then input order
+    ends = np.cumsum(np.bincount(codes))[:-1]
+    subjects = tuple(map(Subject, names, np.split(t[order], ends), np.split(y[order], ends)))
+    return LongitudinalDataset(domain=(lo, hi), subjects=subjects)
 
 
 # ---------------------------------------------------------------------------

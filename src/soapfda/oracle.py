@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DataValidationError, FecModel
+from .core import DataValidationError, FecModel, LongitudinalDataset
 
 
 @dataclass(frozen=True)
@@ -108,27 +108,15 @@ def compare_to_soap(model: FecModel, oracle_values, grid) -> np.ndarray:
     )
 
 
-def dense_curves_from_rows(rows) -> DenseCurveSet:
-    """Assemble a DenseCurveSet from (id, t, y) triples sharing one grid.
+def dense_curves(dataset: LongitudinalDataset) -> DenseCurveSet:
+    """The curves of a validated dataset whose subjects share one grid.
 
-    Subjects are ordered by id; every subject must be observed on the same
-    strictly increasing, equally spaced grid.
+    Rows are ordered by subject as in the dataset; every subject must be
+    observed on the first subject's grid (to 1e-12), which must be strictly
+    increasing and equally spaced.
     """
-    by_subject: dict[str, list[tuple[float, float]]] = {}
-    for sid, t, y in rows:
-        by_subject.setdefault(str(sid), []).append((float(t), float(y)))
-    if not by_subject:
-        raise DataValidationError("empty input: no observation rows")
-    ids = sorted(by_subject)
-    grid = None
-    curves = []
-    for sid in ids:
-        pairs = sorted(by_subject[sid], key=lambda p: p[0])
-        t = np.array([p[0] for p in pairs])
-        y = np.array([p[1] for p in pairs])
-        if grid is None:
-            grid = t
-        elif len(t) != len(grid) or not np.allclose(t, grid, rtol=0, atol=1e-12):
-            raise DataValidationError(f"subject {sid} is not observed on the common grid")
-        curves.append(y)
-    return DenseCurveSet(grid=grid, curves=np.vstack(curves))
+    grid = dataset.subjects[0].t
+    for s in dataset.subjects[1:]:
+        if s.n_obs != len(grid) or not np.allclose(s.t, grid, rtol=0, atol=1e-12):
+            raise DataValidationError(f"subject {s.id} is not observed on the common grid")
+    return DenseCurveSet(grid=grid, curves=np.vstack([s.y for s in dataset.subjects]))

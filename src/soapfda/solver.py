@@ -24,8 +24,6 @@ from scipy import linalg as sla
 from .basis import BasisSystem, eval_basis_matrix
 from .core import FecModel, FitReport, LongitudinalDataset
 
-# relative rank tolerance for per-subject score least squares
-SCORE_RANK_TOL = 1e-10
 # absolute singular-value floor for per-subject score designs: components are
 # unit-norm functions, so their values are O(1) and a direction a subject sees
 # below this level carries no usable information about it. Without the floor,
@@ -101,9 +99,10 @@ class _Workspace:
             lam = 1e-6 * np.trace(self.basis.gram)
             eye = lam * np.eye(L)
             out = np.empty((self.n, L))
-            for i in range(self.n):
-                Bi = self.B[self.rows(i)]
-                out[i] = sla.solve(Bi.T @ Bi + eye, Bi.T @ self.y[self.rows(i)], assume_a="pos")
+            for idx, Bs, ys in self.size_groups():
+                Bt = Bs.transpose(0, 2, 1)
+                rhs = np.matmul(Bt, ys[..., None])
+                out[idx] = sla.solve(np.matmul(Bt, Bs) + eye, rhs, assume_a="pos")[..., 0]
             self._ridge_coefs = out
         return self._ridge_coefs
 
@@ -162,10 +161,9 @@ def _batched_scores(groups, prev: np.ndarray | None = None) -> tuple[np.ndarray,
     subjects whose solve kept fewer than M directions.
 
     The M x M Gram matrices psi_i'psi_i of every group are decomposed in one
-    batched ``eigh``. An eigenvalue w_j is kept when it clears both the
-    relative rank tolerance and the absolute floor, each squared
-    (w_j > max(SCORE_RANK_TOL^2 w_max, SCORE_SINGULAR_FLOOR^2)): the
-    singular-value rule of the value matrix. The rule depends only on the
+    batched ``eigh``. An eigenvalue w_j is kept when it clears the squared
+    floor (w_j > SCORE_SINGULAR_FLOOR^2): the rule "keep a singular value of
+    the value matrix above the floor". The rule depends only on the
     component values, never on y, so score estimation stays exactly linear
     and scale-equivariant in the data. Every subject is solved on its own
     slice, so its scores do not depend on which subjects share the stack.
@@ -179,7 +177,7 @@ def _batched_scores(groups, prev: np.ndarray | None = None) -> tuple[np.ndarray,
     gram = np.concatenate([np.matmul(psi.transpose(0, 2, 1), psi) for _, psi, _ in groups])
     rhs = np.concatenate([np.matmul(y[:, None, :], psi)[:, 0] for _, psi, y in groups])
     w, v = np.linalg.eigh(gram)
-    keep = w > np.maximum(SCORE_RANK_TOL**2 * w[:, -1:], SCORE_SINGULAR_FLOOR**2)
+    keep = w > SCORE_SINGULAR_FLOOR**2
     inv = np.zeros_like(w)
     np.divide(1.0, w, out=inv, where=keep)
     vy = np.matmul(rhs[:, None, :], v)[:, 0]
@@ -479,13 +477,11 @@ def _extract_stage(ws: _Workspace, coef, scores, gammas):
         except SingularStepError as exc:
             last_error = exc
             continue
-        final = segment[-1] if segment else math.inf
+        final = segment[-1]  # _alternate appends before it can return
         if best is None or final < best[0]:
             best = (final, result, segment)
-    if best is None:
-        if last_error is not None:
-            raise last_error
-        raise SingularStepError(f"component {m + 1}: every start failed")
+    if best is None:  # _stage_inits returns at least one start, so every one failed
+        raise last_error
     _, (coef, scores, conv, ends, fb), segment = best
     return coef, scores, conv, len(ends), fb, segment
 

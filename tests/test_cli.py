@@ -226,6 +226,21 @@ class TestFit:
         message = json.loads(capsys.readouterr().out)["error"]["message"]
         assert f"gamma {gamma} must be finite" in message
 
+    @pytest.mark.parametrize("domain", ["nan,1", "0,inf"])
+    def test_non_finite_domain_gives_error_json(self, sparse_fixture, tmp_path, capsys, domain):
+        status = run_cli("fit", "--input", sparse_fixture, "--output-dir", str(tmp_path / "o"), "--domain", domain)
+        assert status == 2
+        message = json.loads(capsys.readouterr().out)["error"]["message"]
+        assert message == f"--domain expects finite bounds, got {domain!r}"
+
+    def test_basis_size_zero_rejected(self, sparse_fixture, dense_fixture, tmp_path, capsys):
+        for argv in (
+            ("fit", "--input", sparse_fixture, "--output-dir", str(tmp_path / "o"), "--domain", "0,1", "--m", "1"),
+            ("oracle-check", "--input", dense_fixture, "--m", "1"),
+        ):
+            assert run_cli(*argv, "--basis-size", "0") == 2, argv
+            assert "basis size 0" in json.loads(capsys.readouterr().out)["error"]["message"]
+
 
 class TestPredict:
     def test_training_predictions_bit_identical_to_fit(self, sparse_fixture, tmp_path):
@@ -384,6 +399,35 @@ class TestOracleCheck:
         assert status == 0
         payload = json.loads(capsys.readouterr().out)
         assert "imse_per_component" in payload
+
+    @pytest.mark.parametrize("span", [(-1.0, 2.5), (0.25, 2.5)])
+    def test_default_domain_is_the_grid_span(self, span, tmp_path, capsys):
+        # a grid that does not start at 0: without --domain the fit is on the
+        # grid's span, exactly as with that span given
+        grid = np.linspace(*span, 201)
+        rng = np.random.default_rng(3)
+        X = np.outer(rng.normal(size=30), np.cos(grid)) + np.outer(rng.normal(size=30), np.sin(2 * grid))
+        path = tmp_path / "dense.csv"
+        write_long_csv(path, [(f"s{i:02d}", float(t), float(v)) for i in range(30) for t, v in zip(grid, X[i])])
+        outputs = []
+        for extra in ((), (f"--domain={span[0]!r},{span[1]!r}",)):
+            assert run_cli("oracle-check", "--input", str(path), "--m", "2", "--basis-size", "8", *extra) == 0
+            outputs.append(capsys.readouterr().out)
+        assert outputs[0] == outputs[1]
+        assert all(v < 1e-3 for v in json.loads(outputs[0])["imse_per_component"])
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("a,0.0,1\na,0.5,2\na,1.0,3\nb,0.0,1\nb,nan,2\nb,1.0,3\n", "row 4: non-finite time nan"),
+            ("", "empty input: no observation rows"),
+        ],
+    )
+    def test_invalid_rows_give_validation_error(self, text, message, tmp_path, capsys):
+        path = tmp_path / "dense.csv"
+        path.write_text("subject_id,t,y\n" + text)
+        assert run_cli("oracle-check", "--input", str(path), "--m", "1") == 2
+        assert json.loads(capsys.readouterr().out)["error"] == {"type": "validation", "message": message}
 
 
 class TestDeterminism:

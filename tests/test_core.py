@@ -19,6 +19,49 @@ from soapfda.core import (
 )
 
 
+def reference_validate(rows, domain=None):
+    """Naive per-row validation and grouping: a dict of lists per subject,
+    sorted ids, and one stable argsort per subject. Returns (domain,
+    [(id, t, y), ...]); raises DataValidationError like validate_dataset."""
+    rows = list(rows)
+    if not rows:
+        raise DataValidationError("empty input: no observation rows")
+    for idx, (_, t, y) in enumerate(rows):
+        if not np.isfinite(t):
+            raise DataValidationError(f"row {idx}: non-finite time {t!r}")
+        if not np.isfinite(y):
+            raise DataValidationError(f"row {idx}: non-finite value {y!r}")
+    if domain is None:
+        domain = (0.0, max(float(r[1]) for r in rows))
+    lo, hi = float(domain[0]), float(domain[1])
+    if lo >= hi:
+        raise DataValidationError(f"invalid domain ({lo}, {hi})")
+    for idx, (_, t, _) in enumerate(rows):
+        if not (lo <= t <= hi):
+            raise DataValidationError(f"row {idx}: time {t} outside domain [{lo}, {hi}]")
+    grouped = {}
+    for sid, t, y in rows:
+        grouped.setdefault(str(sid), []).append((float(t), float(y)))
+    subjects = []
+    for sid in sorted(grouped):
+        t = np.array([p[0] for p in grouped[sid]])
+        y = np.array([p[1] for p in grouped[sid]])
+        order = np.argsort(t, kind="stable")
+        subjects.append((sid, t[order], y[order]))
+    return (lo, hi), subjects
+
+
+def outcome(fn, rows, domain):
+    """(domain, subjects) as plain tuples, or the error message."""
+    try:
+        result = fn(rows, domain)
+    except DataValidationError as exc:
+        return str(exc)
+    if isinstance(result, tuple):
+        return result
+    return result.domain, [(s.id, s.t, s.y) for s in result.subjects]
+
+
 class TestValidateDataset:
     def test_sorts_by_time_within_subject(self):
         ds = validate_dataset([("s1", 0.2, 1.0), ("s1", 0.1, 2.0)], (0.0, 1.0))
@@ -77,6 +120,55 @@ class TestValidateDataset:
         got = np.array(sorted(s.n_obs for s in ds.subjects))
         np.testing.assert_array_equal(got, np.sort(counts))
         assert got.min() >= 1 and got.max() <= 14
+
+    def test_matches_per_row_reference(self, rng):
+        # ids that sort differently as strings and as numbers, integer ids,
+        # tied and signed-zero times, and shuffled rows
+        pool = ["9", "10", 9, 10, "a", "B", "s01", 3]
+        for trial in range(200):
+            n = int(rng.integers(1, 40))
+            ids = [pool[k] for k in rng.integers(0, len(pool), n)]
+            times = rng.choice([0.0, -0.0, 0.25, 0.5, 1.0], n) if trial % 2 else rng.uniform(0, 1, n)
+            rows = [(sid, float(t), float(v)) for sid, t, v in zip(ids, times, rng.normal(size=n))]
+            if trial % 4 == 0:
+                rows = [(sid, int(4 * t), v) for sid, t, v in rows]
+            domain = None if trial % 3 == 0 else (0.0, 4.0)
+            want = outcome(reference_validate, rows, domain)
+            got = outcome(validate_dataset, rows, domain)
+            if isinstance(want, str):
+                assert got == want
+                continue
+            assert got[0] == want[0]
+            assert [sid for sid, _, _ in got[1]] == [sid for sid, _, _ in want[1]]
+            for (_, t, y), (_, t_ref, y_ref) in zip(got[1], want[1]):
+                assert t.tobytes() == t_ref.tobytes() and y.tobytes() == y_ref.tobytes()
+
+    @pytest.mark.parametrize(
+        "rows, domain, message",
+        [
+            # several bad rows: the first is named
+            ([("a", 0.1, 1.0), ("b", 0.2, math.inf), ("c", math.nan, 1.0), ("d", 0.3, math.nan)],
+             (0.0, 1.0), "row 1: non-finite value inf"),
+            # both fields non-finite: the time is named
+            ([("a", 0.1, 1.0), ("b", -math.inf, math.nan)], (0.0, 1.0), "row 1: non-finite time -inf"),
+            # a non-finite value is reported before an earlier out-of-domain time
+            ([("a", 1.5, 1.0), ("b", 0.2, math.nan)], (0.0, 1.0), "row 1: non-finite value nan"),
+            # out-of-domain time after finite rows
+            ([("a", 0.1, 1.0), ("b", 0.9, 2.0), ("c", 0.5, 3.0), ("d", -0.25, 4.0), ("e", 2.0, 5.0)],
+             (0.0, 1.0), "row 3: time -0.25 outside domain [0.0, 1.0]"),
+            ([("a", 1, 1.0), ("a", 3, 2.0)], (0.0, 2.0), "row 1: time 3 outside domain [0.0, 2.0]"),
+            ([("a", -1.0, 1.0)], None, "invalid domain (0.0, -1.0)"),
+        ],
+    )
+    def test_error_names_first_offending_row(self, rows, domain, message):
+        assert outcome(reference_validate, rows, domain) == message
+        with pytest.raises(DataValidationError) as info:
+            validate_dataset(rows, domain)
+        assert str(info.value) == message
+
+    def test_row_without_three_fields_named(self):
+        with pytest.raises(DataValidationError, match=r"row 1: expected \(id, t, y\), got \('b', 0.2\)"):
+            validate_dataset([("a", 0.1, 1.0), ("b", 0.2)], (0.0, 1.0))
 
     def test_subjects_are_immutable(self):
         ds = validate_dataset([("a", 0.3, 1.0)], (0.0, 1.0))

@@ -10,8 +10,8 @@ from soapfda import (
     sign_aligned_imse,
     uncentered_cov,
 )
-from soapfda.core import DataValidationError
-from soapfda.oracle import dense_curves_from_rows, trapezoid_weights
+from soapfda.core import DataValidationError, validate_dataset
+from soapfda.oracle import dense_curves, trapezoid_weights
 
 from conftest import orthonormal_pair_in_span
 
@@ -151,11 +151,19 @@ class TestDenseCsvAssembly:
             for i in range(3)
             for t, v in zip(grid, curves[i])
         ]
-        cs = dense_curves_from_rows(rows)
+        cs = dense_curves(validate_dataset(rows))
         np.testing.assert_allclose(cs.grid, grid)
         np.testing.assert_allclose(cs.curves, curves)
+
+    def test_shuffled_rows_off_zero_grid_exact(self, rng):
+        grid = np.linspace(-1.0, 2.5, 8)
+        curves = rng.normal(size=(4, 8))
+        rows = [(f"s{i}", float(t), float(v)) for i in range(4) for t, v in zip(grid, curves[i])]
+        cs = dense_curves(validate_dataset([rows[k] for k in rng.permutation(len(rows))], (-1.0, 2.5)))
+        np.testing.assert_array_equal(cs.grid, grid)
+        np.testing.assert_array_equal(cs.curves, curves)
 
     def test_mismatched_grid_rejected(self):
         rows = [("a", 0.0, 1.0), ("a", 0.5, 1.0), ("a", 1.0, 1.0), ("b", 0.0, 2.0), ("b", 0.4, 2.0), ("b", 1.0, 2.0)]
         with pytest.raises(DataValidationError, match="common grid"):
-            dense_curves_from_rows(rows)
+            dense_curves(validate_dataset(rows))

@@ -19,7 +19,7 @@ from soapfda.basis import eval_basis_matrix, eval_function
 from soapfda.oracle import grid_eigenfunctions, sign_aligned_imse, uncentered_cov, DenseCurveSet
 from soapfda.sim import SimulationConfig, gen_sparse_dataset
 from soapfda import solver
-from soapfda.solver import SCORE_RANK_TOL, SCORE_SINGULAR_FLOOR, _batched_scores
+from soapfda.solver import SCORE_SINGULAR_FLOOR, _batched_scores
 
 from conftest import dense_rank2_dataset, orthonormal_pair_in_span
 from solver_steps import fit_first_fec, psi_step_first, psi_step_orthogonal
@@ -133,11 +133,11 @@ class TestScoreStep:
 
 def svd_reference_scores(psi, y, prev=None):
     """One subject's scores by truncated minimum-norm least squares on the SVD
-    of its value matrix, keeping s_j > max(SCORE_RANK_TOL s_max,
-    SCORE_SINGULAR_FLOOR), then the residual guard against ``prev``.
+    of its value matrix, keeping s_j > SCORE_SINGULAR_FLOOR, then the
+    residual guard against ``prev``.
     Returns (scores, directions kept)."""
     u, s, vt = np.linalg.svd(psi, full_matrices=False)
-    keep = s > max(SCORE_RANK_TOL * s[0], SCORE_SINGULAR_FLOOR)
+    keep = s > SCORE_SINGULAR_FLOOR
     sol = vt[keep].T @ ((u[:, keep].T @ y) / s[keep])
     if prev is not None:
         r_new, r_old = y - psi @ sol, y - psi @ prev
