@@ -9,9 +9,7 @@ covariance function estimation and no covariance-matrix inversion.
 from .basis import (
     BasisSystem,
     default_basis_size,
-    eval_basis,
     eval_basis_matrix,
-    eval_function,
     make_bspline_basis,
     quantile_interior_knots,
 )
@@ -41,7 +39,6 @@ from .predict import (
     predict_trajectories,
     predict_trajectory,
     project_scores,
-    reconstruct,
 )
 from .selection import (
     AicResult,

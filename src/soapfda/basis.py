@@ -154,20 +154,3 @@ def eval_basis_matrix(basis: BasisSystem, times) -> np.ndarray:
         raise ValueError(f"evaluation times outside domain [{lo}, {hi}]")
     return BSpline.design_matrix(times, basis.knots, basis.degree, extrapolate=False).toarray()
 
-
-def eval_basis(basis: BasisSystem, t: float) -> np.ndarray:
-    """Basis values b(t) as a length-L vector (at most ``order`` nonzeros)."""
-    return eval_basis_matrix(basis, [t])[0]
-
-
-def eval_function(basis: BasisSystem, coef, grid) -> np.ndarray:
-    """Evaluate the spline with the given coefficient vector on a grid."""
-    coef = np.asarray(coef, dtype=float)
-    if coef.shape != (basis.size,):
-        raise ValueError(f"coefficient length {coef.shape} does not match basis size {basis.size}")
-    return eval_basis_matrix(basis, grid) @ coef
-
-
-def basis_integrals(basis: BasisSystem) -> np.ndarray:
-    """Integrals of each basis function over the domain (= gram @ 1 by unity)."""
-    return basis.gram @ np.ones(basis.size)

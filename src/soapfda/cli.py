@@ -187,13 +187,10 @@ def cmd_predict(args) -> int:
     if not os.path.exists(args.model):
         raise CliError(f"model file not found: {args.model}")
     model = load_model(args.model)
-    try:
-        dataset = _load_dataset(args.input, model.basis.domain)
-    except DataValidationError as exc:
-        raise CliError(f"data does not fit the model domain: {exc}") from exc
+    dataset = _load_dataset(args.input, model.basis.domain)
+    grid = default_grid(model.basis.domain, args.grid_size)
     os.makedirs(args.output_dir, exist_ok=True)
 
-    grid = default_grid(model.basis.domain, args.grid_size)
     trajectories = predict_trajectories(dataset.subjects, model, grid)
     _write_trajectories_csv(os.path.join(args.output_dir, "predictions.csv"), trajectories)
     _write_scores_csv(

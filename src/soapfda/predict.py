@@ -78,16 +78,6 @@ def project_scores(subject: Subject, model: FecModel) -> np.ndarray:
     return _project([subject], model)[0]
 
 
-def reconstruct(model: FecModel, scores, grid, subject_id: str = "") -> TrajectoryEstimate:
-    """Linear combination of the fitted components on the grid."""
-    scores = np.asarray(scores, dtype=float)
-    if scores.shape != (model.n_components,):
-        raise ValueError(f"expected {model.n_components} scores, got shape {scores.shape}")
-    grid = np.asarray(grid, dtype=float)
-    values = model.component_values(grid) @ scores
-    return TrajectoryEstimate(subject_id=subject_id, grid=grid, values=values, scores=scores)
-
-
 def predict_trajectories(subjects: Sequence[Subject], model: FecModel, grid) -> list[TrajectoryEstimate]:
     """Project every subject's scores and reconstruct it on the grid.
 

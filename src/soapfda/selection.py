@@ -10,7 +10,7 @@ import numpy as np
 
 from .basis import BasisSystem
 from .core import FecModel, LongitudinalDataset
-from .solver import SingularStepError, _batched_scores, _extract_stage, _loss, _Workspace
+from .solver import SingularStepError, _batched_scores, _check_gamma, _extract_stage, _loss, _Workspace
 
 DEFAULT_GAMMA_GRID = (0.0, 1e-2, 1.0, 1e2, 1e4, 1e8)
 
@@ -134,14 +134,18 @@ def loco_cv_gamma(
     errors accumulate into CV(gamma). A fold whose training fit fails marks
     that candidate invalid (inf); if every candidate fails, raises.
 
-    ``max_folds`` optionally evaluates only a seeded random subset of folds
-    (useful for large n; the default is the exact procedure).
+    ``max_folds`` optionally evaluates only a seeded random subset of at
+    least one fold (useful for large n; the default is the exact procedure).
+    The dataset needs at least 2 subjects.
     """
     if len(candidates) == 0:
         raise ValueError("need at least one candidate gamma")
     for g in candidates:
-        if not (math.isfinite(g) and g >= 0):
-            raise ValueError(f"candidate gamma {float(g)!r} must be finite and >= 0")
+        _check_gamma(g, "candidate gamma")
+    if max_folds is not None and max_folds < 1:
+        raise ValueError(f"max_folds must be >= 1, got {max_folds}")
+    if dataset.n_subjects < 2:
+        raise ValueError(f"leave-one-curve-out CV needs at least 2 subjects, got {dataset.n_subjects}")
     if component < 1:
         raise ValueError("component index starts at 1")
     fixed = np.asarray(fixed_coefs, dtype=float) if fixed_coefs is not None else np.zeros((basis.size, 0))
@@ -184,21 +188,19 @@ def select_gammas_sequential(
     basis: BasisSystem,
     n_components: int,
     candidates: Sequence[float] = DEFAULT_GAMMA_GRID,
-    max_folds: int | None = None,
-    fold_seed: int = 0,
 ) -> tuple[list[float], list[CvResult]]:
     """Pick gamma for each component in turn, fixing earlier components.
 
-    After each selection the component is refit on the full data with its
-    chosen gamma and held fixed for the next stage. Returns the selected
-    gammas and the per-component CV tables.
+    Every stage runs exact LOCO-CV. After each selection the component is
+    refit on the full data with its chosen gamma and held fixed for the next
+    stage. Returns the selected gammas and the per-component CV tables.
     """
     ws = _Workspace(dataset, basis)
     fixed = np.zeros((basis.size, 0))
     chosen: list[float] = []
     tables: list[CvResult] = []
     for m in range(1, n_components + 1):
-        result = loco_cv_gamma(dataset, basis, m, fixed, candidates, max_folds, fold_seed)
+        result = loco_cv_gamma(dataset, basis, m, fixed, candidates)
         chosen.append(result.chosen)
         tables.append(result)
         beta = _fit_component_on(ws, fixed, result.chosen)

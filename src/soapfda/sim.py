@@ -116,9 +116,6 @@ class TrueCurves:
     f1: Callable
     f2: Callable
 
-    def curve(self, i: int, grid) -> np.ndarray:
-        return self.scores[i, 0] * self.f1(grid) + self.scores[i, 1] * self.f2(grid)
-
     def curves_matrix(self, grid) -> np.ndarray:
         return np.outer(self.scores[:, 0], self.f1(grid)) + np.outer(self.scores[:, 1], self.f2(grid))
 

@@ -51,9 +51,14 @@ class SingularStepError(RuntimeError):
 
 
 class PenalizedStepResult(NamedTuple):
+    """``score_scale`` is the G-norm of the unscaled solution at gamma 0
+    (multiplying the paired score column by it keeps the fitted values), and
+    1.0 for gamma > 0, where the constrained solution is used as is."""
+
     beta: np.ndarray
     multiplier: float
     fallback: bool
+    score_scale: float
 
 
 # ---------------------------------------------------------------------------
@@ -349,26 +354,31 @@ def _ridge_fallback(H, rhs, gram) -> tuple[np.ndarray, float, bool]:
     return beta / math.sqrt(nrm2), math.nan, True
 
 
+def _check_gamma(g, what: str = "gamma") -> None:
+    if not (math.isfinite(g) and g >= 0):
+        raise ValueError(f"{what} {float(g)!r} must be finite and >= 0")
+
+
 def psi_step_penalized(normal_matrix, rhs, gram, penalty, gamma: float) -> PenalizedStepResult:
     """Solve the (possibly penalized) norm-constrained component update.
 
-    With gamma == 0 this returns the unconstrained minimizer scaled to unit
-    G-norm (the scaling is absorbed by the paired score column, so the norm
+    This is the component step of the fit. With gamma == 0 it returns the
+    unconstrained minimizer scaled to unit G-norm (the scaling is absorbed
+    by the paired score column through ``score_scale``, so the norm
     constraint costs nothing). With gamma > 0 the penalty breaks that scale
     invariance and the constrained problem is solved exactly through its
     secular equation; in its hard case (no root left of the lowest
     eigenvalue), a G-normalized ridge solution is returned with
     ``fallback=True``.
     """
-    if gamma < 0:
-        raise ValueError("gamma must be >= 0")
+    _check_gamma(gamma)
     normal_matrix = np.asarray(normal_matrix, dtype=float)
     rhs = np.asarray(rhs, dtype=float)
     if gamma == 0:
-        beta, _ = _normalized_unconstrained(normal_matrix, rhs, gram)
-        return PenalizedStepResult(beta, 0.0, False)
+        beta, s = _normalized_unconstrained(normal_matrix, rhs, gram)
+        return PenalizedStepResult(beta, 0.0, False, s)
     beta, lam, fb = _solve_norm_constrained(normal_matrix + gamma * penalty, rhs, gram)
-    return PenalizedStepResult(beta, lam, fb)
+    return PenalizedStepResult(beta, lam, fb, 1.0)
 
 
 def kkt_residual(normal_matrix, rhs, gram, penalty, gamma, beta, multiplier) -> float:
@@ -381,7 +391,8 @@ def _psi_update(ws: _Workspace, scores, coef, m: int, gamma: float):
     """Update component m with all other columns fixed.
 
     The new coefficient vector is constrained to be G-orthogonal to every
-    other component (null-space reduction) and has exact unit G-norm.
+    other component (null-space reduction) and has exact unit G-norm; the
+    reduced problem is solved by ``psi_step_penalized``.
     Returns (beta, score_scale, fallback).
     """
     gram, penalty = ws.basis.gram, ws.basis.penalty
@@ -398,12 +409,7 @@ def _psi_update(ws: _Workspace, scores, coef, m: int, gamma: float):
     else:
         Z = None
         gram_r, penalty_r = gram, penalty
-    if gamma == 0:
-        beta, s = _normalized_unconstrained(ata, rhs, gram_r)
-        fallback = False
-    else:
-        beta, _, fallback = _solve_norm_constrained(ata + gamma * penalty_r, rhs, gram_r)
-        s = 1.0
+    beta, _, fallback, s = psi_step_penalized(ata, rhs, gram_r, penalty_r, gamma)
     if Z is not None:
         beta = Z @ beta
     beta = beta / math.sqrt(float(beta @ gram @ beta))
@@ -581,8 +587,7 @@ def fit_soap(
     if gam.shape != (n_components,):
         raise ValueError(f"expected {n_components} gamma values, got shape {gam.shape}")
     for g in gam:
-        if not (math.isfinite(g) and g >= 0):
-            raise ValueError(f"gamma {float(g)!r} must be finite and >= 0")
+        _check_gamma(g)
 
     ws = _Workspace(dataset, basis)
     coef = np.zeros((basis.size, 0))

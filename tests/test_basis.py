@@ -6,13 +6,11 @@ from scipy.integrate import quad
 from scipy.interpolate import BSpline
 
 from soapfda import (
-    eval_basis,
     eval_basis_matrix,
-    eval_function,
     make_bspline_basis,
     quantile_interior_knots,
 )
-from soapfda.basis import basis_integrals, default_basis_size
+from soapfda.basis import default_basis_size
 
 
 def bernstein_mass_matrix():
@@ -92,15 +90,15 @@ class TestEvaluation:
 
     def test_endpoints(self):
         basis = make_bspline_basis((0.0, 1.0), 7, 4)
-        left = eval_basis(basis, 0.0)
-        right = eval_basis(basis, 1.0)
+        left = eval_basis_matrix(basis, [0.0])[0]
+        right = eval_basis_matrix(basis, [1.0])[0]
         np.testing.assert_allclose(left, np.eye(7)[0], atol=1e-15)
         np.testing.assert_allclose(right, np.eye(7)[6], atol=1e-15)
 
     def test_out_of_domain_rejected(self):
         basis = make_bspline_basis((0.0, 1.0), 6, 4)
         with pytest.raises(ValueError, match="outside domain"):
-            eval_basis(basis, 1.5)
+            eval_basis_matrix(basis, [1.5])
 
     def test_local_support(self):
         # at most `order` basis functions are nonzero at any point
@@ -111,13 +109,8 @@ class TestEvaluation:
     def test_eval_function_zero_and_unity(self):
         basis = make_bspline_basis((0.0, 1.0), 6, 4)
         grid = np.linspace(0, 1, 31)
-        np.testing.assert_array_equal(eval_function(basis, np.zeros(6), grid), np.zeros(31))
-        np.testing.assert_allclose(eval_function(basis, np.ones(6), grid), 1.0, atol=1e-12)
-
-    def test_coef_length_mismatch(self):
-        basis = make_bspline_basis((0.0, 1.0), 6, 4)
-        with pytest.raises(ValueError, match="does not match"):
-            eval_function(basis, np.zeros(5), [0.5])
+        np.testing.assert_array_equal(eval_basis_matrix(basis, grid) @ np.zeros(6), np.zeros(31))
+        np.testing.assert_allclose(eval_basis_matrix(basis, grid) @ np.ones(6), 1.0, atol=1e-12)
 
     def test_polynomial_reproduction(self):
         basis = make_bspline_basis((0.0, 1.0), 9, 4)
@@ -125,7 +118,7 @@ class TestEvaluation:
         A = eval_basis_matrix(basis, ts)
         coef, *_ = np.linalg.lstsq(A, ts, rcond=None)
         fine = np.linspace(0, 1, 333)
-        np.testing.assert_allclose(eval_function(basis, coef, fine), fine, atol=1e-12)
+        np.testing.assert_allclose(eval_basis_matrix(basis, fine) @ coef, fine, atol=1e-12)
 
 
 class TestQuadratureIdentities:
@@ -156,12 +149,12 @@ class TestQuadratureIdentities:
         c = rng.normal(size=8)
         c = c / np.sqrt(c @ basis.gram @ c)
         grid = np.linspace(0, 1, 4001)
-        integral = np.trapezoid(eval_function(basis, c, grid) ** 2, grid)
+        integral = np.trapezoid((eval_basis_matrix(basis, grid) @ c) ** 2, grid)
         assert abs(integral - 1.0) < 1e-6
 
     def test_basis_integrals_match_unity(self):
         basis = make_bspline_basis((0.0, 1.0), 8, 4)
-        assert abs(basis_integrals(basis).sum() - 1.0) < 1e-12
+        assert abs((basis.gram @ np.ones(basis.size)).sum() - 1.0) < 1e-12
 
 
 class TestOrderTwo:

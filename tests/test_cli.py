@@ -101,6 +101,18 @@ class TestFit:
         assert len(report["cv"]) == 1
         assert report["gammas"][0] in (0.0, 0.01)
 
+    def test_gamma_grid_on_one_subject_names_cause(self, tmp_path, capsys):
+        csv = tmp_path / "one.csv"
+        write_long_csv(csv, [("a", 0.2, 1.0), ("a", 0.5, 2.0), ("a", 0.8, 1.5)])
+        status = run_cli(
+            "fit", "--input", str(csv), "--output-dir", str(tmp_path / "o"),
+            "--domain", "0,1", "--gamma-grid", "0,1e2",
+        )
+        assert status == 2
+        error = json.loads(capsys.readouterr().out)["error"]
+        assert error["type"] == "ValueError"
+        assert "needs at least 2 subjects, got 1" in error["message"]
+
     def test_gamma_grid_with_m_grid(self, sparse_fixture, tmp_path):
         # gammas selected sequentially up to max M, then AIC across M
         out = tmp_path / "both"
@@ -288,6 +300,41 @@ class TestPredict:
         )
         assert status == 2
         assert "domain" in json.loads(capsys.readouterr().out)["error"]["message"]
+
+    def test_invalid_data_reported_as_validation(self, sparse_fixture, tmp_path, capsys):
+        fit_out = tmp_path / "fit"
+        run_cli("fit", "--input", sparse_fixture, "--output-dir", str(fit_out),
+                "--domain", "0,1", "--m", "1")
+        capsys.readouterr()
+        cases = [
+            (("a", 0.5, math.nan), "row 1: non-finite value nan"),
+            (("a", 1.5, 1.0), "row 1: time 1.5 outside domain [0.0, 1.0]"),
+        ]
+        for row, expected in cases:
+            bad_csv = tmp_path / "bad.csv"
+            write_long_csv(bad_csv, [("a", 0.25, 1.0), row])
+            status = run_cli(
+                "predict", "--input", str(bad_csv), "--model", str(fit_out / "model.json"),
+                "--output-dir", str(tmp_path / "o"),
+            )
+            assert status == 2
+            error = json.loads(capsys.readouterr().out)["error"]
+            assert error == {"type": "validation", "message": expected}
+            assert not (tmp_path / "o").exists()
+
+    def test_grid_size_below_one_rejected_before_writing(self, sparse_fixture, tmp_path, capsys):
+        fit_out = tmp_path / "fit"
+        run_cli("fit", "--input", sparse_fixture, "--output-dir", str(fit_out),
+                "--domain", "0,1", "--m", "1")
+        capsys.readouterr()
+        out = tmp_path / "o"
+        status = run_cli(
+            "predict", "--input", sparse_fixture, "--model", str(fit_out / "model.json"),
+            "--output-dir", str(out), "--grid-size", "0",
+        )
+        assert status == 2
+        assert "grid size must be >= 1" in json.loads(capsys.readouterr().out)["error"]["message"]
+        assert not out.exists()
 
     def test_malformed_model_gives_error_json(self, sparse_fixture, tmp_path, capsys):
         fit_out = tmp_path / "fit"

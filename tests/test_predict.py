@@ -12,7 +12,6 @@ from soapfda import (
     predict_trajectories,
     predict_trajectory,
     project_scores,
-    reconstruct,
     validate_dataset,
 )
 from soapfda.basis import eval_basis_matrix
@@ -153,14 +152,14 @@ class TestReconstruct:
     def test_zero_scores_zero_curve(self, cubic_basis, rng):
         model, _ = make_model(cubic_basis, rng)
         grid = np.linspace(0, 1, 21)
-        traj = reconstruct(model, np.zeros(2), grid)
-        np.testing.assert_array_equal(traj.values, np.zeros(21))
+        values = model.component_values(grid) @ np.zeros(2)
+        np.testing.assert_array_equal(values, np.zeros(21))
 
     def test_unit_score_returns_component(self, cubic_basis, rng):
         model, _ = make_model(cubic_basis, rng)
         grid = np.linspace(0, 1, 21)
-        traj = reconstruct(model, np.array([1.0, 0.0]), grid)
-        np.testing.assert_allclose(traj.values, model.component_values(grid)[:, 0], atol=1e-14)
+        values = model.component_values(grid) @ np.array([1.0, 0.0])
+        np.testing.assert_allclose(values, model.component_values(grid)[:, 0], atol=1e-14)
 
     def test_model_generated_subject_roundtrip(self, cubic_basis, rng):
         model, scores = make_model(cubic_basis, rng)
@@ -174,15 +173,15 @@ class TestReconstruct:
     def test_out_of_domain_grid_rejected(self, cubic_basis, rng):
         model, _ = make_model(cubic_basis, rng)
         with pytest.raises(ValueError, match="outside domain"):
-            reconstruct(model, np.zeros(2), [0.5, 1.5])
+            model.component_values([0.5, 1.5]) @ np.zeros(2)
 
     def test_projection_idempotent(self, cubic_basis, rng):
         model, _ = make_model(cubic_basis, rng)
         t = np.linspace(0.05, 0.95, 8)
         y = rng.normal(size=8)
         s1 = project_scores(Subject(id="a", t=t.copy(), y=y), model)
-        traj = reconstruct(model, s1, t)
-        s2 = project_scores(Subject(id="a", t=t.copy(), y=traj.values), model)
+        values = model.component_values(t) @ s1
+        s2 = project_scores(Subject(id="a", t=t.copy(), y=values), model)
         np.testing.assert_allclose(s2, s1, atol=1e-10)
 
 

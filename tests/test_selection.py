@@ -203,12 +203,22 @@ class TestLocoCv:
         with pytest.raises(ValueError, match=f"candidate gamma {bad!r}"):
             loco_cv_gamma(ds, basis, 1, None, [0.0, bad])
 
+    def test_max_folds_below_one_rejected(self):
+        ds = small_dataset(9, n=30)
+        basis = make_bspline_basis((0.0, 1.0), 6, 4)
+        with pytest.raises(ValueError, match="max_folds must be >= 1, got 0"):
+            loco_cv_gamma(ds, basis, 1, None, [0.0, 1e2, 1e8], max_folds=0)
+
+    def test_single_subject_rejected(self):
+        ds = validate_dataset([("a", 0.2, 1.0), ("a", 0.5, 2.0), ("a", 0.8, 1.5)], (0.0, 1.0))
+        basis = make_bspline_basis((0.0, 1.0), 6, 4)
+        with pytest.raises(ValueError, match="needs at least 2 subjects, got 1"):
+            loco_cv_gamma(ds, basis, 1, None, [0.0, 1e2])
+
     def test_sequential_selection_returns_tables(self):
         ds = small_dataset(10, n=15)
         basis = make_bspline_basis((0.0, 1.0), 6, 4)
-        gammas, tables = select_gammas_sequential(
-            ds, basis, 2, candidates=[0.0, 1e-2], max_folds=6
-        )
+        gammas, tables = select_gammas_sequential(ds, basis, 2, candidates=[0.0, 1e-2])
         assert len(gammas) == 2 and len(tables) == 2
         for g, tab in zip(gammas, tables):
             assert g == tab.chosen

@@ -48,7 +48,7 @@ class TestGeneration:
         cfg = SimulationConfig(seed=3, noise_sd=0.0)
         ds, scores, truth = gen_sparse_dataset(cfg, 40)
         for i, s in enumerate(ds.subjects):
-            np.testing.assert_allclose(s.y, truth.curve(i, s.t), atol=1e-12)
+            np.testing.assert_allclose(s.y, truth.curves_matrix(s.t)[i], atol=1e-12)
 
     def test_subject_count(self):
         cfg = SimulationConfig(seed=3)
@@ -126,7 +126,7 @@ class TestMetrics:
 def spline_representable_pair(basis_size=10):
     """Orthonormal component callables lying exactly in the fitting span."""
     from soapfda import make_bspline_basis
-    from soapfda.basis import eval_function
+    from soapfda.basis import eval_basis_matrix
 
     basis = make_bspline_basis((0.0, 1.0), basis_size, 4)
     G = basis.gram
@@ -137,8 +137,8 @@ def spline_representable_pair(basis_size=10):
     c2 -= (c1 @ G @ c2) * c1
     c2 /= np.sqrt(c2 @ G @ c2)
     return (
-        lambda t: eval_function(basis, c1, np.atleast_1d(t)),
-        lambda t: eval_function(basis, c2, np.atleast_1d(t)),
+        lambda t: eval_basis_matrix(basis, np.atleast_1d(t)) @ c1,
+        lambda t: eval_basis_matrix(basis, np.atleast_1d(t)) @ c2,
     )
 
 

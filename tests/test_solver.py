@@ -15,7 +15,7 @@ from soapfda import (
     score_step,
     validate_dataset,
 )
-from soapfda.basis import eval_basis_matrix, eval_function
+from soapfda.basis import eval_basis_matrix
 from soapfda.oracle import grid_eigenfunctions, sign_aligned_imse, uncentered_cov, DenseCurveSet
 from soapfda.sim import SimulationConfig, gen_sparse_dataset
 from soapfda import solver
@@ -34,7 +34,7 @@ def naive_objective(dataset, model):
             fit = 0.0
             for m in range(model.n_components):
                 fit += model.scores[i, m] * float(
-                    eval_function(model.basis, model.coef[:, m], [t])[0]
+                    (eval_basis_matrix(model.basis, [t]) @ model.coef[:, m])[0]
                 )
             inner += (y - fit) ** 2
         total += inner / s.n_obs
@@ -207,8 +207,8 @@ class TestPsiStepFirst:
         ds, c1, alpha = self.rank1_dense(cubic_basis, rng)
         beta = psi_step_first(ds, alpha, cubic_basis)
         grid = np.linspace(0, 1, 301)
-        truth = eval_function(cubic_basis, c1, grid)
-        got = eval_function(cubic_basis, beta, grid)
+        truth = eval_basis_matrix(cubic_basis, grid) @ c1
+        got = eval_basis_matrix(cubic_basis, grid) @ beta
         err = min(np.max(np.abs(got - truth)), np.max(np.abs(got + truth)))
         assert err < 1e-6
 
@@ -255,7 +255,7 @@ class TestPsiStepOrthogonal:
             ds, [eval_basis_matrix(cubic_basis, s.t) @ np.column_stack([f1, c2 * 0 + 1e-3]) for s in ds.subjects]
         )
         beta2 = psi_step_orthogonal(ds, scores, cubic_basis, f1[:, None], gamma=0.0)
-        got = eval_function(cubic_basis, beta2, grid)
+        got = eval_basis_matrix(cubic_basis, grid) @ beta2
         assert sign_aligned_imse(got, oracle_vals[:, 1], grid) < 1e-4
 
     def test_hard_orthogonality(self, cubic_basis, rng):
@@ -294,13 +294,16 @@ class TestPsiStepPenalized:
         direct /= np.sqrt(direct @ cubic_basis.gram @ direct)
         np.testing.assert_allclose(res.beta, direct, atol=1e-9)
         assert res.multiplier == 0.0 and not res.fallback
+        # rescaled by score_scale, the unit-norm step solves the normal equations
+        resid = ata @ (res.score_scale * res.beta) - rhs
+        assert np.linalg.norm(resid) <= 1e-10 * np.linalg.norm(rhs)
 
     def test_huge_gamma_flattens_to_line(self, cubic_basis, rng):
         ata, rhs = self.normal_system(cubic_basis, rng)
         res = psi_step_penalized(ata, rhs, cubic_basis.gram, cubic_basis.penalty, 1e12)
         assert res.beta @ cubic_basis.penalty @ res.beta < 1e-9
         grid = np.linspace(0, 1, 51)
-        vals = eval_function(cubic_basis, res.beta, grid)
+        vals = eval_basis_matrix(cubic_basis, grid) @ res.beta
         second_diff = np.diff(vals, 2)
         assert np.max(np.abs(second_diff)) < 1e-6 * np.max(np.abs(vals))
 
@@ -313,6 +316,7 @@ class TestPsiStepPenalized:
                 ata, rhs, cubic_basis.gram, cubic_basis.penalty, gamma, res.beta, res.multiplier
             )
             assert resid <= 1e-8 * np.linalg.norm(rhs)
+            assert res.score_scale == 1.0
             assert abs(res.beta @ cubic_basis.gram @ res.beta - 1.0) <= 1e-12
 
     def test_hard_case_falls_back_with_flag(self):
@@ -355,6 +359,9 @@ class TestPsiStepPenalized:
     def test_negative_gamma_rejected(self, cubic_basis):
         with pytest.raises(ValueError, match=">= 0"):
             psi_step_penalized(np.eye(8), np.ones(8), cubic_basis.gram, cubic_basis.penalty, -1.0)
+        for bad in (math.nan, math.inf):
+            with pytest.raises(ValueError, match=f"gamma {bad!r} must be finite and >= 0"):
+                psi_step_penalized(np.eye(8), np.ones(8), cubic_basis.gram, cubic_basis.penalty, bad)
 
 
 class TestFitFirstFec:
@@ -374,7 +381,7 @@ class TestFitFirstFec:
         assert report.stage_cycles[0] <= 3
         fine = np.linspace(0, 1, 801)
         imse = sign_aligned_imse(
-            eval_function(cubic_basis, beta, fine), eval_function(cubic_basis, c1, fine), fine
+            eval_basis_matrix(cubic_basis, fine) @ beta, eval_basis_matrix(cubic_basis, fine) @ c1, fine
         )
         assert imse < 1e-8
 
@@ -447,6 +454,25 @@ class TestFitSoap:
         trace = np.array(report.loss_trace)
         got = (len(trace), report.converged, report.n_sweeps, hashlib.sha256(trace.tobytes()).hexdigest())
         assert got == self.DEFAULT_TRACES[gamma], f"final objective {trace[-1].hex()}"
+
+    @pytest.mark.parametrize("gamma", [0.0, 1e-3])
+    def test_component_updates_run_the_public_step(self, gamma, monkeypatch):
+        cfg = SimulationConfig(seed=3)
+        ds, _, _ = gen_sparse_dataset(cfg)
+        basis = make_bspline_basis(cfg.domain, 20, 4)
+        plain = fit_soap(ds, basis, 2, gamma)
+        calls = []
+        step = solver.psi_step_penalized
+
+        def counted(*args, **kwargs):
+            calls.append(args[-1])
+            return step(*args, **kwargs)
+
+        monkeypatch.setattr(solver, "psi_step_penalized", counted)
+        wrapped = fit_soap(ds, basis, 2, gamma)
+        assert len(calls) >= 1 and set(calls) == {gamma}
+        assert wrapped.report.loss_trace == plain.report.loss_trace
+        np.testing.assert_array_equal(wrapped.coef, plain.coef)
 
     def test_rank2_dense_matches_oracle(self, cubic_basis, rng):
         # quadrature-vs-uniform weighting differences shrink like h^2, so the
