@@ -129,7 +129,6 @@ def cmd_fit(args) -> int:
     dataset = _load_dataset(args.input, args.domain)
     grid = default_grid(dataset.domain, args.grid_size)
     basis = _build_basis(dataset, args)
-    os.makedirs(args.output_dir, exist_ok=True)
 
     m_grid = _parse_m_grid(args.m_grid) if args.m_grid else None
     max_m = max(m_grid) if m_grid else args.m
@@ -175,6 +174,7 @@ def cmd_fit(args) -> int:
         )
 
     trajectories = predict_trajectories(dataset.subjects, model, grid)
+    os.makedirs(args.output_dir, exist_ok=True)
     save_model(model, os.path.join(args.output_dir, "model.json"))
     _write_scores_csv(os.path.join(args.output_dir, "scores.csv"), dataset.ids, model.scores)
     _write_trajectories_csv(os.path.join(args.output_dir, "fitted.csv"), trajectories)
@@ -189,9 +189,10 @@ def cmd_predict(args) -> int:
     model = load_model(args.model)
     dataset = _load_dataset(args.input, model.basis.domain)
     grid = default_grid(model.basis.domain, args.grid_size)
-    os.makedirs(args.output_dir, exist_ok=True)
 
     trajectories = predict_trajectories(dataset.subjects, model, grid)
+    mspe = holdout_last_mspe_model(model, dataset) if args.holdout_last else None
+    os.makedirs(args.output_dir, exist_ok=True)
     _write_trajectories_csv(os.path.join(args.output_dir, "predictions.csv"), trajectories)
     _write_scores_csv(
         os.path.join(args.output_dir, "scores.csv"),
@@ -200,8 +201,7 @@ def cmd_predict(args) -> int:
     )
     written = "predictions.csv, scores.csv"
 
-    if args.holdout_last:
-        mspe = holdout_last_mspe_model(model, dataset)
+    if mspe is not None:
         _write_json(mspe.to_dict(), os.path.join(args.output_dir, "mspe.json"))
         written += ", mspe.json"
     _log(f"wrote {written} to {args.output_dir}")
@@ -217,7 +217,6 @@ def cmd_simulate(args) -> int:
         config = SimulationConfig()
     if args.seed is not None:
         config = dataclasses.replace(config, seed=args.seed)
-    os.makedirs(args.output_dir, exist_ok=True)
 
     _log(f"running {args.reps} replication(s), {args.m} component(s), seed {config.seed}")
     try:
@@ -232,6 +231,7 @@ def cmd_simulate(args) -> int:
         )
     except RuntimeError as exc:  # every replication failed
         raise CliError(str(exc)) from exc
+    os.makedirs(args.output_dir, exist_ok=True)
     _write_json(summary.to_dict(), os.path.join(args.output_dir, "summary.json"))
 
     fields = ["rep", "impe"] + [f"imse_{m + 1}" for m in range(len(summary.imse_components))]

@@ -73,7 +73,10 @@ class FitReport:
     end of each sweep; ``stage_offsets`` marks where each component's
     extraction begins in ``loss_trace``. ``n_truncated`` counts the subjects
     whose final score solve kept fewer than M directions (n_i < M, or a
-    direction cut by the score kernel's floor).
+    direction cut by the score kernel's floor). ``n_guard_kept`` counts the
+    (score step, subject) pairs in which the score guard kept a subject's
+    previous scores, along the path the trace records: each stage's winning
+    start, then the sweeps.
     ``final_objective`` is the objective of the returned model, whose scores
     come from a final unguarded refit, so it can differ from the trace's
     last entry.
@@ -87,6 +90,7 @@ class FitReport:
     stage_offsets: tuple[int, ...] = ()
     n_fallbacks: int = 0
     n_truncated: int = 0
+    n_guard_kept: int = 0
     final_objective: float = math.nan
 
 

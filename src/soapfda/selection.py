@@ -99,9 +99,7 @@ def aic(dataset: LongitudinalDataset, fits: Sequence[FecModel]) -> AicResult:
 def _fit_component_on(ws, fixed: np.ndarray, gamma: float) -> np.ndarray:
     """Extract one component on the given workspace with earlier ones fixed."""
     gammas = np.concatenate([np.zeros(fixed.shape[1]), [gamma]])
-    coef, _, _, _, _, _ = _extract_stage(
-        ws, fixed, np.zeros((ws.n, fixed.shape[1])), gammas
-    )
+    coef = _extract_stage(ws, fixed, np.zeros((ws.n, fixed.shape[1])), gammas)[0]
     return coef[:, -1]
 
 

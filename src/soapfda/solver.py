@@ -62,8 +62,9 @@ class PenalizedStepResult(NamedTuple):
 
 
 # ---------------------------------------------------------------------------
-# Workspace: design matrix, weights and per-subject row slices, built once
-# per (dataset, basis) pair and shared across iterations and CV folds.
+# Workspace: design matrix, weights, per-subject row slices and sufficient
+# statistics, built once per (dataset, basis) pair and shared across
+# iterations and CV folds.
 # ---------------------------------------------------------------------------
 
 
@@ -84,11 +85,13 @@ class _Workspace:
         self.offsets = np.concatenate([[0], np.cumsum(sizes)])
         self.t = np.concatenate([s.t for s in dataset.subjects])
         self.y = np.concatenate([s.y for s in dataset.subjects])
-        self.subj_of_row = np.repeat(np.arange(len(sizes)), sizes)
         self.B = eval_basis_matrix(basis, self.t) if B is None else B
-        self.w2 = np.repeat(1.0 / (len(sizes) * sizes), sizes)
+        self.w = 1.0 / (len(sizes) * sizes)
+        self.w2 = np.repeat(self.w, sizes)
         self._ridge_coefs: np.ndarray | None = None
         self._groups: list[tuple[np.ndarray, np.ndarray, np.ndarray]] | None = None
+        self._stats: tuple[np.ndarray, np.ndarray] | None = None
+        self._sc: tuple[np.ndarray, np.ndarray] | None = None
 
     @property
     def n(self) -> int:
@@ -98,24 +101,20 @@ class _Workspace:
         return slice(self.offsets[i], self.offsets[i + 1])
 
     def ridge_coefs(self) -> np.ndarray:
-        """Per-subject basis coefficients from a small ridge fit (init cache)."""
+        """Per-subject basis coefficients from a small ridge fit (init cache):
+        (S_i + lam I) c_i = T_i, one batched solve on the statistics."""
         if self._ridge_coefs is None:
-            L = self.basis.size
+            S, T = self.stats()
             lam = 1e-6 * np.trace(self.basis.gram)
-            eye = lam * np.eye(L)
-            out = np.empty((self.n, L))
-            for idx, Bs, ys in self.size_groups():
-                Bt = Bs.transpose(0, 2, 1)
-                rhs = np.matmul(Bt, ys[..., None])
-                out[idx] = sla.solve(np.matmul(Bt, Bs) + eye, rhs, assume_a="pos")[..., 0]
-            self._ridge_coefs = out
+            eye = lam * np.eye(self.basis.size)
+            self._ridge_coefs = sla.solve(S + eye, T[..., None], assume_a="pos")[..., 0]
         return self._ridge_coefs
 
     def size_groups(self):
         """Subjects grouped by observation count: (indices, designs, values).
 
         ``designs`` is (k, n_i, L) and ``values`` (k, n_i); built once and
-        reused by every batched score step.
+        reused by every row-formed score step.
         """
         if self._groups is None:
             self._groups = [
@@ -123,8 +122,37 @@ class _Workspace:
             ]
         return self._groups
 
+    def stats(self) -> tuple[np.ndarray, np.ndarray]:
+        """Per-subject sufficient statistics (S, T): S_i = B_i'B_i, (n, L, L),
+        and T_i = B_i'y_i, (n, L); built once from the size groups.
+
+        With the weights ``w`` they hold all the score and component steps
+        use of the rows, so those steps cost O(n L^2 M) whatever the number
+        of observations per subject; only the exact objective reads the rows.
+        """
+        if self._stats is None:
+            L = self.basis.size
+            S, T = np.empty((self.n, L, L)), np.empty((self.n, L))
+            for idx, Bs, ys in self.size_groups():
+                Bt = Bs.transpose(0, 2, 1)
+                S[idx] = np.matmul(Bt, Bs)
+                T[idx] = np.matmul(Bt, ys[..., None])[..., 0]
+            self._stats = S, T
+        return self._stats
+
+    def stat_products(self, coef: np.ndarray) -> np.ndarray:
+        """S_i C for every subject, (n, L, M), as one product over the stacked
+        S. The last result is kept: a component update reuses the product of
+        the score step before it."""
+        if self._sc is None or not np.array_equal(self._sc[0], coef):
+            S, _ = self.stats()
+            n, L, _ = S.shape
+            self._sc = coef.copy(), (S.reshape(n * L, L) @ coef).reshape(n, L, coef.shape[1])
+        return self._sc[1]
+
     def drop_subject(self, i: int) -> "_Workspace":
-        """Fold workspace with subject i removed; shares basis evaluations."""
+        """Fold workspace with subject i removed; shares basis evaluations
+        and drops the subject's row of every cache already built."""
         rest = self.dataset.subjects[:i] + self.dataset.subjects[i + 1 :]
         sub = _Workspace(
             LongitudinalDataset(domain=self.dataset.domain, subjects=rest),
@@ -133,6 +161,8 @@ class _Workspace:
         )
         if self._ridge_coefs is not None:
             sub._ridge_coefs = np.delete(self._ridge_coefs, i, axis=0)
+        if self._stats is not None:
+            sub._stats = tuple(np.delete(a, i, axis=0) for a in self._stats)
         return sub
 
 
@@ -156,58 +186,89 @@ def _size_groups(sizes: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
     return groups
 
 
-def _batched_scores(groups, prev: np.ndarray | None = None) -> tuple[np.ndarray, int]:
+def _solve_scores(gram, rhs, prev: np.ndarray | None = None) -> tuple[np.ndarray, int, int]:
     """Minimum-norm least-squares scores on a truncated Gram spectrum.
 
-    ``groups`` holds (idx (k,), psi (k, n_i, M), y (k, n_i)) triples: psi is
-    each of k subjects' component values at its n_i observation times, and
-    idx their rows in the output. The idx arrays together must number the
-    rows 0..n-1. Returns (scores (n, M), n_truncated), the number of
-    subjects whose solve kept fewer than M directions.
+    ``gram`` (k, M, M) and ``rhs`` (k, M) hold each subject's psi_i'psi_i and
+    psi_i'y_i, where psi_i is its component values at its observation times.
+    Returns (scores (k, M), n_truncated, n_kept): n_truncated counts the
+    subjects whose solve kept fewer than M directions, n_kept those the guard
+    gave their previous scores.
 
-    The M x M Gram matrices psi_i'psi_i of every group are decomposed in one
-    batched ``eigh``. An eigenvalue w_j is kept when it clears the squared
-    floor (w_j > SCORE_SINGULAR_FLOOR^2): the rule "keep a singular value of
-    the value matrix above the floor". The rule depends only on the
-    component values, never on y, so score estimation stays exactly linear
-    and scale-equivariant in the data. Every subject is solved on its own
-    slice, so its scores do not depend on which subjects share the stack.
+    The Gram matrices are decomposed in one batched ``eigh``. An eigenvalue
+    w_j is kept when it clears the squared floor (w_j > SCORE_SINGULAR_FLOOR^2):
+    the rule "keep a singular value of the value matrix above the floor". The
+    rule depends only on the component values, never on y, so score
+    estimation stays exactly linear and scale-equivariant in the data. Every
+    subject is solved on its own slice, so its scores do not depend on which
+    subjects share the stack.
 
-    With ``prev`` (n, M) given, a subject keeps its previous scores when
-    those fit it at least as well under the current components: the
-    truncation subspace can change between iterations as components rotate,
-    and this guard is what keeps the recorded objective trace non-increasing.
+    With ``prev`` (k, M) given, a subject keeps its previous scores b when
+    those fit it at least as well under the current components as the fresh
+    scores a: ||y - psi a||^2 > ||y - psi b||^2 exactly when
+    (a - b)'(G(a + b) - 2r) > 0, which needs no rows. The truncation subspace
+    can change between iterations as components rotate, and this guard is
+    what keeps the recorded objective trace non-increasing.
     """
-    idx = np.concatenate([g[0] for g in groups])
-    gram = np.concatenate([np.matmul(psi.transpose(0, 2, 1), psi) for _, psi, _ in groups])
-    rhs = np.concatenate([np.matmul(y[:, None, :], psi)[:, 0] for _, psi, y in groups])
     w, v = np.linalg.eigh(gram)
     keep = w > SCORE_SINGULAR_FLOOR**2
     inv = np.zeros_like(w)
     np.divide(1.0, w, out=inv, where=keep)
     vy = np.matmul(rhs[:, None, :], v)[:, 0]
-    sol = np.empty_like(rhs)
-    sol[idx] = np.matmul(v, (inv * vy)[..., None])[..., 0]
+    sol = np.matmul(v, (inv * vy)[..., None])[..., 0]
     # eigenvalues ascend, so a subject is truncated exactly when its smallest is cut
     n_truncated = len(w) - int(np.count_nonzero(keep[:, 0]))
-    if prev is not None:
-        for rows, psi, y in groups:
-            r_new = y - np.matmul(psi, sol[rows, :, None])[..., 0]
-            r_old = y - np.matmul(psi, prev[rows, :, None])[..., 0]
-            worse = rows[np.einsum("ki,ki->k", r_new, r_new) > np.einsum("ki,ki->k", r_old, r_old)]
-            sol[worse] = prev[worse]
-    return sol, n_truncated
+    if prev is None:
+        return sol, n_truncated, 0
+    grow = np.matmul(gram, (sol + prev)[..., None])[..., 0] - 2.0 * rhs
+    worse = np.einsum("km,km->k", sol - prev, grow) > 0
+    sol[worse] = prev[worse]
+    return sol, n_truncated, int(np.count_nonzero(worse))
+
+
+def _batched_scores(groups, prev: np.ndarray | None = None) -> tuple[np.ndarray, int]:
+    """``_solve_scores`` on Gram matrices formed from the rows.
+
+    ``groups`` holds (idx (k,), psi (k, n_i, M), y (k, n_i)) triples: psi is
+    each of k subjects' component values at its n_i observation times, and
+    idx their rows in the output. The idx arrays together must number the
+    rows 0..n-1. Returns (scores (n, M), n_truncated). Prediction, the fit's
+    final refit and the held-out subject of a CV fold use this form, so the
+    fit and prediction agree bitwise on training data.
+    """
+    idx = np.concatenate([g[0] for g in groups])
+    gram = np.concatenate([np.matmul(psi.transpose(0, 2, 1), psi) for _, psi, _ in groups])
+    rhs = np.concatenate([np.matmul(y[:, None, :], psi)[:, 0] for _, psi, y in groups])
+    sol, n_truncated, _ = _solve_scores(gram, rhs, None if prev is None else prev[idx])
+    out = np.empty_like(sol)
+    out[idx] = sol
+    return out, n_truncated
+
+
+def _score_system(ws: _Workspace, coef: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Gram matrices C'S_iC (n, M, M) and right-hand sides C'T_i (n, M) of the
+    score step, from the statistics: no loop over size groups."""
+    SC = ws.stat_products(coef)
+    n, L, M = SC.shape
+    gram = (SC.transpose(0, 2, 1).reshape(n * M, L) @ coef).reshape(n, M, M)
+    return gram, ws.stats()[1] @ coef
+
+
+def _row_base(ws: _Workspace, P: np.ndarray, scores) -> float:
+    """Residual part of the objective, on the rows, from the component
+    values P = B C (N, M) at the observation times."""
+    resid = ws.y - np.einsum("nm,nm->n", np.repeat(scores, ws.sizes, axis=0), P)
+    return float(ws.w2 @ (resid * resid))
+
+
+def _penalty(ws: _Workspace, c: np.ndarray, gamma) -> float:
+    return float(gamma) * float(c @ ws.basis.penalty @ c)
 
 
 def _loss(ws: _Workspace, coef, scores, gammas) -> tuple[float, float]:
     """Full objective and its residual part for the current state."""
-    fit = ((scores[ws.subj_of_row]) * (ws.B @ coef)).sum(axis=1)
-    resid = ws.y - fit
-    base = float(ws.w2 @ (resid * resid))
-    pen = 0.0
-    for k in range(coef.shape[1]):
-        pen += float(gammas[k]) * float(coef[:, k] @ ws.basis.penalty @ coef[:, k])
-    return base + pen, base
+    base = _row_base(ws, ws.B @ coef, scores)
+    return base + sum(_penalty(ws, coef[:, k], gammas[k]) for k in range(coef.shape[1])), base
 
 
 # ---------------------------------------------------------------------------
@@ -246,31 +307,27 @@ def score_step(dataset: LongitudinalDataset, fec_values: Sequence[np.ndarray]) -
     return _batched_scores([(idx, stacked[rows], y[rows]) for idx, rows in groups])[0]
 
 
-def _score_step_ws(ws: _Workspace, coef: np.ndarray, prev: np.ndarray | None = None):
-    """Per-subject truncated least-squares scores under the current components,
-    stacked by observation count; returns (scores, n_truncated) of
-    ``_batched_scores``, whose guard ``prev`` enables."""
-    return _batched_scores(
-        [(idx, designs @ coef, values) for idx, designs, values in ws.size_groups()], prev
-    )
-
-
-def _psi_normal(ws: _Workspace, scores, coef, m: int) -> tuple[np.ndarray, np.ndarray]:
-    """Normal matrix and right-hand side for updating component m.
-
-    Rows of the implied design are w_ij * a_im * b(t_ij) with
-    w_ij = 1/sqrt(n*n_i); the target is w_ij times the residual after
-    subtracting every other component's contribution.
+def _update_system(ws: _Workspace, scores, coef, m: int) -> tuple[np.ndarray, np.ndarray]:
+    """Normal matrix and right-hand side for updating component m, from the
+    statistics: sum_i w_i a_im^2 S_i and sum_i w_i a_im (T_i - S_i C a~_i),
+    where a~_i is subject i's scores with entry m set to zero.
     """
-    psi = ws.B @ coef
-    s_rows = scores[ws.subj_of_row]
-    alpha = s_rows[:, m]
-    fit_others = (s_rows * psi).sum(axis=1) - alpha * psi[:, m]
-    resid = ws.y - fit_others
-    wa = ws.w2 * alpha
-    ata = (ws.B * (wa * alpha)[:, None]).T @ ws.B
-    rhs = ws.B.T @ (wa * resid)
-    return (ata + ata.T) / 2.0, rhs
+    S, T = ws.stats()
+    alpha = scores[:, m]
+    wa = ws.w * alpha
+    ata = np.tensordot(wa * alpha, S, axes=1)
+    others = scores.copy()
+    others[:, m] = 0.0
+    resid = T - np.matmul(ws.stat_products(coef), others[..., None])[..., 0]
+    return (ata + ata.T) / 2.0, wa @ resid
+
+
+def _null_space(a: np.ndarray) -> np.ndarray:
+    """Orthonormal basis of the null space of a, by the rank rule of
+    ``scipy.linalg.null_space``."""
+    _, s, vh = np.linalg.svd(a)
+    tol = np.amax(s, initial=0.0) * _EPS * max(a.shape)
+    return vh[np.count_nonzero(s > tol) :].T
 
 
 def _normalized_unconstrained(ata, rhs, gram) -> tuple[np.ndarray, float]:
@@ -390,20 +447,21 @@ def kkt_residual(normal_matrix, rhs, gram, penalty, gamma, beta, multiplier) -> 
 def _psi_update(ws: _Workspace, scores, coef, m: int, gamma: float):
     """Update component m with all other columns fixed.
 
-    The new coefficient vector is constrained to be G-orthogonal to every
-    other component (null-space reduction) and has exact unit G-norm; the
-    reduced problem is solved by ``psi_step_penalized``.
-    Returns (beta, score_scale, fallback).
+    The normal equations come from the workspace statistics
+    (``_update_system``). The new coefficient vector is constrained to be
+    G-orthogonal to every other component (null-space reduction) and has
+    exact unit G-norm; the reduced problem is solved by
+    ``psi_step_penalized``. Returns (beta, score_scale, fallback).
     """
     gram, penalty = ws.basis.gram, ws.basis.penalty
     # relative, not exact zero: a column left only with rounding noise of
     # the score kernel has nothing to fit
     if np.max(np.abs(scores[:, m])) <= 64 * _EPS * np.max(np.abs(scores)):
         raise SingularStepError(f"all scores for component {m + 1} are zero")
-    ata, rhs = _psi_normal(ws, scores, coef, m)
+    ata, rhs = _update_system(ws, scores, coef, m)
     others = np.delete(coef, m, axis=1)
     if others.shape[1]:
-        Z = sla.null_space(others.T @ gram)
+        Z = _null_space(others.T @ gram)
         ata, rhs = Z.T @ ata @ Z, Z.T @ rhs
         gram_r, penalty_r = Z.T @ gram @ Z, Z.T @ penalty @ Z
     else:
@@ -463,7 +521,8 @@ def _extract_stage(ws: _Workspace, coef, scores, gammas):
 
     ``coef`` holds the already-fitted components (kept fixed as constraints
     during this stage); the run with the lowest final objective wins.
-    Returns (coef, scores, converged, cycles, n_fallbacks, trace_segment).
+    Returns (coef, scores, converged, cycles, n_fallbacks, n_guard_kept,
+    trace_segment).
     """
     m = coef.shape[1]
     best = None
@@ -488,8 +547,8 @@ def _extract_stage(ws: _Workspace, coef, scores, gammas):
             best = (final, result, segment)
     if best is None:  # _stage_inits returns at least one start, so every one failed
         raise last_error
-    _, (coef, scores, conv, ends, fb), segment = best
-    return coef, scores, conv, len(ends), fb, segment
+    _, (coef, scores, conv, ends, fb, kept), segment = best
+    return coef, scores, conv, len(ends), fb, kept, segment
 
 
 def _alternate(ws, coef, scores, active, gammas, trace, cap):
@@ -504,17 +563,26 @@ def _alternate(ws, coef, scores, active, gammas, trace, cap):
     (a stall at the numerical floor) or ends within _REL_TOL relative of
     the previous cycle's end (for the first cycle, of the objective ``trace``
     ends with on entry, if any); it stops unconverged after ``cap`` cycles.
-    Returns (coef, scores, converged, cycle_ends, n_fallbacks), where
-    ``cycle_ends`` holds the objective at the end of every cycle.
+
+    Both steps work on the workspace statistics. The objective stays exact
+    and on the rows: the component values P = B C and the per-component
+    penalties are kept across the loop, and an update evaluates only its
+    new column. Returns (coef, scores, converged, cycle_ends, n_fallbacks,
+    n_guard_kept), where ``cycle_ends`` holds the objective at the end of
+    every cycle and ``n_guard_kept`` counts the (score step, subject) pairs
+    in which the guard kept the previous scores.
     """
+    P = ws.B @ coef
+    pens = [_penalty(ws, coef[:, k], gammas[k]) for k in range(coef.shape[1])]
     prev = trace[-1] if trace else None
     ends: list[float] = []
-    n_fb = 0
+    n_fb = n_kept = 0
     for it in range(cap):
         accepted = False
         for m in active:
-            scores, _ = _score_step_ws(ws, coef, prev=scores)
-            current, _ = _loss(ws, coef, scores, gammas)
+            scores, _, kept = _solve_scores(*_score_system(ws, coef), prev=scores)
+            n_kept += kept
+            current = _row_base(ws, P, scores) + sum(pens)
             trace.append(current)
             try:
                 beta, s, fallback = _psi_update(ws, scores, coef, m, gammas[m])
@@ -525,17 +593,21 @@ def _alternate(ws, coef, scores, active, gammas, trace, cap):
             new_coef[:, m] = beta
             new_scores = scores.copy()
             new_scores[:, m] = scores[:, m] * s
-            full, _ = _loss(ws, new_coef, new_scores, gammas)
+            new_P = P.copy()
+            new_P[:, m] = ws.B @ beta
+            new_pens = pens.copy()
+            new_pens[m] = _penalty(ws, beta, gammas[m])
+            full = _row_base(ws, new_P, new_scores) + sum(new_pens)
             if full <= current + _UPHILL_TOL * max(1.0, current):
-                coef, scores = new_coef, new_scores
+                coef, scores, P, pens = new_coef, new_scores, new_P, new_pens
                 trace.append(full)
                 accepted = True
         end = trace[-1]
         ends.append(end)
         if not accepted or (prev is not None and abs(prev - end) <= _REL_TOL * max(1.0, abs(prev))):
-            return coef, scores, True, ends, n_fb
+            return coef, scores, True, ends, n_fb, n_kept
         prev = end
-    return coef, scores, False, ends, n_fb
+    return coef, scores, False, ends, n_fb, n_kept
 
 
 def _fix_signs(ws: _Workspace, coef: np.ndarray) -> np.ndarray:
@@ -595,33 +667,37 @@ def fit_soap(
     trace: list[float] = []
     stage_offsets: list[int] = []
     stage_cycles: list[int] = []
-    n_fb = 0
+    n_fb = n_kept = 0
     all_converged = True
 
     for m in range(n_components):
         stage_offsets.append(len(trace))
-        coef, scores, conv, cycles, fb, segment = _extract_stage(
+        coef, scores, conv, cycles, fb, kept, segment = _extract_stage(
             ws, coef, scores, gam[: m + 1]
         )
         trace.extend(segment)
         all_converged &= conv
         stage_cycles.append(cycles)
         n_fb += fb
+        n_kept += kept
 
     sweep_objectives: list[float] = []
     if n_components > 1:
-        coef, scores, refined, sweep_objectives, fb = _alternate(
+        coef, scores, refined, sweep_objectives, fb, kept = _alternate(
             ws, coef, scores, range(n_components), gam, trace, _MAX_OUTER_SWEEPS
         )
         all_converged &= refined
         n_fb += fb
+        n_kept += kept
 
     # Finalize with pure projections: the returned scores are the unguarded
     # output of the score kernel that `predict.project_scores` also uses, not
     # the guarded iterates, so fitting and prediction agree bitwise on
     # training data.
     coef = _fix_signs(ws, coef)
-    scores, n_truncated = _score_step_ws(ws, coef)
+    scores, n_truncated = _batched_scores(
+        [(idx, designs @ coef, values) for idx, designs, values in ws.size_groups()]
+    )
     full, base = _loss(ws, coef, scores, gam)
 
     report = FitReport(
@@ -633,6 +709,7 @@ def fit_soap(
         stage_offsets=tuple(stage_offsets),
         n_fallbacks=n_fb,
         n_truncated=n_truncated,
+        n_guard_kept=n_kept,
         final_objective=full,
     )
     return FecModel(

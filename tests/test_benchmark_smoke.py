@@ -1,0 +1,37 @@
+"""The benchmark's own checks, run as the benchmark runs them.
+
+``perfbench/selftest.py`` confirms that every output checker accepts a
+genuine output and rejects a corrupted one; a one-second dense-oracle run
+confirms that the fit, predict and oracle-check commands still produce
+outputs those checkers accept. Both run as subprocesses from the checkout.
+"""
+
+import json
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def run_script(*argv):
+    return subprocess.run(
+        [sys.executable, *argv], cwd=ROOT, capture_output=True, text=True, timeout=300
+    )
+
+
+def test_selftest_checkers_reject_corruption():
+    proc = run_script("perfbench/selftest.py")
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert "14/14 checkers reject their corrupted output" in proc.stdout + proc.stderr
+
+
+def test_dense_oracle_round_is_correct():
+    proc = run_script(
+        "perfbench/run.py", "--workload", "dense-oracle", "--seed", "1", "--seconds", "1", "--trace", "0"
+    )
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout)
+    assert result["correct"] is True, proc.stderr
+    assert result["failed"] == 0
+    assert result["attempted"] > 0

@@ -511,6 +511,41 @@ class TestDeterminism:
         assert tree_bytes(outs[0]) == tree_bytes(outs[1])
 
 
+class TestOutputDirectory:
+    """A command creates its output directory only once it can no longer fail."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["fit", "--m-grid", "3..1"],
+            ["fit", "--gamma-grid", "abc"],
+            ["fit", "--gamma-grid", "0,1e2", "--input", "ONE"],
+            ["simulate", "--m", "5", "--basis-size", "4", "--reps", "1"],
+        ],
+        ids=["m-grid", "gamma-grid", "one-subject-cv", "simulate-m-above-basis"],
+    )
+    def test_failing_command_leaves_no_directory(self, sparse_fixture, tmp_path, capsys, argv):
+        one = tmp_path / "one.csv"
+        write_long_csv(one, [("a", 0.2, 1.0), ("a", 0.5, 2.0), ("a", 0.8, 1.5)])
+        argv = [str(one) if a == "ONE" else a for a in argv]
+        if argv[0] == "fit" and "--input" not in argv:
+            argv += ["--input", sparse_fixture]
+        if argv[0] == "fit":
+            argv += ["--domain", "0,1"]
+        out = tmp_path / "out"
+        assert run_cli(*argv, "--output-dir", str(out)) == 2
+        assert "error" in json.loads(capsys.readouterr().out)
+        assert not out.exists()
+
+    def test_successful_fit_writes_its_four_files(self, sparse_fixture, tmp_path):
+        out = tmp_path / "nested" / "out"
+        status = run_cli(
+            "fit", "--input", sparse_fixture, "--output-dir", str(out), "--domain", "0,1", "--m", "1",
+        )
+        assert status == 0
+        assert sorted(os.listdir(out)) == ["fitted.csv", "model.json", "report.json", "scores.csv"]
+
+
 class TestEntryPoint:
     def test_module_invocation(self, sparse_fixture, tmp_path):
         out = tmp_path / "cli"

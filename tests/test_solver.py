@@ -190,6 +190,89 @@ class TestScoreKernel:
         np.testing.assert_array_equal(got[-1], np.zeros(m))
 
 
+def row_score_system(ws, coef):
+    """Score-step Gram matrices and right-hand sides formed from the rows."""
+    psis = [ws.B[ws.rows(i)] @ coef for i in range(ws.n)]
+    ys = [ws.y[ws.rows(i)] for i in range(ws.n)]
+    return np.stack([p.T @ p for p in psis]), np.stack([p.T @ y for p, y in zip(psis, ys)])
+
+
+def row_update_system(ws, scores, coef, m):
+    """Normal matrix and rhs of component m's update, formed from the rows:
+    design rows w_ij a_im b(t_ij) with w_ij = 1/sqrt(n n_i), target w_ij times
+    the residual after every other component's contribution."""
+    L = ws.basis.size
+    ata, rhs = np.zeros((L, L)), np.zeros(L)
+    for i in range(ws.n):
+        B, y = ws.B[ws.rows(i)], ws.y[ws.rows(i)]
+        others = scores[i].copy()
+        others[m] = 0.0
+        resid = y - B @ (coef @ others)
+        wa = scores[i, m] / (ws.n * len(y))
+        ata += wa * scores[i, m] * (B.T @ B)
+        rhs += wa * (B.T @ resid)
+    return ata, rhs
+
+
+def assert_rel_close(got, ref, rel):
+    assert np.abs(got - ref).max() <= rel * np.abs(ref).max()
+
+
+class TestStatistics:
+    def mixed_workspace(self, rng):
+        """Sizes 1-6 with tied times (times on a 9-point lattice) and one
+        401-point subject; L = 8."""
+        lattice = np.linspace(0.0, 1.0, 9)
+        rows = []
+        for i in range(30):
+            for t in rng.choice(lattice, size=1 + i % 6):
+                rows.append((f"s{i:02d}", float(t), float(rng.normal() * 3.0)))
+        for t in np.linspace(0.0, 1.0, 401):
+            rows.append(("dense", float(t), float(np.sin(6.0 * t) + rng.normal())))
+        ds = validate_dataset(rows, (0.0, 1.0))
+        return solver._Workspace(ds, make_bspline_basis((0.0, 1.0), 8, 4))
+
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_systems_match_row_reference(self, m, rng):
+        ws = self.mixed_workspace(rng)
+        assert {1, 2, 3, 4, 5, 6, 401} == set(ws.sizes)
+        assert any(len(np.unique(s.t)) < s.n_obs for s in ws.dataset.subjects)
+        coef = rng.normal(size=(ws.basis.size, m))
+        gram, rhs = solver._score_system(ws, coef)
+        gram_ref, rhs_ref = row_score_system(ws, coef)
+        assert_rel_close(gram, gram_ref, 1e-12)
+        assert_rel_close(rhs, rhs_ref, 1e-12)
+        scores = rng.normal(size=(ws.n, m)) * 2.0
+        for k in range(m):
+            ata, nrhs = solver._update_system(ws, scores, coef, k)
+            ata_ref, nrhs_ref = row_update_system(ws, scores, coef, k)
+            assert_rel_close(ata, ata_ref, 1e-12)
+            assert_rel_close(nrhs, nrhs_ref, 1e-12)
+
+    def test_drop_subject_matches_fresh_workspace(self, rng):
+        ws = self.mixed_workspace(rng)
+        S, T = ws.stats()
+        for i in (0, 7, ws.n - 1):
+            fold = ws.drop_subject(i)
+            fresh = solver._Workspace(fold.dataset, ws.basis)
+            for got, ref in zip(fold.stats(), fresh.stats()):
+                np.testing.assert_array_equal(got, ref)
+        assert ws.stats()[0] is S and ws.stats()[1] is T
+
+    def test_noise_free_dense_trace_reaches_zero(self):
+        # criterion 1's data: the exact row loss must not go negative or
+        # stall above rounding level, as a Gram-form loss would
+        basis = make_bspline_basis((0.0, 1.0), 8, 4)
+        rng = np.random.default_rng(42)
+        c1, c2 = orthonormal_pair_in_span(basis, rng)
+        grid = np.linspace(0, 1, 401)
+        scores = rng.normal(size=(50, 2)) * [5.0, 2.0]
+        ds, _ = dense_rank2_dataset(basis, 50, grid, scores, (c1, c2))
+        trace = np.array(fit_soap(ds, basis, 2, 0.0).report.loss_trace)
+        assert np.all(trace >= 0.0)
+        assert trace[-1] <= 1e-20
+
+
 class TestPsiStepFirst:
     def rank1_dense(self, basis, rng, n=25, q=60):
         c1, _ = orthonormal_pair_in_span(basis, rng)
@@ -442,8 +525,8 @@ class TestFitSoap:
     # component arithmetic that moves one iterate by one ulp changes the
     # digest; another BLAS build may round differently and need a new record.
     DEFAULT_TRACES = {
-        0.0: (516, False, 20, "7c3fb0e89c7c82f72b3212e4f732e2993140d014dfadccb27b2c02e66f83af17"),
-        1e-3: (214, False, 20, "c6fedc8bc8f228185942476984fe8022e661c65974510778667274695ce7f5f6"),
+        0.0: (516, False, 20, "9c48a6a76db5659d74065092e1520fa5378fa0ded0caf36a13a284f6db6947c8"),
+        1e-3: (214, False, 20, "728eef433ac7a4d35b43f4cc9473eeea39998303c2b501d3a64941f9f93e6fa4"),
     }
 
     @pytest.mark.parametrize("gamma", [0.0, 1e-3])
@@ -454,6 +537,12 @@ class TestFitSoap:
         trace = np.array(report.loss_trace)
         got = (len(trace), report.converged, report.n_sweeps, hashlib.sha256(trace.tobytes()).hexdigest())
         assert got == self.DEFAULT_TRACES[gamma], f"final objective {trace[-1].hex()}"
+
+    def test_guard_kept_count_reported(self):
+        cfg = SimulationConfig(seed=3)
+        ds, _, _ = gen_sparse_dataset(cfg)
+        report = fit_soap(ds, make_bspline_basis(cfg.domain, 20, 4), 2, 0.0).report
+        assert report.n_guard_kept > 0
 
     @pytest.mark.parametrize("gamma", [0.0, 1e-3])
     def test_component_updates_run_the_public_step(self, gamma, monkeypatch):
