@@ -186,6 +186,36 @@ def _size_groups(sizes: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
     return groups
 
 
+def _eigh(gram: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Ascending eigenvalues (k, M) and orthonormal eigenvectors (k, M, M) of
+    a stack of symmetric positive-semidefinite matrices.
+
+    At M = 2 they come in closed form, vectorised over the stack: numpy's
+    ``eigh`` calls LAPACK once per matrix, and at this size that call costs
+    far more than the arithmetic. With G = [[a, b], [b, c]], the larger
+    eigenvalue is (a + c + hypot(a - c, 2b)) / 2 and, as in LAPACK's
+    ``dlaev2``, the smaller is (ac - b^2) over the larger, which avoids
+    cancelling the larger against the trace. The larger eigenvector is
+    (cos t, sin t) with t = atan2(2b, a - c) / 2. Every other M calls
+    ``np.linalg.eigh``.
+    """
+    if gram.shape[-1] != 2:
+        return np.linalg.eigh(gram)
+    a, b, c = gram[:, 0, 0], gram[:, 0, 1], gram[:, 1, 1]
+    diff, b2 = a - c, b + b
+    w = np.zeros((len(gram), 2))
+    big = w[:, 1]
+    np.multiply(0.5, a + c + np.hypot(diff, b2), out=big)
+    # a zero matrix keeps both eigenvalues at zero
+    np.divide(a * c - b * b, big, out=w[:, 0], where=big > 0)
+    t = 0.5 * np.arctan2(b2, diff)
+    # columns (-sin t, cos t) and (cos t, sin t)
+    v = np.empty((len(gram), 2, 2))
+    v[:, 1, 0] = np.cos(t, out=v[:, 0, 1])
+    np.negative(np.sin(t, out=v[:, 1, 1]), out=v[:, 0, 0])
+    return w, v
+
+
 def _solve_scores(gram, rhs, prev: np.ndarray | None = None) -> tuple[np.ndarray, int, int]:
     """Minimum-norm least-squares scores on a truncated Gram spectrum.
 
@@ -195,7 +225,7 @@ def _solve_scores(gram, rhs, prev: np.ndarray | None = None) -> tuple[np.ndarray
     subjects whose solve kept fewer than M directions, n_kept those the guard
     gave their previous scores.
 
-    The Gram matrices are decomposed in one batched ``eigh``. An eigenvalue
+    The Gram matrices are decomposed together by ``_eigh``. An eigenvalue
     w_j is kept when it clears the squared floor (w_j > SCORE_SINGULAR_FLOOR^2):
     the rule "keep a singular value of the value matrix above the floor". The
     rule depends only on the component values, never on y, so score
@@ -210,23 +240,23 @@ def _solve_scores(gram, rhs, prev: np.ndarray | None = None) -> tuple[np.ndarray
     can change between iterations as components rotate, and this guard is
     what keeps the recorded objective trace non-increasing.
     """
-    w, v = np.linalg.eigh(gram)
+    w, v = _eigh(gram)
     keep = w > SCORE_SINGULAR_FLOOR**2
     inv = np.zeros_like(w)
     np.divide(1.0, w, out=inv, where=keep)
-    vy = np.matmul(rhs[:, None, :], v)[:, 0]
-    sol = np.matmul(v, (inv * vy)[..., None])[..., 0]
+    vy = np.einsum("km,kmj->kj", rhs, v)
+    sol = np.einsum("kmj,kj->km", v, inv * vy)
     # eigenvalues ascend, so a subject is truncated exactly when its smallest is cut
     n_truncated = len(w) - int(np.count_nonzero(keep[:, 0]))
     if prev is None:
         return sol, n_truncated, 0
-    grow = np.matmul(gram, (sol + prev)[..., None])[..., 0] - 2.0 * rhs
+    grow = np.einsum("kmj,kj->km", gram, sol + prev) - 2.0 * rhs
     worse = np.einsum("km,km->k", sol - prev, grow) > 0
     sol[worse] = prev[worse]
     return sol, n_truncated, int(np.count_nonzero(worse))
 
 
-def _batched_scores(groups, prev: np.ndarray | None = None) -> tuple[np.ndarray, int]:
+def _batched_scores(groups) -> tuple[np.ndarray, int]:
     """``_solve_scores`` on Gram matrices formed from the rows.
 
     ``groups`` holds (idx (k,), psi (k, n_i, M), y (k, n_i)) triples: psi is
@@ -239,7 +269,7 @@ def _batched_scores(groups, prev: np.ndarray | None = None) -> tuple[np.ndarray,
     idx = np.concatenate([g[0] for g in groups])
     gram = np.concatenate([np.matmul(psi.transpose(0, 2, 1), psi) for _, psi, _ in groups])
     rhs = np.concatenate([np.matmul(y[:, None, :], psi)[:, 0] for _, psi, y in groups])
-    sol, n_truncated, _ = _solve_scores(gram, rhs, None if prev is None else prev[idx])
+    sol, n_truncated, _ = _solve_scores(gram, rhs)
     out = np.empty_like(sol)
     out[idx] = sol
     return out, n_truncated

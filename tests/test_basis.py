@@ -100,6 +100,20 @@ class TestEvaluation:
         with pytest.raises(ValueError, match="outside domain"):
             eval_basis_matrix(basis, [1.5])
 
+    @pytest.mark.parametrize(
+        "size, order, domain",
+        [(20, 4, (0.0, 1.0)), (10, 4, (0.0, 1.0)), (7, 3, (-1.0, 2.5)), (12, 5, (0.25, 2.5)), (5, 2, (0.0, 3.0))],
+    )
+    def test_matches_scipy_without_extrapolation(self, size, order, domain):
+        # both ends, every knot, the last float below the right end, and a
+        # uniform sample: bitwise scipy's extrapolate=False design matrix
+        basis = make_bspline_basis(domain, size, order)
+        lo, hi = domain
+        rng = np.random.default_rng(size)
+        ts = np.concatenate([[lo, hi, np.nextafter(hi, lo)], basis.knots, rng.uniform(lo, hi, 20_000)])
+        ref = BSpline.design_matrix(ts, basis.knots, basis.degree, extrapolate=False).toarray()
+        np.testing.assert_array_equal(eval_basis_matrix(basis, ts), ref)
+
     def test_local_support(self):
         # at most `order` basis functions are nonzero at any point
         basis = make_bspline_basis((0.0, 1.0), 12, 4)

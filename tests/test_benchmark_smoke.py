@@ -3,7 +3,9 @@
 ``perfbench/selftest.py`` confirms that every output checker accepts a
 genuine output and rejects a corrupted one; a one-second dense-oracle run
 confirms that the fit, predict and oracle-check commands still produce
-outputs those checkers accept. Both run as subprocesses from the checkout.
+outputs those checkers accept; one sparse-fit round puts the paper's default
+design (two components) through the benchmark's score, descent, KKT, AIC and
+held-out-last checks. All run as subprocesses from the checkout.
 """
 
 import json
@@ -35,3 +37,15 @@ def test_dense_oracle_round_is_correct():
     assert result["correct"] is True, proc.stderr
     assert result["failed"] == 0
     assert result["attempted"] > 0
+
+
+def test_sparse_fit_round_is_correct():
+    proc = run_script(
+        "perfbench/run.py", "--workload", "sparse-fit", "--seed", "1", "--seconds", "1", "--trace", "0"
+    )
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout)
+    assert result["correct"] is True, proc.stderr
+    assert result["attempted"] == 916
+    # the four canary fits may miss convergence or the IMSE ceiling
+    assert result["failed"] <= 4

@@ -19,7 +19,7 @@ from soapfda.basis import eval_basis_matrix
 from soapfda.oracle import grid_eigenfunctions, sign_aligned_imse, uncentered_cov, DenseCurveSet
 from soapfda.sim import SimulationConfig, gen_sparse_dataset
 from soapfda import solver
-from soapfda.solver import SCORE_SINGULAR_FLOOR, _batched_scores
+from soapfda.solver import SCORE_SINGULAR_FLOOR, _batched_scores, _solve_scores
 
 from conftest import dense_rank2_dataset, orthonormal_pair_in_span
 from solver_steps import fit_first_fec, psi_step_first, psi_step_orthogonal
@@ -149,10 +149,20 @@ def svd_reference_scores(psi, y, prev=None):
 class TestScoreKernel:
     def mixed_stack(self, m, rng):
         """Value matrices: every size 1-5 (so n_i = 1 and n_i < M), repeated
-        times, singular values straddling the floor, a vanishing subject."""
+        times, singular values straddling the floor, a vanishing subject.
+        At M = 2 also the shapes the closed-form eigensystem branches on:
+        orthogonal columns with the larger norm first and second, equal-norm
+        orthogonal columns (a repeated eigenvalue), a rank-one matrix, and a
+        large direction beside a small one on either side of the floor."""
         psis = [rng.normal(size=(n_i, m)) * 2.0 for n_i in (1, 2, 3, 4, 5) for _ in range(4)]
         psis.append(np.repeat(rng.normal(size=(1, m)), 3, axis=0))
+        if m == 2:
+            q, _ = np.linalg.qr(rng.normal(size=(4, 2)))
+            psis += [q * [3.0, 0.7], q * [0.7, 3.0], q * 1.5]
+            psis.append(np.outer(rng.normal(size=3), rng.normal(size=2)))
         spectra = [(0.21,), (0.19,)] if m == 1 else [(1.3,) * (m - 2) + (0.21, 0.19)]
+        if m == 2:
+            spectra = [(40.0, 0.21), (40.0, 0.19)] + spectra
         for spectrum in spectra:
             u, _ = np.linalg.qr(rng.normal(size=(m + 2, m)))
             v, _ = np.linalg.qr(rng.normal(size=(m, m)))
@@ -169,12 +179,16 @@ class TestScoreKernel:
             prev = rng.normal(size=(len(psis), m)) * 3.0
             # untruncated, the subject with singular value 0.19 fits better
             prev[-2] = np.linalg.pinv(psis[-2]) @ ys[-2]
-        sizes = np.array([len(p) for p in psis])
-        groups = [
-            (idx, np.stack([psis[i] for i in idx]), np.stack([ys[i] for i in idx]))
-            for idx in (np.flatnonzero(sizes == n_i) for n_i in np.unique(sizes))
-        ]
-        got, n_truncated = _batched_scores(groups, prev)
+            gram = np.stack([p.T @ p for p in psis])
+            rhs = np.stack([p.T @ y for p, y in zip(psis, ys)])
+            got, n_truncated, _ = _solve_scores(gram, rhs, prev)
+        else:
+            sizes = np.array([len(p) for p in psis])
+            groups = [
+                (idx, np.stack([psis[i] for i in idx]), np.stack([ys[i] for i in idx]))
+                for idx in (np.flatnonzero(sizes == n_i) for n_i in np.unique(sizes))
+            ]
+            got, n_truncated = _batched_scores(groups)
         ranks = []
         for i, (psi, y) in enumerate(zip(psis, ys)):
             ref, rank = svd_reference_scores(psi, y, None if prev is None else prev[i])
@@ -188,6 +202,28 @@ class TestScoreKernel:
             np.testing.assert_array_equal(got[-2], prev[-2])
         assert ranks[-1] == 0
         np.testing.assert_array_equal(got[-1], np.zeros(m))
+
+    def test_closed_form_eigensystem(self, rng):
+        """At M = 2 the kernel's eigensystem matches ``np.linalg.eigh`` to
+        8 eps max|G| per matrix, on random Gram matrices of every size and
+        scale and on the mixed stack's special shapes; at other M it is
+        ``np.linalg.eigh``'s, bitwise."""
+        psis = self.mixed_stack(2, rng)[0]
+        psis += [rng.normal(size=(n_i, 2)) * 10.0**e for n_i in (1, 2, 3, 6) for e in range(-4, 5)]
+        gram = np.stack([p.T @ p for p in psis])
+        w, v = solver._eigh(gram)
+        tol = 8 * np.finfo(float).eps * np.abs(gram).max(axis=(1, 2))
+        assert np.all(np.diff(w, axis=1) >= 0)
+        assert np.all(np.abs(w - np.linalg.eigh(gram)[0]) <= tol[:, None])
+        rebuilt = np.einsum("kij,kj,klj->kil", v, w, v)
+        assert np.all(np.abs(rebuilt - gram) <= tol[:, None, None])
+        gap = np.einsum("kji,kjl->kil", v, v) - np.eye(2)
+        assert np.abs(gap).max() <= 8 * np.finfo(float).eps
+        for m in (1, 3):
+            psis = self.mixed_stack(m, rng)[0]
+            gram = np.stack([p.T @ p for p in psis])
+            for got, ref in zip(solver._eigh(gram), np.linalg.eigh(gram)):
+                np.testing.assert_array_equal(got, ref)
 
 
 def row_score_system(ws, coef):
@@ -525,8 +561,8 @@ class TestFitSoap:
     # component arithmetic that moves one iterate by one ulp changes the
     # digest; another BLAS build may round differently and need a new record.
     DEFAULT_TRACES = {
-        0.0: (516, False, 20, "9c48a6a76db5659d74065092e1520fa5378fa0ded0caf36a13a284f6db6947c8"),
-        1e-3: (214, False, 20, "728eef433ac7a4d35b43f4cc9473eeea39998303c2b501d3a64941f9f93e6fa4"),
+        0.0: (516, False, 20, "996d409c42364e3b0f33b2d650f52fb666b5f94c29ea73f3b101d93ab9e33d09"),
+        1e-3: (214, False, 20, "530751dc84b7efb3451de20908299de06776bf77629937daae49ebfdd739cf86"),
     }
 
     @pytest.mark.parametrize("gamma", [0.0, 1e-3])
