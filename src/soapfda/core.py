@@ -30,6 +30,11 @@ class Subject:
     y: np.ndarray
 
     def __post_init__(self):
+        if self.t.ndim != 1 or self.t.shape != self.y.shape:
+            raise ValueError(
+                f"subject {self.id}: t and y must be 1-D arrays of equal length, "
+                f"got shapes {self.t.shape} and {self.y.shape}"
+            )
         self.t.setflags(write=False)
         self.y.setflags(write=False)
 

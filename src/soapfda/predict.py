@@ -11,7 +11,7 @@ import numpy as np
 
 from .basis import eval_basis_matrix
 from .core import FecModel, LongitudinalDataset, Subject
-from .solver import _batched_scores, _size_groups
+from .solver import _solve_scores, _subject_systems
 
 
 @dataclass(frozen=True)
@@ -45,26 +45,22 @@ class MspeReport:
 
 
 def _project(subjects: Sequence[Subject], model: FecModel) -> np.ndarray:
-    """Scores of every subject, (len(subjects), M), batched by observation count.
+    """Scores of every subject, (len(subjects), M).
 
-    The basis is evaluated once at all the subjects' times, and the groups of
-    equal-size subjects go through one call of the fit's score kernel on the
-    same stacked designs the fit builds.
+    The basis is evaluated once at all the subjects' times, and the systems
+    come from ``_subject_systems``, as the fit's final refit does, so a
+    subject's scores do not depend on which subjects share the call.
     """
-    sizes = np.array([s.n_obs for s in subjects])
     B = eval_basis_matrix(model.basis, np.concatenate([s.t for s in subjects]))
     y = np.concatenate([s.y for s in subjects])
-    groups = []
-    for idx, rows in _size_groups(sizes):
-        psi = B[rows] @ model.coef
-        for i in idx[~psi.any(axis=(1, 2))]:
-            warnings.warn(
-                f"subject {subjects[i].id}: all components vanish at its observation times; "
-                "returning zero scores",
-                stacklevel=3,
-            )
-        groups.append((idx, psi, y[rows]))
-    return _batched_scores(groups)[0]
+    gram, rhs = _subject_systems(B, y, [s.n_obs for s in subjects], model.coef)
+    for i in np.flatnonzero(~gram.any(axis=(1, 2))):
+        warnings.warn(
+            f"subject {subjects[i].id}: all components vanish at its observation times; "
+            "returning zero scores",
+            stacklevel=3,
+        )
+    return _solve_scores(gram, rhs)[0]
 
 
 def project_scores(subject: Subject, model: FecModel) -> np.ndarray:

@@ -9,8 +9,9 @@ from typing import Sequence
 import numpy as np
 
 from .basis import BasisSystem
-from .core import FecModel, LongitudinalDataset
-from .solver import SingularStepError, _batched_scores, _check_gamma, _extract_stage, _loss, _Workspace
+from .core import _MAX_ORTHONORMALITY_ERROR, FecModel, LongitudinalDataset
+from .solver import SingularStepError, _check_component_count, _check_gamma, _extract_stage, _loss
+from .solver import _solve_scores, _subject_systems, _Workspace
 
 DEFAULT_GAMMA_GRID = (0.0, 1e-2, 1.0, 1e2, 1e4, 1e8)
 
@@ -107,10 +108,10 @@ def _cv_fold_error(parent: _Workspace, i: int, fixed, gamma) -> float:
     """Prediction error for held-out subject i: (1/n_i) sum_j (yhat - y)^2."""
     fold = parent.drop_subject(i)
     beta = _fit_component_on(fold, fixed, gamma)
-    y = parent.y[parent.rows(i)]
-    psi = parent.B[parent.rows(i)] @ np.column_stack([fixed, beta])
-    alpha = _batched_scores([(np.zeros(1, dtype=int), psi[None], y[None])])[0][0]
-    resid = y - psi @ alpha
+    rows = parent.rows(i)
+    B, y, coef = parent.B[rows], parent.y[rows], np.column_stack([fixed, beta])
+    alpha = _solve_scores(*_subject_systems(B, y, [len(y)], coef))[0][0]
+    resid = y - B @ coef @ alpha
     return float(resid @ resid) / len(y)
 
 
@@ -134,7 +135,10 @@ def loco_cv_gamma(
 
     ``max_folds`` optionally evaluates only a seeded random subset of at
     least one fold (useful for large n; the default is the exact procedure).
-    The dataset needs at least 2 subjects.
+    The dataset needs at least 2 subjects. Before any fold runs, a
+    ValueError rejects a ``component`` outside [1, L] and a ``fixed_coefs``
+    that is not a finite (L, component - 1) matrix with G-orthonormal
+    columns (to the 1e-8 a loaded model is held to).
     """
     if len(candidates) == 0:
         raise ValueError("need at least one candidate gamma")
@@ -144,13 +148,19 @@ def loco_cv_gamma(
         raise ValueError(f"max_folds must be >= 1, got {max_folds}")
     if dataset.n_subjects < 2:
         raise ValueError(f"leave-one-curve-out CV needs at least 2 subjects, got {dataset.n_subjects}")
-    if component < 1:
-        raise ValueError("component index starts at 1")
+    _check_component_count(component, basis.size, "component")
     fixed = np.asarray(fixed_coefs, dtype=float) if fixed_coefs is not None else np.zeros((basis.size, 0))
     if fixed.ndim == 1:
         fixed = fixed[:, None]
-    if fixed.shape[1] != component - 1:
-        raise ValueError(f"component {component} needs {component - 1} fixed components, got {fixed.shape[1]}")
+    if fixed.shape != (basis.size, component - 1):
+        raise ValueError(f"fixed_coefs has shape {fixed.shape}, expected ({basis.size}, {component - 1})")
+    if not np.all(np.isfinite(fixed)):
+        raise ValueError("fixed_coefs has non-finite entries")
+    err = np.abs(fixed.T @ basis.gram @ fixed - np.eye(component - 1)).max(initial=0.0)
+    if err > _MAX_ORTHONORMALITY_ERROR:
+        raise ValueError(
+            f"fixed_coefs is not G-orthonormal: error {err:.3g} exceeds {_MAX_ORTHONORMALITY_ERROR:g}"
+        )
 
     parent = _Workspace(dataset, basis)
     parent.ridge_coefs()  # shared by every fold
@@ -193,6 +203,7 @@ def select_gammas_sequential(
     refit on the full data with its chosen gamma and held fixed for the next
     stage. Returns the selected gammas and the per-component CV tables.
     """
+    _check_component_count(n_components, basis.size)
     ws = _Workspace(dataset, basis)
     fixed = np.zeros((basis.size, 0))
     chosen: list[float] = []

@@ -89,7 +89,6 @@ class _Workspace:
         self.w = 1.0 / (len(sizes) * sizes)
         self.w2 = np.repeat(self.w, sizes)
         self._ridge_coefs: np.ndarray | None = None
-        self._groups: list[tuple[np.ndarray, np.ndarray, np.ndarray]] | None = None
         self._stats: tuple[np.ndarray, np.ndarray] | None = None
         self._sc: tuple[np.ndarray, np.ndarray] | None = None
 
@@ -110,40 +109,24 @@ class _Workspace:
             self._ridge_coefs = sla.solve(S + eye, T[..., None], assume_a="pos")[..., 0]
         return self._ridge_coefs
 
-    def size_groups(self):
-        """Subjects grouped by observation count: (indices, designs, values).
-
-        ``designs`` is (k, n_i, L) and ``values`` (k, n_i); built once and
-        reused by every row-formed score step.
-        """
-        if self._groups is None:
-            self._groups = [
-                (idx, self.B[rows], self.y[rows]) for idx, rows in _size_groups(self.sizes)
-            ]
-        return self._groups
-
     def stats(self) -> tuple[np.ndarray, np.ndarray]:
         """Per-subject sufficient statistics (S, T): S_i = B_i'B_i, (n, L, L),
-        and T_i = B_i'y_i, (n, L); built once from the size groups.
+        and T_i = B_i'y_i, (n, L); built once by ``_subject_systems``.
 
         With the weights ``w`` they hold all the score and component steps
         use of the rows, so those steps cost O(n L^2 M) whatever the number
         of observations per subject; only the exact objective reads the rows.
         """
         if self._stats is None:
-            L = self.basis.size
-            S, T = np.empty((self.n, L, L)), np.empty((self.n, L))
-            for idx, Bs, ys in self.size_groups():
-                Bt = Bs.transpose(0, 2, 1)
-                S[idx] = np.matmul(Bt, Bs)
-                T[idx] = np.matmul(Bt, ys[..., None])[..., 0]
-            self._stats = S, T
+            self._stats = _subject_systems(self.B, self.y, self.sizes)
         return self._stats
 
     def stat_products(self, coef: np.ndarray) -> np.ndarray:
         """S_i C for every subject, (n, L, M), as one product over the stacked
         S. The last result is kept: a component update reuses the product of
-        the score step before it."""
+        the score step before it. This fast path is not batch-independent:
+        the bits of one 2-D product can depend on the subjects that share it,
+        so prediction forms its systems with ``_subject_systems`` instead."""
         if self._sc is None or not np.array_equal(self._sc[0], coef):
             S, _ = self.stats()
             n, L, _ = S.shape
@@ -171,19 +154,29 @@ def _minnorm_lstsq(a: np.ndarray, b: np.ndarray, cond: float) -> np.ndarray:
     return sol
 
 
-def _size_groups(sizes: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Subjects grouped by observation count: (indices (k,), row indices (k, n_i)).
+def _subject_systems(X, y, sizes, coef=None) -> tuple[np.ndarray, np.ndarray]:
+    """Each subject's Gram matrix D_i'D_i (n, q, q) and right-hand side
+    D_i'y_i (n, q), in subject order.
 
-    Row indices address data stored subject after subject with the given
-    sizes, so ``X[rows]`` stacks the k subjects' rows into one (k, n_i, ...)
-    array.
+    ``X`` (N, p) and ``y`` (N,) hold rows stored one subject after another
+    with the given ``sizes``; D_i is X_i, or X_i C with ``coef`` C (p, q).
+    Subjects of equal size are stacked, so each size group costs one
+    (k, n_i, q) product and a subject's systems do not depend on which
+    subjects share the call. The fit's statistics S_i, T_i and every
+    row-formed score solve come from here.
     """
-    starts = np.concatenate([[0], np.cumsum(sizes)[:-1]])
-    groups = []
+    sizes = np.asarray(sizes)
+    q = X.shape[1] if coef is None else coef.shape[1]
+    gram, rhs = np.empty((len(sizes), q, q)), np.empty((len(sizes), q))
+    starts = np.cumsum(sizes) - sizes
     for size in np.unique(sizes):
         idx = np.flatnonzero(sizes == size)
-        groups.append((idx, starts[idx, None] + np.arange(size)))
-    return groups
+        rows = starts[idx, None] + np.arange(size)
+        D = X[rows] if coef is None else X[rows] @ coef
+        Dt = D.transpose(0, 2, 1)
+        gram[idx] = np.matmul(Dt, D)
+        rhs[idx] = np.matmul(Dt, y[rows][..., None])[..., 0]
+    return gram, rhs
 
 
 def _eigh(gram: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -256,28 +249,10 @@ def _solve_scores(gram, rhs, prev: np.ndarray | None = None) -> tuple[np.ndarray
     return sol, n_truncated, int(np.count_nonzero(worse))
 
 
-def _batched_scores(groups) -> tuple[np.ndarray, int]:
-    """``_solve_scores`` on Gram matrices formed from the rows.
-
-    ``groups`` holds (idx (k,), psi (k, n_i, M), y (k, n_i)) triples: psi is
-    each of k subjects' component values at its n_i observation times, and
-    idx their rows in the output. The idx arrays together must number the
-    rows 0..n-1. Returns (scores (n, M), n_truncated). Prediction, the fit's
-    final refit and the held-out subject of a CV fold use this form, so the
-    fit and prediction agree bitwise on training data.
-    """
-    idx = np.concatenate([g[0] for g in groups])
-    gram = np.concatenate([np.matmul(psi.transpose(0, 2, 1), psi) for _, psi, _ in groups])
-    rhs = np.concatenate([np.matmul(y[:, None, :], psi)[:, 0] for _, psi, y in groups])
-    sol, n_truncated, _ = _solve_scores(gram, rhs)
-    out = np.empty_like(sol)
-    out[idx] = sol
-    return out, n_truncated
-
-
 def _score_system(ws: _Workspace, coef: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Gram matrices C'S_iC (n, M, M) and right-hand sides C'T_i (n, M) of the
-    score step, from the statistics: no loop over size groups."""
+    score step, from the statistics: no loop over size groups, and not
+    batch-independent (see ``_Workspace.stat_products``)."""
     SC = ws.stat_products(coef)
     n, L, M = SC.shape
     gram = (SC.transpose(0, 2, 1).reshape(n * M, L) @ coef).reshape(n, M, M)
@@ -331,10 +306,9 @@ def score_step(dataset: LongitudinalDataset, fec_values: Sequence[np.ndarray]) -
     for vals, subject in zip(values, dataset.subjects):
         if vals.shape[0] != subject.n_obs:
             raise ValueError(f"subject {subject.id}: {vals.shape[0]} rows for {subject.n_obs} observations")
-    stacked = np.concatenate(values)
     y = np.concatenate([s.y for s in dataset.subjects])
-    groups = _size_groups(np.array([s.n_obs for s in dataset.subjects]))
-    return _batched_scores([(idx, stacked[rows], y[rows]) for idx, rows in groups])[0]
+    sizes = [s.n_obs for s in dataset.subjects]
+    return _solve_scores(*_subject_systems(np.concatenate(values), y, sizes))[0]
 
 
 def _update_system(ws: _Workspace, scores, coef, m: int) -> tuple[np.ndarray, np.ndarray]:
@@ -444,6 +418,11 @@ def _ridge_fallback(H, rhs, gram) -> tuple[np.ndarray, float, bool]:
 def _check_gamma(g, what: str = "gamma") -> None:
     if not (math.isfinite(g) and g >= 0):
         raise ValueError(f"{what} {float(g)!r} must be finite and >= 0")
+
+
+def _check_component_count(m, size: int, what: str = "n_components") -> None:
+    if not 1 <= m <= size:
+        raise ValueError(f"{what} {m} must be in [1, {size}] for a basis of size {size}")
 
 
 def psi_step_penalized(normal_matrix, rhs, gram, penalty, gamma: float) -> PenalizedStepResult:
@@ -679,10 +658,7 @@ def fit_soap(
     sign convention of nonnegative component integrals, scores from a final
     joint refit, and ``noise_var`` set to the mean squared residual.
     """
-    if n_components < 1:
-        raise ValueError("need at least one component")
-    if n_components > basis.size:
-        raise ValueError(f"cannot fit {n_components} components in a basis of size {basis.size}")
+    _check_component_count(n_components, basis.size)
     gam = np.asarray(gammas, dtype=float)
     if gam.ndim == 0:
         gam = np.full(n_components, float(gam))
@@ -725,9 +701,7 @@ def fit_soap(
     # the guarded iterates, so fitting and prediction agree bitwise on
     # training data.
     coef = _fix_signs(ws, coef)
-    scores, n_truncated = _batched_scores(
-        [(idx, designs @ coef, values) for idx, designs, values in ws.size_groups()]
-    )
+    scores, n_truncated, _ = _solve_scores(*_subject_systems(ws.B, ws.y, ws.sizes, coef))
     full, base = _loss(ws, coef, scores, gam)
 
     report = FitReport(

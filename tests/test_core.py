@@ -7,6 +7,7 @@ from soapfda import (
     DataValidationError,
     FecModel,
     FitReport,
+    Subject,
     make_bspline_basis,
     validate_dataset,
 )
@@ -60,6 +61,20 @@ def outcome(fn, rows, domain):
     if isinstance(result, tuple):
         return result
     return result.domain, [(s.id, s.t, s.y) for s in result.subjects]
+
+
+class TestSubject:
+    @pytest.mark.parametrize(
+        "t, y",
+        [
+            (np.array([0.1, 0.2]), np.array([1.0])),
+            (np.array([[0.1, 0.2]]), np.array([[1.0, 2.0]])),
+            (np.array([0.1, 0.2]), np.array([[1.0], [2.0]])),
+        ],
+    )
+    def test_unequal_or_not_1d_rejected(self, t, y):
+        with pytest.raises(ValueError, match="subject s7: t and y must be 1-D arrays of equal length"):
+            Subject(id="s7", t=t, y=y)
 
 
 class TestValidateDataset:

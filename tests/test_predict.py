@@ -12,6 +12,7 @@ from soapfda import (
     predict_trajectories,
     predict_trajectory,
     project_scores,
+    score_step,
     validate_dataset,
 )
 from soapfda.basis import eval_basis_matrix
@@ -80,6 +81,13 @@ class TestProjectScores:
             got = project_scores(subject, model0)
         np.testing.assert_array_equal(got, np.zeros(2))
 
+    def test_no_observations_warn_and_zero(self, cubic_basis, rng):
+        model, _ = make_model(cubic_basis, rng)
+        subject = Subject(id="empty", t=np.array([]), y=np.array([]))
+        with pytest.warns(UserWarning, match="subject empty: all components vanish"):
+            got = project_scores(subject, model)
+        np.testing.assert_array_equal(got, np.zeros(2))
+
 
 class TestBatchedProjection:
     def test_alone_equals_row_of_mixed_size_batch(self, cubic_basis, rng):
@@ -116,6 +124,15 @@ class TestBatchedProjection:
         model = fit_soap(ds, make_bspline_basis(cfg.domain, 8, 4), 2, gamma)
         for i, subject in enumerate(ds.subjects):
             np.testing.assert_array_equal(project_scores(subject, model), model.scores[i])
+
+    @pytest.mark.parametrize("gamma", [0.0, 1e-3])
+    def test_score_step_equals_projection_bitwise(self, gamma):
+        cfg = SimulationConfig(seed=11, noise_sd=1.0)
+        ds, _, _ = gen_sparse_dataset(cfg, 60, np.random.default_rng(11))
+        model = fit_soap(ds, make_bspline_basis(cfg.domain, 8, 4), 2, gamma)
+        scores = score_step(ds, [eval_basis_matrix(model.basis, s.t) @ model.coef for s in ds.subjects])
+        for subject, a in zip(ds.subjects, scores):
+            np.testing.assert_array_equal(a, project_scores(subject, model))
 
     def test_holdout_matches_per_subject_loop(self, cubic_basis, rng):
         model = vanishing_at_right_end(make_model(cubic_basis, rng)[0])

@@ -16,6 +16,7 @@ from soapfda import (
     sigma2_hat,
     validate_dataset,
 )
+from soapfda import selection
 from soapfda.basis import eval_basis_matrix
 from soapfda.selection import DEFAULT_GAMMA_GRID
 from soapfda.sim import SimulationConfig, gen_sparse_dataset
@@ -214,6 +215,31 @@ class TestLocoCv:
         basis = make_bspline_basis((0.0, 1.0), 6, 4)
         with pytest.raises(ValueError, match="needs at least 2 subjects, got 1"):
             loco_cv_gamma(ds, basis, 1, None, [0.0, 1e2])
+
+    @pytest.mark.parametrize(
+        "component, fixed, match",
+        [
+            (2, 3.0 * np.eye(8)[:, :1], "fixed_coefs is not G-orthonormal"),
+            (2, np.zeros((8, 1)), "fixed_coefs is not G-orthonormal"),
+            (2, np.full((8, 1), math.nan), "fixed_coefs has non-finite entries"),
+            (2, np.ones((5, 1)), r"fixed_coefs has shape \(5, 1\), expected \(8, 1\)"),
+            (9, np.eye(8), r"component 9 must be in \[1, 8\]"),
+        ],
+    )
+    def test_bad_fixed_coefs_rejected_before_any_fold(self, component, fixed, match, monkeypatch):
+        ds = small_dataset(n=25)
+        basis = make_bspline_basis((0.0, 1.0), 8, 4)
+        # a fold that ran would raise TypeError, not ValueError
+        monkeypatch.setattr(selection, "_cv_fold_error", None)
+        with pytest.raises(ValueError, match=match):
+            loco_cv_gamma(ds, basis, component, fixed, [0.0, 1e2])
+
+    @pytest.mark.parametrize("n_components", [0, 7])
+    def test_sequential_selection_rejects_component_count(self, n_components):
+        ds = small_dataset(10, n=15)
+        basis = make_bspline_basis((0.0, 1.0), 6, 4)
+        with pytest.raises(ValueError, match=f"n_components {n_components} must be in \\[1, 6\\]"):
+            select_gammas_sequential(ds, basis, n_components, candidates=[0.0])
 
     def test_sequential_selection_returns_tables(self):
         ds = small_dataset(10, n=15)

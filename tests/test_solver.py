@@ -19,7 +19,7 @@ from soapfda.basis import eval_basis_matrix
 from soapfda.oracle import grid_eigenfunctions, sign_aligned_imse, uncentered_cov, DenseCurveSet
 from soapfda.sim import SimulationConfig, gen_sparse_dataset
 from soapfda import solver
-from soapfda.solver import SCORE_SINGULAR_FLOOR, _batched_scores, _solve_scores
+from soapfda.solver import SCORE_SINGULAR_FLOOR, _solve_scores, _subject_systems
 
 from conftest import dense_rank2_dataset, orthonormal_pair_in_span
 from solver_steps import fit_first_fec, psi_step_first, psi_step_orthogonal
@@ -183,17 +183,13 @@ class TestScoreKernel:
             rhs = np.stack([p.T @ y for p, y in zip(psis, ys)])
             got, n_truncated, _ = _solve_scores(gram, rhs, prev)
         else:
-            sizes = np.array([len(p) for p in psis])
-            groups = [
-                (idx, np.stack([psis[i] for i in idx]), np.stack([ys[i] for i in idx]))
-                for idx in (np.flatnonzero(sizes == n_i) for n_i in np.unique(sizes))
-            ]
-            got, n_truncated = _batched_scores(groups)
+            systems = _subject_systems(np.concatenate(psis), np.concatenate(ys), [len(p) for p in psis])
+            got, n_truncated, _ = _solve_scores(*systems)
         ranks = []
         for i, (psi, y) in enumerate(zip(psis, ys)):
             ref, rank = svd_reference_scores(psi, y, None if prev is None else prev[i])
             np.testing.assert_allclose(got[i], ref, rtol=1e-10, atol=1e-10 * np.abs(ref).max())
-            alone = _batched_scores([(np.zeros(1, dtype=int), psi[None], y[None])])[1]
+            alone = _solve_scores(*_subject_systems(psi, y, [len(y)]))[1]
             assert alone == int(rank < m)
             ranks.append(rank)
         assert n_truncated == sum(r < m for r in ranks)
@@ -284,6 +280,28 @@ class TestStatistics:
             ata_ref, nrhs_ref = row_update_system(ws, scores, coef, k)
             assert_rel_close(ata, ata_ref, 1e-12)
             assert_rel_close(nrhs, nrhs_ref, 1e-12)
+
+    @pytest.mark.parametrize("m", [None, 1, 2, 3])
+    def test_subject_systems_alone_equal_mixed_stack(self, m, rng):
+        """One call on every subject (sizes 1-6, 401, tied times and an empty
+        subject) gives each subject the bits of its one-subject call, with
+        and without coef, and the row products D_i'D_i and D_i'y_i."""
+        ws = self.mixed_workspace(rng)
+        sizes = np.insert(ws.sizes, 5, 0)
+        offsets = np.concatenate([[0], np.cumsum(sizes)])
+        coef = None if m is None else rng.normal(size=(ws.basis.size, m))
+        gram, rhs = _subject_systems(ws.B, ws.y, sizes, coef)
+        designs, ys = [], []
+        for i, n_i in enumerate(sizes):
+            rows = slice(offsets[i], offsets[i + 1])
+            alone = _subject_systems(ws.B[rows], ws.y[rows], [n_i], coef)
+            np.testing.assert_array_equal(alone[0][0], gram[i])
+            np.testing.assert_array_equal(alone[1][0], rhs[i])
+            designs.append(ws.B[rows] if coef is None else ws.B[rows] @ coef)
+            ys.append(ws.y[rows])
+        assert_rel_close(gram, np.stack([d.T @ d for d in designs]), 1e-12)
+        assert_rel_close(rhs, np.stack([d.T @ y for d, y in zip(designs, ys)]), 1e-12)
+        assert not gram[5].any() and not rhs[5].any()
 
     def test_drop_subject_matches_fresh_workspace(self, rng):
         ws = self.mixed_workspace(rng)
