@@ -132,12 +132,13 @@ def _gram_and_penalty(knots, order, lo, hi, interior, size):
     x = (mid[:, None] + half[:, None] * nodes[None, :]).ravel()
     w = (half[:, None] * weights[None, :]).ravel()
 
-    values = BSpline.design_matrix(x, knots, order - 1, extrapolate=False).toarray()
+    spline = BSpline(knots, np.eye(size), order - 1)
+    values = spline(x)
     gram = values.T @ (w[:, None] * values)
     gram = (gram + gram.T) / 2.0
 
     if order >= 3:
-        d2 = BSpline(knots, np.eye(size), order - 1).derivative(2)(x)
+        d2 = spline.derivative(2)(x)
         penalty = d2.T @ (w[:, None] * d2)
         penalty = (penalty + penalty.T) / 2.0
     else:
@@ -147,12 +148,11 @@ def _gram_and_penalty(knots, order, lo, hi, interior, size):
 
 
 def eval_basis_matrix(basis: BasisSystem, times) -> np.ndarray:
-    """Evaluate all basis functions at the given times; rows sum to 1."""
+    """Evaluate all basis functions at the given times, as one dense spline
+    with identity coefficients; rows sum to 1."""
     times = np.atleast_1d(np.asarray(times, dtype=float))
     lo, hi = basis.domain
     if times.size and (times.min() < lo or times.max() > hi):
         raise ValueError(f"evaluation times outside domain [{lo}, {hi}]")
-    # the times are checked above; scipy's own check runs Python's min and max
-    # over them, and inside the domain both modes evaluate the same spans
-    return BSpline.design_matrix(times, basis.knots, basis.degree, extrapolate=True).toarray()
+    return BSpline(basis.knots, np.eye(basis.size), basis.degree)(times)
 

@@ -30,6 +30,11 @@ class Subject:
     y: np.ndarray
 
     def __post_init__(self):
+        if not (isinstance(self.t, np.ndarray) and isinstance(self.y, np.ndarray)):
+            raise ValueError(
+                f"subject {self.id}: t and y must be numpy arrays, "
+                f"got {type(self.t).__name__} and {type(self.y).__name__}"
+            )
         if self.t.ndim != 1 or self.t.shape != self.y.shape:
             raise ValueError(
                 f"subject {self.id}: t and y must be 1-D arrays of equal length, "

@@ -9,9 +9,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .basis import eval_basis_matrix
 from .core import FecModel, LongitudinalDataset, Subject
-from .solver import _solve_scores, _subject_systems
+from .solver import _solve_scores, _stack, _subject_systems
 
 
 @dataclass(frozen=True)
@@ -47,13 +46,11 @@ class MspeReport:
 def _project(subjects: Sequence[Subject], model: FecModel) -> np.ndarray:
     """Scores of every subject, (len(subjects), M).
 
-    The basis is evaluated once at all the subjects' times, and the systems
-    come from ``_subject_systems``, as the fit's final refit does, so a
-    subject's scores do not depend on which subjects share the call.
+    The rows come from ``_stack``, as the fit's do, and the systems from
+    ``_subject_systems``, as the fit's final refit does, so a subject's
+    scores do not depend on which subjects share the call.
     """
-    B = eval_basis_matrix(model.basis, np.concatenate([s.t for s in subjects]))
-    y = np.concatenate([s.y for s in subjects])
-    gram, rhs = _subject_systems(B, y, [s.n_obs for s in subjects], model.coef)
+    gram, rhs = _subject_systems(*_stack(subjects, model.basis), model.coef)
     for i in np.flatnonzero(~gram.any(axis=(1, 2))):
         warnings.warn(
             f"subject {subjects[i].id}: all components vanish at its observation times; "

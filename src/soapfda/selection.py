@@ -50,7 +50,8 @@ def sigma2_hat(dataset: LongitudinalDataset, model: FecModel) -> float:
     """Average squared residual: (1/n) sum_i (1/n_i) ||y_i - yhat_i||^2."""
     if model.scores.shape[0] != dataset.n_subjects:
         raise ValueError("model scores do not match the dataset's subject count")
-    return _loss(_Workspace(dataset, model.basis), model.coef, model.scores, np.zeros(model.n_components))[1]
+    ws = _Workspace.from_dataset(dataset, model.basis)
+    return _loss(ws, model.coef, model.scores, np.zeros(model.n_components))[1]
 
 
 def aic_values(n_obs_total: int, n_subjects: int, candidate_m, sigma2s) -> list[float]:
@@ -162,8 +163,7 @@ def loco_cv_gamma(
             f"fixed_coefs is not G-orthonormal: error {err:.3g} exceeds {_MAX_ORTHONORMALITY_ERROR:g}"
         )
 
-    parent = _Workspace(dataset, basis)
-    parent.ridge_coefs()  # shared by every fold
+    parent = _Workspace.from_dataset(dataset, basis)
     folds = list(range(parent.n))
     if max_folds is not None and max_folds < len(folds):
         rng = np.random.default_rng(fold_seed)
@@ -204,7 +204,7 @@ def select_gammas_sequential(
     stage. Returns the selected gammas and the per-component CV tables.
     """
     _check_component_count(n_components, basis.size)
-    ws = _Workspace(dataset, basis)
+    ws = _Workspace.from_dataset(dataset, basis)
     fixed = np.zeros((basis.size, 0))
     chosen: list[float] = []
     tables: list[CvResult] = []

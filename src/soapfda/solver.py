@@ -16,13 +16,14 @@ objective trace is non-increasing.
 from __future__ import annotations
 
 import math
+from functools import cached_property
 from typing import NamedTuple, Sequence
 
 import numpy as np
 from scipy import linalg as sla
 
 from .basis import BasisSystem, eval_basis_matrix
-from .core import FecModel, FitReport, LongitudinalDataset
+from .core import FecModel, FitReport, LongitudinalDataset, Subject
 
 # absolute singular-value floor for per-subject score designs: components are
 # unit-norm functions, so their values are O(1) and a direction a subject sees
@@ -62,35 +63,39 @@ class PenalizedStepResult(NamedTuple):
 
 
 # ---------------------------------------------------------------------------
-# Workspace: design matrix, weights, per-subject row slices and sufficient
-# statistics, built once per (dataset, basis) pair and shared across
-# iterations and CV folds.
+# Workspace: the rows of one (dataset, basis) pair and what the fit derives
+# from them, shared across iterations and CV folds.
 # ---------------------------------------------------------------------------
 
 
+def _stack(subjects: Sequence[Subject], basis: BasisSystem) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The basis at every observation time B (N, L), the values y (N,) and
+    the subject sizes, rows stored one subject after another."""
+    B = eval_basis_matrix(basis, np.concatenate([s.t for s in subjects]))
+    return B, np.concatenate([s.y for s in subjects]), np.array([s.n_obs for s in subjects])
+
+
 class _Workspace:
-    def __init__(
-        self, dataset: LongitudinalDataset, basis: BasisSystem, B: np.ndarray | None = None
-    ):
-        """``B``, when given, is the basis already evaluated at the dataset's
-        observation times in subject order; otherwise it is evaluated here."""
+    """The fit's state: the basis, the rows ``B`` and ``y`` stored one
+    subject after another with the given ``sizes``, their ``offsets`` and
+    the weights w_i = 1/(n n_i), per subject (``w``) and per row (``w2``)."""
+
+    def __init__(self, basis: BasisSystem, B: np.ndarray, y: np.ndarray, sizes: np.ndarray):
+        self.basis, self.B, self.y, self.sizes = basis, B, y, sizes
+        self.offsets = np.concatenate([[0], np.cumsum(sizes)])
+        self.w = 1.0 / (len(sizes) * sizes)
+        self.w2 = np.repeat(self.w, sizes)
+
+    @classmethod
+    def from_dataset(cls, dataset: LongitudinalDataset, basis: BasisSystem) -> "_Workspace":
         if tuple(dataset.domain) != tuple(basis.domain):
             raise ValueError(
                 f"basis domain {basis.domain} does not match dataset domain {dataset.domain}"
             )
-        self.dataset = dataset
-        self.basis = basis
-        sizes = np.array([s.n_obs for s in dataset.subjects])
-        self.sizes = sizes
-        self.offsets = np.concatenate([[0], np.cumsum(sizes)])
-        self.t = np.concatenate([s.t for s in dataset.subjects])
-        self.y = np.concatenate([s.y for s in dataset.subjects])
-        self.B = eval_basis_matrix(basis, self.t) if B is None else B
-        self.w = 1.0 / (len(sizes) * sizes)
-        self.w2 = np.repeat(self.w, sizes)
-        self._ridge_coefs: np.ndarray | None = None
-        self._stats: tuple[np.ndarray, np.ndarray] | None = None
-        self._sc: tuple[np.ndarray, np.ndarray] | None = None
+        for s in dataset.subjects:
+            if s.n_obs == 0:
+                raise ValueError(f"subject {s.id} has no observations")
+        return cls(basis, *_stack(dataset.subjects, basis))
 
     @property
     def n(self) -> int:
@@ -99,54 +104,36 @@ class _Workspace:
     def rows(self, i: int) -> slice:
         return slice(self.offsets[i], self.offsets[i + 1])
 
-    def ridge_coefs(self) -> np.ndarray:
-        """Per-subject basis coefficients from a small ridge fit (init cache):
-        (S_i + lam I) c_i = T_i, one batched solve on the statistics."""
-        if self._ridge_coefs is None:
-            S, T = self.stats()
-            lam = 1e-6 * np.trace(self.basis.gram)
-            eye = lam * np.eye(self.basis.size)
-            self._ridge_coefs = sla.solve(S + eye, T[..., None], assume_a="pos")[..., 0]
-        return self._ridge_coefs
-
+    @cached_property
     def stats(self) -> tuple[np.ndarray, np.ndarray]:
         """Per-subject sufficient statistics (S, T): S_i = B_i'B_i, (n, L, L),
-        and T_i = B_i'y_i, (n, L); built once by ``_subject_systems``.
+        and T_i = B_i'y_i, (n, L); built on first use by ``_subject_systems``.
 
         With the weights ``w`` they hold all the score and component steps
         use of the rows, so those steps cost O(n L^2 M) whatever the number
         of observations per subject; only the exact objective reads the rows.
         """
-        if self._stats is None:
-            self._stats = _subject_systems(self.B, self.y, self.sizes)
-        return self._stats
+        return _subject_systems(self.B, self.y, self.sizes)
 
-    def stat_products(self, coef: np.ndarray) -> np.ndarray:
-        """S_i C for every subject, (n, L, M), as one product over the stacked
-        S. The last result is kept: a component update reuses the product of
-        the score step before it. This fast path is not batch-independent:
-        the bits of one 2-D product can depend on the subjects that share it,
-        so prediction forms its systems with ``_subject_systems`` instead."""
-        if self._sc is None or not np.array_equal(self._sc[0], coef):
-            S, _ = self.stats()
-            n, L, _ = S.shape
-            self._sc = coef.copy(), (S.reshape(n * L, L) @ coef).reshape(n, L, coef.shape[1])
-        return self._sc[1]
+    @cached_property
+    def ridge_coefs(self) -> np.ndarray:
+        """Per-subject basis coefficients from a small ridge fit, the init's
+        input: (S_i + lam I) c_i = T_i, one batched solve on the statistics."""
+        S, T = self.stats
+        lam = 1e-6 * np.trace(self.basis.gram)
+        eye = lam * np.eye(self.basis.size)
+        return sla.solve(S + eye, T[..., None], assume_a="pos")[..., 0]
 
     def drop_subject(self, i: int) -> "_Workspace":
-        """Fold workspace with subject i removed; shares basis evaluations
-        and drops the subject's row of every cache already built."""
-        rest = self.dataset.subjects[:i] + self.dataset.subjects[i + 1 :]
-        sub = _Workspace(
-            LongitudinalDataset(domain=self.dataset.domain, subjects=rest),
-            self.basis,
-            np.delete(self.B, self.rows(i), axis=0),
+        """Fold workspace with subject i removed: its rows deleted from the
+        parent's, and row i deleted from the parent's statistics and ridge fits."""
+        rows = self.rows(i)
+        fold = _Workspace(
+            self.basis, np.delete(self.B, rows, axis=0), np.delete(self.y, rows), np.delete(self.sizes, i)
         )
-        if self._ridge_coefs is not None:
-            sub._ridge_coefs = np.delete(self._ridge_coefs, i, axis=0)
-        if self._stats is not None:
-            sub._stats = tuple(np.delete(a, i, axis=0) for a in self._stats)
-        return sub
+        fold.stats = tuple(np.delete(a, i, axis=0) for a in self.stats)
+        fold.ridge_coefs = np.delete(self.ridge_coefs, i, axis=0)
+        return fold
 
 
 def _minnorm_lstsq(a: np.ndarray, b: np.ndarray, cond: float) -> np.ndarray:
@@ -249,14 +236,17 @@ def _solve_scores(gram, rhs, prev: np.ndarray | None = None) -> tuple[np.ndarray
     return sol, n_truncated, int(np.count_nonzero(worse))
 
 
-def _score_system(ws: _Workspace, coef: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Gram matrices C'S_iC (n, M, M) and right-hand sides C'T_i (n, M) of the
-    score step, from the statistics: no loop over size groups, and not
-    batch-independent (see ``_Workspace.stat_products``)."""
-    SC = ws.stat_products(coef)
-    n, L, M = SC.shape
+def _score_system(ws: _Workspace, coef: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """S_i C (n, L, M), for the component update that follows, and the score
+    step's Gram matrices C'S_iC (n, M, M) and right-hand sides C'T_i (n, M).
+    Being 2-D products over all subjects, they are not batch-independent;
+    prediction forms its systems with ``_subject_systems`` instead."""
+    S, T = ws.stats
+    n, L, _ = S.shape
+    M = coef.shape[1]
+    SC = (S.reshape(n * L, L) @ coef).reshape(n, L, M)
     gram = (SC.transpose(0, 2, 1).reshape(n * M, L) @ coef).reshape(n, M, M)
-    return gram, ws.stats()[1] @ coef
+    return SC, gram, T @ coef
 
 
 def _row_base(ws: _Workspace, P: np.ndarray, scores) -> float:
@@ -283,7 +273,7 @@ def _loss(ws: _Workspace, coef, scores, gammas) -> tuple[float, float]:
 
 def objective(dataset: LongitudinalDataset, model: FecModel) -> float:
     """Observed loss of the model on the dataset, including roughness penalties."""
-    ws = _Workspace(dataset, model.basis)
+    ws = _Workspace.from_dataset(dataset, model.basis)
     if model.scores.shape[0] != ws.n:
         raise ValueError("model scores do not match the dataset's subject count")
     full, _ = _loss(ws, model.coef, model.scores, model.gammas)
@@ -311,18 +301,19 @@ def score_step(dataset: LongitudinalDataset, fec_values: Sequence[np.ndarray]) -
     return _solve_scores(*_subject_systems(np.concatenate(values), y, sizes))[0]
 
 
-def _update_system(ws: _Workspace, scores, coef, m: int) -> tuple[np.ndarray, np.ndarray]:
+def _update_system(ws: _Workspace, SC, scores, m: int) -> tuple[np.ndarray, np.ndarray]:
     """Normal matrix and right-hand side for updating component m, from the
-    statistics: sum_i w_i a_im^2 S_i and sum_i w_i a_im (T_i - S_i C a~_i),
-    where a~_i is subject i's scores with entry m set to zero.
+    statistics and SC = S_i C: sum_i w_i a_im^2 S_i and
+    sum_i w_i a_im (T_i - S_i C a~_i), where a~_i is subject i's scores with
+    entry m set to zero.
     """
-    S, T = ws.stats()
+    S, T = ws.stats
     alpha = scores[:, m]
     wa = ws.w * alpha
     ata = np.tensordot(wa * alpha, S, axes=1)
     others = scores.copy()
     others[:, m] = 0.0
-    resid = T - np.matmul(ws.stat_products(coef), others[..., None])[..., 0]
+    resid = T - np.matmul(SC, others[..., None])[..., 0]
     return (ata + ata.T) / 2.0, wa @ resid
 
 
@@ -453,10 +444,10 @@ def kkt_residual(normal_matrix, rhs, gram, penalty, gamma, beta, multiplier) -> 
     return float(np.linalg.norm(H @ beta - multiplier * (gram @ beta) - rhs))
 
 
-def _psi_update(ws: _Workspace, scores, coef, m: int, gamma: float):
+def _psi_update(ws: _Workspace, SC, scores, coef, m: int, gamma: float):
     """Update component m with all other columns fixed.
 
-    The normal equations come from the workspace statistics
+    The normal equations come from the workspace statistics and SC = S_i C
     (``_update_system``). The new coefficient vector is constrained to be
     G-orthogonal to every other component (null-space reduction) and has
     exact unit G-norm; the reduced problem is solved by
@@ -467,7 +458,7 @@ def _psi_update(ws: _Workspace, scores, coef, m: int, gamma: float):
     # the score kernel has nothing to fit
     if np.max(np.abs(scores[:, m])) <= 64 * _EPS * np.max(np.abs(scores)):
         raise SingularStepError(f"all scores for component {m + 1} are zero")
-    ata, rhs = _update_system(ws, scores, coef, m)
+    ata, rhs = _update_system(ws, SC, scores, m)
     others = np.delete(coef, m, axis=1)
     if others.shape[1]:
         Z = _null_space(others.T @ gram)
@@ -510,7 +501,7 @@ def _stage_inits(ws: _Workspace, fixed: np.ndarray) -> list[np.ndarray]:
     projecting out the fixed components.
     """
     gram = ws.basis.gram
-    _, _, vt = np.linalg.svd(ws.ridge_coefs(), full_matrices=False)
+    _, _, vt = np.linalg.svd(ws.ridge_coefs, full_matrices=False)
     inits: list[np.ndarray] = []
     for family in (vt, np.eye(ws.basis.size)):
         for v in family:
@@ -573,7 +564,8 @@ def _alternate(ws, coef, scores, active, gammas, trace, cap):
     the previous cycle's end (for the first cycle, of the objective ``trace``
     ends with on entry, if any); it stops unconverged after ``cap`` cycles.
 
-    Both steps work on the workspace statistics. The objective stays exact
+    Both steps work on the workspace statistics, and the score step hands
+    its S_i C to the update that follows it. The objective stays exact
     and on the rows: the component values P = B C and the per-component
     penalties are kept across the loop, and an update evaluates only its
     new column. Returns (coef, scores, converged, cycle_ends, n_fallbacks,
@@ -589,12 +581,13 @@ def _alternate(ws, coef, scores, active, gammas, trace, cap):
     for it in range(cap):
         accepted = False
         for m in active:
-            scores, _, kept = _solve_scores(*_score_system(ws, coef), prev=scores)
+            SC, gram, rhs = _score_system(ws, coef)
+            scores, _, kept = _solve_scores(gram, rhs, prev=scores)
             n_kept += kept
             current = _row_base(ws, P, scores) + sum(pens)
             trace.append(current)
             try:
-                beta, s, fallback = _psi_update(ws, scores, coef, m, gammas[m])
+                beta, s, fallback = _psi_update(ws, SC, scores, coef, m, gammas[m])
             except SingularStepError as exc:
                 raise SingularStepError(f"component {m + 1}, iteration {it + 1}: {exc}") from exc
             n_fb += int(fallback)
@@ -667,7 +660,7 @@ def fit_soap(
     for g in gam:
         _check_gamma(g)
 
-    ws = _Workspace(dataset, basis)
+    ws = _Workspace.from_dataset(dataset, basis)
     coef = np.zeros((basis.size, 0))
     scores = np.zeros((ws.n, 0))
     trace: list[float] = []

@@ -8,7 +8,7 @@ import numpy as np
 
 from soapfda.basis import BasisSystem
 from soapfda.core import FitReport, LongitudinalDataset
-from soapfda.solver import _psi_update, _Workspace, fit_soap
+from soapfda.solver import _psi_update, _score_system, _Workspace, fit_soap
 
 
 def psi_step_first(dataset: LongitudinalDataset, scores, basis: BasisSystem) -> np.ndarray:
@@ -19,10 +19,11 @@ def psi_step_first(dataset: LongitudinalDataset, scores, basis: BasisSystem) -> 
     degenerate (all scores zero, or no observation overlaps the basis).
     """
     scores = np.asarray(scores, dtype=float).reshape(-1, 1)
-    ws = _Workspace(dataset, basis)
+    ws = _Workspace.from_dataset(dataset, basis)
     if scores.shape[0] != ws.n:
         raise ValueError("score vector length does not match subject count")
-    beta, _, _ = _psi_update(ws, scores, np.zeros((basis.size, 1)), 0, 0.0)
+    coef = np.zeros((basis.size, 1))
+    beta, _, _ = _psi_update(ws, _score_system(ws, coef)[0], scores, coef, 0, 0.0)
     return beta
 
 
@@ -53,9 +54,9 @@ def psi_step_orthogonal(
     k = fixed.shape[1] if fixed.size else 0
     if scores.ndim != 2 or scores.shape[1] != k + 1:
         raise ValueError(f"scores must have {k + 1} columns (fixed components plus target)")
-    ws = _Workspace(dataset, basis)
+    ws = _Workspace.from_dataset(dataset, basis)
     coef = np.column_stack([fixed, np.zeros(basis.size)]) if k else np.zeros((basis.size, 1))
-    beta, _, _ = _psi_update(ws, scores, coef, k, gamma)
+    beta, _, _ = _psi_update(ws, _score_system(ws, coef)[0], scores, coef, k, gamma)
     return beta
 
 

@@ -76,6 +76,17 @@ class TestSubject:
         with pytest.raises(ValueError, match="subject s7: t and y must be 1-D arrays of equal length"):
             Subject(id="s7", t=t, y=y)
 
+    @pytest.mark.parametrize(
+        "t, y, got",
+        [
+            ([0.1, 0.2], [1.0, 2.0], "list and list"),
+            (np.array([0.1, 0.2]), (1.0, 2.0), "ndarray and tuple"),
+        ],
+    )
+    def test_non_array_rejected(self, t, y, got):
+        with pytest.raises(ValueError, match=f"subject a: t and y must be numpy arrays, got {got}"):
+            Subject(id="a", t=t, y=y)
+
 
 class TestValidateDataset:
     def test_sorts_by_time_within_subject(self):

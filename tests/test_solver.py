@@ -6,13 +6,18 @@ import pytest
 
 from soapfda import (
     FecModel,
+    LongitudinalDataset,
     SingularStepError,
+    Subject,
     fit_soap,
     kkt_residual,
+    loco_cv_gamma,
     make_bspline_basis,
     objective,
     psi_step_penalized,
     score_step,
+    select_gammas_sequential,
+    sigma2_hat,
     validate_dataset,
 )
 from soapfda.basis import eval_basis_matrix
@@ -251,9 +256,9 @@ def assert_rel_close(got, ref, rel):
 
 
 class TestStatistics:
-    def mixed_workspace(self, rng):
+    def mixed_dataset(self, rng):
         """Sizes 1-6 with tied times (times on a 9-point lattice) and one
-        401-point subject; L = 8."""
+        401-point subject."""
         lattice = np.linspace(0.0, 1.0, 9)
         rows = []
         for i in range(30):
@@ -261,22 +266,29 @@ class TestStatistics:
                 rows.append((f"s{i:02d}", float(t), float(rng.normal() * 3.0)))
         for t in np.linspace(0.0, 1.0, 401):
             rows.append(("dense", float(t), float(np.sin(6.0 * t) + rng.normal())))
-        ds = validate_dataset(rows, (0.0, 1.0))
-        return solver._Workspace(ds, make_bspline_basis((0.0, 1.0), 8, 4))
+        return validate_dataset(rows, (0.0, 1.0))
+
+    def workspace(self, ds):
+        return solver._Workspace.from_dataset(ds, make_bspline_basis((0.0, 1.0), 8, 4))
+
+    def mixed_workspace(self, rng):
+        """The workspace of ``mixed_dataset``, L = 8."""
+        return self.workspace(self.mixed_dataset(rng))
 
     @pytest.mark.parametrize("m", [1, 2, 3])
     def test_systems_match_row_reference(self, m, rng):
-        ws = self.mixed_workspace(rng)
+        ds = self.mixed_dataset(rng)
+        ws = self.workspace(ds)
         assert {1, 2, 3, 4, 5, 6, 401} == set(ws.sizes)
-        assert any(len(np.unique(s.t)) < s.n_obs for s in ws.dataset.subjects)
+        assert any(len(np.unique(s.t)) < s.n_obs for s in ds.subjects)
         coef = rng.normal(size=(ws.basis.size, m))
-        gram, rhs = solver._score_system(ws, coef)
+        SC, gram, rhs = solver._score_system(ws, coef)
         gram_ref, rhs_ref = row_score_system(ws, coef)
         assert_rel_close(gram, gram_ref, 1e-12)
         assert_rel_close(rhs, rhs_ref, 1e-12)
         scores = rng.normal(size=(ws.n, m)) * 2.0
         for k in range(m):
-            ata, nrhs = solver._update_system(ws, scores, coef, k)
+            ata, nrhs = solver._update_system(ws, SC, scores, k)
             ata_ref, nrhs_ref = row_update_system(ws, scores, coef, k)
             assert_rel_close(ata, ata_ref, 1e-12)
             assert_rel_close(nrhs, nrhs_ref, 1e-12)
@@ -304,14 +316,21 @@ class TestStatistics:
         assert not gram[5].any() and not rhs[5].any()
 
     def test_drop_subject_matches_fresh_workspace(self, rng):
-        ws = self.mixed_workspace(rng)
-        S, T = ws.stats()
+        """A fold equals, bitwise, the workspace built afresh from the dataset
+        without the subject: rows, sizes, weights, statistics and ridge fits
+        (so the batched ridge solve is batch-independent)."""
+        ds = self.mixed_dataset(rng)
+        ws = self.workspace(ds)
+        S, T = ws.stats
         for i in (0, 7, ws.n - 1):
             fold = ws.drop_subject(i)
-            fresh = solver._Workspace(fold.dataset, ws.basis)
-            for got, ref in zip(fold.stats(), fresh.stats()):
+            rest = LongitudinalDataset(ds.domain, ds.subjects[:i] + ds.subjects[i + 1 :])
+            fresh = self.workspace(rest)
+            for name in ("B", "y", "sizes", "w", "w2", "ridge_coefs"):
+                np.testing.assert_array_equal(getattr(fold, name), getattr(fresh, name))
+            for got, ref in zip(fold.stats, fresh.stats):
                 np.testing.assert_array_equal(got, ref)
-        assert ws.stats()[0] is S and ws.stats()[1] is T
+        assert ws.stats[0] is S and ws.stats[1] is T
 
     def test_noise_free_dense_trace_reaches_zero(self):
         # criterion 1's data: the exact row loss must not go negative or
@@ -743,3 +762,24 @@ class TestDegenerateInputs:
         model = fit_soap(validate_dataset(rows, (0.0, 1.0)), basis, 2, 0.0)
         assert model.orthonormality_error() <= 1e-8
         assert np.all(np.isfinite(model.scores))
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda ds, basis, model: fit_soap(ds, basis, 1, 0.0),
+            lambda ds, basis, model: objective(ds, model),
+            lambda ds, basis, model: sigma2_hat(ds, model),
+            lambda ds, basis, model: loco_cv_gamma(ds, basis, 1, None, [0.0]),
+            lambda ds, basis, model: select_gammas_sequential(ds, basis, 1, [0.0]),
+        ],
+        ids=["fit_soap", "objective", "sigma2_hat", "loco_cv_gamma", "select_gammas_sequential"],
+    )
+    def test_empty_subject_named(self, call):
+        """A hand-built dataset with a subject that has no observations is
+        rejected by name before any step divides by its size."""
+        ds, basis = sparse_instance(60, n=10)
+        empty = Subject("zz", np.empty(0), np.empty(0))
+        ds = LongitudinalDataset(ds.domain, ds.subjects[:4] + (empty,) + ds.subjects[4:])
+        model = FecModel(basis, np.eye(basis.size)[:, :1], np.zeros((ds.n_subjects, 1)), np.zeros(1), 0.0)
+        with pytest.raises(ValueError, match="subject zz has no observations"):
+            call(ds, basis, model)
