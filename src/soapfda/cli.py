@@ -168,8 +168,11 @@ def cmd_fit(args) -> int:
     report["orthonormality_error"] = model.orthonormality_error()
 
     if not fit_report.converged:
+        capped = [f"stage {k + 1}" for k, hit in enumerate(fit_report.stage_capped) if hit]
+        if fit_report.sweeps_capped:
+            capped.append("the sweeps")
         _log(
-            "warning: fit did not converge within the iteration caps; "
+            f"warning: fit did not converge within the iteration caps (capped: {', '.join(capped)}); "
             f"final objective {fit_report.final_objective!r}"
         )
 

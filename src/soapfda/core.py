@@ -86,7 +86,9 @@ class FitReport:
     direction cut by the score kernel's floor). ``n_guard_kept`` counts the
     (score step, subject) pairs in which the score guard kept a subject's
     previous scores, along the path the trace records: each stage's winning
-    start, then the sweeps.
+    start, then the sweeps. ``stage_capped`` marks each stage whose winning
+    start stopped at the cycle cap, and ``sweeps_capped`` whether the sweeps
+    stopped at theirs; ``converged`` is true exactly when neither happened.
     ``final_objective`` is the objective of the returned model, whose scores
     come from a final unguarded refit, so it can differ from the trace's
     last entry.
@@ -102,6 +104,8 @@ class FitReport:
     n_truncated: int = 0
     n_guard_kept: int = 0
     final_objective: float = math.nan
+    stage_capped: tuple[bool, ...] = ()
+    sweeps_capped: bool = False
 
 
 @dataclass(frozen=True)
@@ -266,9 +270,14 @@ def dataset_to_rows(dataset: LongitudinalDataset) -> list[tuple[str, float, floa
 # ---------------------------------------------------------------------------
 
 
+# the layout of a model document; a file without the key is version 1
+_SCHEMA_VERSION = 1
+
+
 def model_to_dict(model: FecModel) -> dict:
     L, M = model.coef.shape
     doc = {
+        "schema_version": _SCHEMA_VERSION,
         "basis": {
             "domain": [model.basis.domain[0], model.basis.domain[1]],
             "order": model.basis.order,
@@ -341,12 +350,18 @@ def model_from_dict(doc: dict) -> FecModel:
     a non-finite ``coef``, ``scores``, ``gammas`` or ``noise_var``, a ``coef``
     or ``scores`` whose shape does not match ``l`` and ``m``, and a ``coef``
     whose columns are not G-orthonormal to 1e-8; so does a basis that
-    ``make_bspline_basis`` would reject. The report's fields are those of
-    ``FitReport``: one missing from an older file loads as the field's
-    default, and a key that is no field (such as ``tolerance_used``) is
-    ignored.
+    ``make_bspline_basis`` would reject, and a ``schema_version`` other than
+    1 (a file without one is read as version 1). The report's fields are
+    those of ``FitReport``: one missing from an older file loads as the
+    field's default, and a key that is no field (such as
+    ``tolerance_used``) is ignored.
     """
     b = _field(doc, "basis")
+    version = doc.get("schema_version", _SCHEMA_VERSION)
+    if type(version) is not int or version != _SCHEMA_VERSION:
+        raise ValueError(
+            f"model key 'schema_version' is {version!r}; only version {_SCHEMA_VERSION} can be read"
+        )
     domain = _finite(b, "domain", "basis")
     if domain.shape != (2,):
         raise ValueError(f"model key 'basis.domain' has shape {domain.shape}, expected (2,)")

@@ -16,7 +16,7 @@ objective trace is non-increasing.
 from __future__ import annotations
 
 import math
-from functools import cached_property
+from functools import cache, cached_property
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -45,6 +45,9 @@ _SECULAR_MAX_ITERS = 100
 _MAX_INNER_ITERS = 200
 _MAX_OUTER_SWEEPS = 20
 _REL_TOL = 1e-7
+# the two factorizations every component update makes, called without the
+# scipy.linalg wrappers' per-call overhead
+_gelsy, _gelsy_lwork, _sygvd = sla.get_lapack_funcs(("gelsy", "gelsy_lwork", "sygvd"), dtype=np.float64)
 
 
 class SingularStepError(RuntimeError):
@@ -136,8 +139,22 @@ class _Workspace:
         return fold
 
 
+@cache
+def _gelsy_work(n: int, cond: float) -> int:
+    work, info = _gelsy_lwork(n, n, 1, cond)
+    if info != 0:
+        raise sla.LinAlgError(f"gelsy workspace query failed: info {info}")
+    return int(work)
+
+
 def _minnorm_lstsq(a: np.ndarray, b: np.ndarray, cond: float) -> np.ndarray:
-    sol, *_ = sla.lstsq(a, b, cond=cond, lapack_driver="gelsy", check_finite=False)
+    """Minimum-norm solution of the square system a x = b (b a vector) by
+    LAPACK ``gelsy``: bitwise ``sla.lstsq(a, b, cond=cond,
+    lapack_driver="gelsy", check_finite=False)``."""
+    n = a.shape[0]
+    _, sol, _, _, info = _gelsy(a, b, np.zeros((n, 1), dtype=np.int32), cond, _gelsy_work(n, cond))
+    if info != 0:
+        raise sla.LinAlgError(f"gelsy failed: info {info}")
     return sol
 
 
@@ -176,9 +193,12 @@ def _eigh(gram: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     eigenvalue is (a + c + hypot(a - c, 2b)) / 2 and, as in LAPACK's
     ``dlaev2``, the smaller is (ac - b^2) over the larger, which avoids
     cancelling the larger against the trace. The larger eigenvector is
-    (cos t, sin t) with t = atan2(2b, a - c) / 2. Every other M calls
-    ``np.linalg.eigh``.
+    (cos t, sin t) with t = atan2(2b, a - c) / 2. At M = 1 the eigenvalue is
+    G itself and the eigenvector 1. Every other M calls ``np.linalg.eigh``.
     """
+    if gram.shape[-1] == 1:
+        # what LAPACK returns for N = 1, bit for bit
+        return gram[..., 0].copy(), np.ones_like(gram)
     if gram.shape[-1] != 2:
         return np.linalg.eigh(gram)
     a, b, c = gram[:, 0, 0], gram[:, 0, 1], gram[:, 1, 1]
@@ -308,9 +328,10 @@ def _update_system(ws: _Workspace, SC, scores, m: int) -> tuple[np.ndarray, np.n
     entry m set to zero.
     """
     S, T = ws.stats
+    n, L, _ = S.shape
     alpha = scores[:, m]
     wa = ws.w * alpha
-    ata = np.tensordot(wa * alpha, S, axes=1)
+    ata = ((wa * alpha) @ S.reshape(n, L * L)).reshape(L, L)
     others = scores.copy()
     others[:, m] = 0.0
     resid = T - np.matmul(SC, others[..., None])[..., 0]
@@ -343,6 +364,21 @@ def _normalized_unconstrained(ata, rhs, gram) -> tuple[np.ndarray, float]:
     return btilde / s, s
 
 
+def _generalized_eigh(H, gram) -> tuple[np.ndarray, np.ndarray]:
+    """Ascending eigenvalues and G-orthonormal eigenvectors of H v = mu G v
+    by LAPACK ``sygvd``: bitwise ``sla.eigh(H, gram)``, with its checks (a
+    ValueError on non-finite input, a LinAlgError when the factorization
+    fails)."""
+    if not (np.isfinite(H).all() and np.isfinite(gram).all()):
+        raise ValueError("array must not contain infs or NaNs")
+    mu, V, info = _sygvd(H, gram, itype=1, jobz="V", uplo="L")
+    if info > H.shape[0]:
+        raise sla.LinAlgError(f"the leading minor of order {info - H.shape[0]} of G is not positive definite")
+    if info != 0:
+        raise sla.LinAlgError(f"sygvd failed: info {info}")
+    return mu, V
+
+
 def _solve_norm_constrained(H, rhs, gram) -> tuple[np.ndarray, float, bool]:
     """Global minimizer of b'Hb - 2 rhs'b subject to b' gram b = 1.
 
@@ -363,7 +399,7 @@ def _solve_norm_constrained(H, rhs, gram) -> tuple[np.ndarray, float, bool]:
     rhs_norm = float(np.linalg.norm(rhs))
     if rhs_norm == 0.0:
         raise SingularStepError("zero right-hand side in norm-constrained component step")
-    mu, V = sla.eigh(H, gram)
+    mu, V = _generalized_eigh(H, gram)
     d = V.T @ rhs
     # directions with zero rhs component contribute nothing, even at a pole
     nz = d != 0.0
@@ -444,33 +480,39 @@ def kkt_residual(normal_matrix, rhs, gram, penalty, gamma, beta, multiplier) -> 
     return float(np.linalg.norm(H @ beta - multiplier * (gram @ beta) - rhs))
 
 
-def _psi_update(ws: _Workspace, SC, scores, coef, m: int, gamma: float):
+def _reduction(basis: BasisSystem, coef, m: int, gamma: float):
+    """Null-space reduction of component m's update: (Z, Z'GZ, Z'PZ), with Z
+    an orthonormal basis of the null space of C'G over every column of
+    ``coef`` but m. Z'PZ is None at gamma 0, where nothing reads it; with no
+    other column, Z is None and G and P are returned as they are."""
+    others = np.delete(coef, m, axis=1)
+    if not others.shape[1]:
+        return None, basis.gram, basis.penalty
+    Z = _null_space(others.T @ basis.gram)
+    return Z, Z.T @ basis.gram @ Z, (Z.T @ basis.penalty @ Z if gamma > 0 else None)
+
+
+def _psi_update(ws: _Workspace, SC, scores, m: int, gamma: float, reduction):
     """Update component m with all other columns fixed.
 
     The normal equations come from the workspace statistics and SC = S_i C
     (``_update_system``). The new coefficient vector is constrained to be
-    G-orthogonal to every other component (null-space reduction) and has
-    exact unit G-norm; the reduced problem is solved by
-    ``psi_step_penalized``. Returns (beta, score_scale, fallback).
+    G-orthogonal to every other component through ``reduction`` (from
+    ``_reduction``) and has exact unit G-norm; the reduced problem is solved
+    by ``psi_step_penalized``. Returns (beta, score_scale, fallback).
     """
-    gram, penalty = ws.basis.gram, ws.basis.penalty
     # relative, not exact zero: a column left only with rounding noise of
     # the score kernel has nothing to fit
     if np.max(np.abs(scores[:, m])) <= 64 * _EPS * np.max(np.abs(scores)):
         raise SingularStepError(f"all scores for component {m + 1} are zero")
     ata, rhs = _update_system(ws, SC, scores, m)
-    others = np.delete(coef, m, axis=1)
-    if others.shape[1]:
-        Z = _null_space(others.T @ gram)
+    Z, gram_r, penalty_r = reduction
+    if Z is not None:
         ata, rhs = Z.T @ ata @ Z, Z.T @ rhs
-        gram_r, penalty_r = Z.T @ gram @ Z, Z.T @ penalty @ Z
-    else:
-        Z = None
-        gram_r, penalty_r = gram, penalty
     beta, _, fallback, s = psi_step_penalized(ata, rhs, gram_r, penalty_r, gamma)
     if Z is not None:
         beta = Z @ beta
-    beta = beta / math.sqrt(float(beta @ gram @ beta))
+    beta = beta / math.sqrt(float(beta @ ws.basis.gram @ beta))
     return beta, s, fallback
 
 
@@ -575,6 +617,9 @@ def _alternate(ws, coef, scores, active, gammas, trace, cap):
     """
     P = ws.B @ coef
     pens = [_penalty(ws, coef[:, k], gammas[k]) for k in range(coef.shape[1])]
+    # with one active component the others never change, so one null-space
+    # reduction serves every update (an extraction stage)
+    held = _reduction(ws.basis, coef, active[0], gammas[active[0]]) if len(active) == 1 else None
     prev = trace[-1] if trace else None
     ends: list[float] = []
     n_fb = n_kept = 0
@@ -587,7 +632,8 @@ def _alternate(ws, coef, scores, active, gammas, trace, cap):
             current = _row_base(ws, P, scores) + sum(pens)
             trace.append(current)
             try:
-                beta, s, fallback = _psi_update(ws, SC, scores, coef, m, gammas[m])
+                reduction = held if held is not None else _reduction(ws.basis, coef, m, gammas[m])
+                beta, s, fallback = _psi_update(ws, SC, scores, m, gammas[m], reduction)
             except SingularStepError as exc:
                 raise SingularStepError(f"component {m + 1}, iteration {it + 1}: {exc}") from exc
             n_fb += int(fallback)
@@ -642,8 +688,9 @@ def fit_soap(
     refit before every component update. Each stops when a cycle (a sweep)
     changes the objective by at most 1e-7 relative or accepts no update, or
     at its cap of 200 cycles per stage and 20 sweeps; ``report.converged``
-    is false if a cap was hit. ``report.stage_cycles`` counts each stage's
-    cycles and ``report.n_sweeps`` the sweeps; ``report.final_objective`` is
+    is false if a cap was hit, and ``report.stage_capped`` and
+    ``report.sweeps_capped`` say which. ``report.stage_cycles`` counts each
+    stage's cycles and ``report.n_sweeps`` the sweeps; ``report.final_objective`` is
     the objective of the returned model.
 
     ``gammas`` is a scalar or a length-M sequence of roughness penalty
@@ -666,8 +713,8 @@ def fit_soap(
     trace: list[float] = []
     stage_offsets: list[int] = []
     stage_cycles: list[int] = []
+    stage_capped: list[bool] = []
     n_fb = n_kept = 0
-    all_converged = True
 
     for m in range(n_components):
         stage_offsets.append(len(trace))
@@ -675,17 +722,18 @@ def fit_soap(
             ws, coef, scores, gam[: m + 1]
         )
         trace.extend(segment)
-        all_converged &= conv
+        stage_capped.append(not conv)
         stage_cycles.append(cycles)
         n_fb += fb
         n_kept += kept
 
     sweep_objectives: list[float] = []
+    sweeps_capped = False
     if n_components > 1:
         coef, scores, refined, sweep_objectives, fb, kept = _alternate(
             ws, coef, scores, range(n_components), gam, trace, _MAX_OUTER_SWEEPS
         )
-        all_converged &= refined
+        sweeps_capped = not refined
         n_fb += fb
         n_kept += kept
 
@@ -699,7 +747,7 @@ def fit_soap(
 
     report = FitReport(
         loss_trace=tuple(trace),
-        converged=bool(all_converged),
+        converged=not (any(stage_capped) or sweeps_capped),
         n_sweeps=len(sweep_objectives),
         stage_cycles=tuple(stage_cycles),
         sweep_objectives=tuple(sweep_objectives),
@@ -708,6 +756,8 @@ def fit_soap(
         n_truncated=n_truncated,
         n_guard_kept=n_kept,
         final_objective=full,
+        stage_capped=tuple(stage_capped),
+        sweeps_capped=sweeps_capped,
     )
     return FecModel(
         basis=basis,

@@ -8,7 +8,7 @@ import numpy as np
 
 from soapfda.basis import BasisSystem
 from soapfda.core import FitReport, LongitudinalDataset
-from soapfda.solver import _psi_update, _score_system, _Workspace, fit_soap
+from soapfda.solver import _psi_update, _reduction, _score_system, _Workspace, fit_soap
 
 
 def psi_step_first(dataset: LongitudinalDataset, scores, basis: BasisSystem) -> np.ndarray:
@@ -23,7 +23,7 @@ def psi_step_first(dataset: LongitudinalDataset, scores, basis: BasisSystem) -> 
     if scores.shape[0] != ws.n:
         raise ValueError("score vector length does not match subject count")
     coef = np.zeros((basis.size, 1))
-    beta, _, _ = _psi_update(ws, _score_system(ws, coef)[0], scores, coef, 0, 0.0)
+    beta, _, _ = _psi_update(ws, _score_system(ws, coef)[0], scores, 0, 0.0, _reduction(basis, coef, 0, 0.0))
     return beta
 
 
@@ -56,7 +56,8 @@ def psi_step_orthogonal(
         raise ValueError(f"scores must have {k + 1} columns (fixed components plus target)")
     ws = _Workspace.from_dataset(dataset, basis)
     coef = np.column_stack([fixed, np.zeros(basis.size)]) if k else np.zeros((basis.size, 1))
-    beta, _, _ = _psi_update(ws, _score_system(ws, coef)[0], scores, coef, k, gamma)
+    SC = _score_system(ws, coef)[0]
+    beta, _, _ = _psi_update(ws, SC, scores, k, gamma, _reduction(basis, coef, k, gamma))
     return beta
 
 

@@ -178,6 +178,7 @@ class TestFit:
         assert captured.out == ""
         warnings = [line for line in captured.err.splitlines() if line.startswith("warning:")]
         assert len(warnings) == 1 and "did not converge" in warnings[0]
+        assert "(capped: stage 1)" in warnings[0]
         # the objective of the saved model, not the end of the loss trace
         final = load_model(out / "model.json").report.final_objective
         assert f"final objective {final!r}" in warnings[0]

@@ -292,6 +292,22 @@ class TestModelRoundTrip:
         assert math.isnan(report.final_objective)
         assert report.n_sweeps == 2
 
+    def test_schema_version_written_and_optional(self, rng):
+        model = self.make_model(rng)
+        doc = model_to_dict(model)
+        assert doc["schema_version"] == 1
+        del doc["schema_version"]  # written before the key existed
+        back = model_from_dict(doc)
+        np.testing.assert_array_equal(back.coef, model.coef)
+        assert back.report == model.report
+
+    @pytest.mark.parametrize("version", [0, 2, 1.0, "1", None, True])
+    def test_other_schema_version_rejected(self, rng, version):
+        doc = model_to_dict(self.make_model(rng))
+        doc["schema_version"] = version
+        with pytest.raises(ValueError, match="schema_version"):
+            model_from_dict(doc)
+
     def test_round_trip_without_report(self, rng):
         model = self.make_model(rng, with_report=False)
         back = model_from_dict(model_to_dict(model))

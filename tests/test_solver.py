@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy import linalg as sla
 
 from soapfda import (
     FecModel,
@@ -520,6 +521,48 @@ class TestPsiStepPenalized:
                 psi_step_penalized(np.eye(8), np.ones(8), cubic_basis.gram, cubic_basis.penalty, bad)
 
 
+class TestDirectLapack:
+    """The component update calls LAPACK ``gelsy`` and ``sygvd`` directly;
+    the results are bitwise those of the scipy.linalg wrappers it replaced,
+    on random and rank-deficient systems of every size and scale."""
+
+    def systems(self, rng):
+        """(A, B, rhs): A symmetric positive semidefinite, B positive
+        definite, at sizes 1, 5, 19 and 20 and scales 1e-8 to 1e8; each A
+        again with a zeroed row and column."""
+        for n in (1, 5, 19, 20):
+            for scale in (1e-8, 1.0, 1e8):
+                X, Y = rng.normal(size=(n + 3, n)), rng.normal(size=(2 * n + 3, n))
+                A, B, rhs = scale * (X.T @ X), Y.T @ Y / n, scale * rng.normal(size=n)
+                yield A, B, rhs
+                A = A.copy()
+                A[n // 2, :] = A[:, n // 2] = 0.0
+                yield A, B, rhs
+
+    def test_minnorm_lstsq_is_scipy_gelsy(self, rng):
+        for A, _, rhs in self.systems(rng):
+            ref = sla.lstsq(A, rhs, cond=1e-12, lapack_driver="gelsy", check_finite=False)[0]
+            np.testing.assert_array_equal(solver._minnorm_lstsq(A, rhs, 1e-12), ref)
+
+    def test_generalized_eigh_is_scipy_eigh(self, rng):
+        for A, B, _ in self.systems(rng):
+            for H in (A, A - np.trace(A) / len(A) * B):  # semidefinite and indefinite
+                for got, ref in zip(solver._generalized_eigh(H, B), sla.eigh(H, B)):
+                    np.testing.assert_array_equal(got, ref)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_normal_matrix_rejected(self, bad):
+        H = np.eye(3)
+        H[1, 2] = H[2, 1] = bad
+        with pytest.raises(ValueError, match="infs or NaNs"):
+            psi_step_penalized(H, np.ones(3), np.eye(3), np.eye(3), 1.0)
+
+    @pytest.mark.parametrize("gram", [np.diag([1.0, -1.0, 1.0]), np.diag([1.0, 1.0, 0.0])])
+    def test_gram_not_positive_definite_rejected(self, gram):
+        with pytest.raises(np.linalg.LinAlgError, match="positive definite"):
+            psi_step_penalized(np.eye(3), np.ones(3), gram, np.eye(3), 1.0)
+
+
 class TestFitFirstFec:
     def test_rank1_dense_fast_convergence(self, cubic_basis, rng):
         c1, _ = orthonormal_pair_in_span(cubic_basis, rng)
@@ -610,6 +653,32 @@ class TestFitSoap:
         trace = np.array(report.loss_trace)
         got = (len(trace), report.converged, report.n_sweeps, hashlib.sha256(trace.tobytes()).hexdigest())
         assert got == self.DEFAULT_TRACES[gamma], f"final objective {trace[-1].hex()}"
+
+    # L = 20 cubic basis, M = 3, gamma = 1e-3: (trace length, converged,
+    # sweeps, stage_cycles, sha256 of the trace); the stage reduction with two
+    # fixed columns and the score kernel's eigh branch
+    THREE_COMPONENT_TRACE = (
+        406, False, 20, (29, 38, 76), "1af8f7416c59a9258db502c8bfa365dff4e731d6d843f69d977076f0bd2647b8"
+    )
+
+    def test_three_component_trace_bitwise(self):
+        cfg = SimulationConfig(seed=3)
+        ds, _, _ = gen_sparse_dataset(cfg)
+        report = fit_soap(ds, make_bspline_basis(cfg.domain, 20, 4), 3, 1e-3).report
+        trace = np.array(report.loss_trace)
+        got = (
+            len(trace), report.converged, report.n_sweeps, report.stage_cycles,
+            hashlib.sha256(trace.tobytes()).hexdigest(),
+        )
+        assert got == self.THREE_COMPONENT_TRACE, f"final objective {trace[-1].hex()}"
+
+    def test_capped_loops_reported(self):
+        cfg = SimulationConfig(seed=3)
+        ds, _, _ = gen_sparse_dataset(cfg)
+        report = fit_soap(ds, make_bspline_basis(cfg.domain, 20, 4), 2, 0.0).report
+        assert report.stage_capped == (False, False)
+        assert report.sweeps_capped is True
+        assert report.converged is False
 
     def test_guard_kept_count_reported(self):
         cfg = SimulationConfig(seed=3)
