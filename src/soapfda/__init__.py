@@ -30,7 +30,6 @@ from .oracle import (
     compare_to_soap,
     grid_eigenfunctions,
     sign_aligned_imse,
-    uncentered_cov,
 )
 from .predict import (
     MspeReport,

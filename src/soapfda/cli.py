@@ -2,8 +2,8 @@
 
 Diagnostics go to stderr; data goes to files in --output-dir (or stdout).
 Every subcommand is deterministic given its inputs and flags. On
-failure a machine-readable error JSON is printed to stdout and the exit
-status is 2.
+failure, a flag error included, a machine-readable error JSON is printed
+to stdout and the exit status is 2.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from .core import (
     write_csv,
     write_long_csv,
 )
-from .oracle import compare_to_soap, dense_curves, grid_eigenfunctions, uncentered_cov
+from .oracle import compare_to_soap, dense_curves, grid_eigenfunctions
 from .predict import default_grid, holdout_last_mspe_model, predict_trajectories
 from .sim import SimulationConfig, draw_replication, parse_config_file, run_replication_study
 from .solver import SingularStepError, fit_soap
@@ -41,6 +41,14 @@ class CliError(Exception):
     def __init__(self, message: str, status: int = 2):
         super().__init__(message)
         self.status = status
+
+
+class _ArgumentParser(argparse.ArgumentParser):
+    """Turns a flag error into a CliError (usage on stderr); subparsers inherit it."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        raise CliError(f"{self.prog}: {message}")
 
 
 def _log(message: str) -> None:
@@ -262,8 +270,7 @@ def cmd_oracle_check(args) -> int:
     curve_set = dense_curves(dataset)
     model = fit_soap(dataset, _build_basis(dataset, args), args.m, 0.0)
 
-    K = uncentered_cov(curve_set)
-    oracle_funcs, eigenvalues = grid_eigenfunctions(K, curve_set.grid, args.m)
+    oracle_funcs, eigenvalues = grid_eigenfunctions(curve_set, args.m)
     imse_per_component = compare_to_soap(model, oracle_funcs, curve_set.grid)
 
     payload = {
@@ -287,7 +294,7 @@ def _add_common(parser, with_domain=True):
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _ArgumentParser(
         prog="soapfda",
         description="Estimate orthonormal empirical components from sparse longitudinal data.",
     )
@@ -339,7 +346,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     try:
-        # inside the try: type functions such as _parse_domain raise CliError
+        # inside the try: flag errors and type functions such as _parse_domain raise CliError
         args = build_parser().parse_args(argv)
         return args.func(args)
     except CliError as exc:

@@ -1,9 +1,11 @@
-"""Dense-grid reference: eigenfunctions of the uncentered sample covariance.
+"""Dense-grid reference: the best rank-M approximation of fully observed curves.
 
 For fully observed noise-free curves, the optimal approximating orthonormal
-functions are the leading eigenfunctions of K(s,t) = (1/n) sum_i x_i(s)x_i(t);
-this module computes them by quadrature-weighted eigen-decomposition and is
-used as the ground-truth oracle against the sparse fit.
+functions are the leading eigenfunctions of K(s,t) = (1/n) sum_i x_i(s)x_i(t).
+By Eckart-Young they are also the leading right singular vectors of the
+quadrature-weighted curves, so ``grid_eigenfunctions(curve_set, M)`` takes
+one thin SVD of them and never forms the covariance matrix. It is the
+ground-truth oracle against the sparse fit.
 """
 
 from __future__ import annotations
@@ -37,10 +39,6 @@ class DenseCurveSet:
         grid.setflags(write=False)
         curves.setflags(write=False)
 
-    @property
-    def n_curves(self) -> int:
-        return self.curves.shape[0]
-
 
 def trapezoid_weights(grid) -> np.ndarray:
     """Trapezoid quadrature weights: h everywhere, h/2 at the endpoints."""
@@ -51,36 +49,22 @@ def trapezoid_weights(grid) -> np.ndarray:
     return w
 
 
-def uncentered_cov(curve_set: DenseCurveSet) -> np.ndarray:
-    """K[p, q] = (1/n) sum_i x_i(t_p) x_i(t_q); symmetric PSD."""
-    X = curve_set.curves
-    K = X.T @ X / curve_set.n_curves
-    return (K + K.T) / 2.0
+def grid_eigenfunctions(curve_set: DenseCurveSet, n_components: int) -> tuple[np.ndarray, np.ndarray]:
+    """Leading eigenfunctions of the curves' uncentered covariance operator.
 
-
-def grid_eigenfunctions(K, grid, n_components: int) -> tuple[np.ndarray, np.ndarray]:
-    """Leading eigenfunctions of the covariance operator on the grid.
-
-    Solves the quadrature-weighted symmetric problem W^(1/2) K W^(1/2) and
-    maps eigenvectors back so that sum_p w_p psi(t_p)^2 = 1. Returns
-    (values, eigenvalues) with values of shape (Q, M), eigenvalues
-    descending.
+    With trapezoid weights w, the right singular vectors V of
+    X diag(sqrt(w)) / sqrt(n) map back to functions V / sqrt(w), so that
+    sum_p w_p psi(t_p)^2 = 1, and the squared singular values are the
+    eigenvalues. Returns (values, eigenvalues) with values of shape (Q, M),
+    eigenvalues descending.
     """
-    grid = np.asarray(grid, dtype=float)
-    K = np.asarray(K, dtype=float)
-    Q = len(grid)
-    if n_components > Q:
-        raise ValueError(f"cannot extract {n_components} eigenfunctions from a {Q}-point grid")
-    if K.shape != (Q, Q):
-        raise ValueError(f"covariance shape {K.shape} does not match grid length {Q}")
-    w = trapezoid_weights(grid)
-    sw = np.sqrt(w)
-    A = sw[:, None] * K * sw[None, :]
-    vals, vecs = np.linalg.eigh((A + A.T) / 2.0)
-    order = np.argsort(vals)[::-1][:n_components]
-    eigenvalues = vals[order]
-    funcs = vecs[:, order] / sw[:, None]
-    return funcs, eigenvalues
+    X = curve_set.curves
+    n, Q = X.shape
+    if not 1 <= n_components <= min(n, Q):
+        raise ValueError(f"cannot extract {n_components} eigenfunctions from {n} curves on a {Q}-point grid")
+    sw = np.sqrt(trapezoid_weights(curve_set.grid))
+    _, s, vt = np.linalg.svd(X * sw / np.sqrt(n), full_matrices=False)
+    return vt[:n_components].T / sw[:, None], s[:n_components] ** 2
 
 
 def sign_aligned_imse(f_hat, f_ref, grid) -> float:

@@ -199,9 +199,10 @@ def select_gammas_sequential(
 ) -> tuple[list[float], list[CvResult]]:
     """Pick gamma for each component in turn, fixing earlier components.
 
-    Every stage runs exact LOCO-CV. After each selection the component is
-    refit on the full data with its chosen gamma and held fixed for the next
-    stage. Returns the selected gammas and the per-component CV tables.
+    Every stage runs exact LOCO-CV. After each selection but the last, the
+    component is refit on the full data with its chosen gamma and held fixed
+    for the next stage. Returns the selected gammas and the per-component CV
+    tables.
     """
     _check_component_count(n_components, basis.size)
     ws = _Workspace.from_dataset(dataset, basis)
@@ -212,6 +213,6 @@ def select_gammas_sequential(
         result = loco_cv_gamma(dataset, basis, m, fixed, candidates)
         chosen.append(result.chosen)
         tables.append(result)
-        beta = _fit_component_on(ws, fixed, result.chosen)
-        fixed = np.column_stack([fixed, beta])
+        if m < n_components:
+            fixed = np.column_stack([fixed, _fit_component_on(ws, fixed, result.chosen)])
     return chosen, tables

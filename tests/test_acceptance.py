@@ -32,7 +32,6 @@ from soapfda.oracle import (
     compare_to_soap,
     grid_eigenfunctions,
     sign_aligned_imse,
-    uncentered_cov,
 )
 from soapfda.predict import default_grid, predict_trajectory
 from soapfda.sim import cosine_pair, gen_scores, impe
@@ -68,8 +67,7 @@ class TestCriterion1:
         ]
         ds = validate_dataset(rows, (0.0, 1.0))
         model = fit_soap(ds, basis, 2, 0.0)
-        K = uncentered_cov(DenseCurveSet(grid=grid.copy(), curves=X.copy()))
-        oracle_vals, eigvals = grid_eigenfunctions(K, grid, 2)
+        oracle_vals, eigvals = grid_eigenfunctions(DenseCurveSet(grid=grid.copy(), curves=X.copy()), 2)
         imses = compare_to_soap(model, oracle_vals, grid)
         elapsed = time.time() - start
         ok = (

@@ -547,6 +547,33 @@ class TestOutputDirectory:
         assert sorted(os.listdir(out)) == ["fitted.csv", "model.json", "report.json", "scores.csv"]
 
 
+class TestFlagErrors:
+    @pytest.mark.parametrize(
+        "argv, expected",
+        [
+            (["fit", "--output-dir", "o"], "soapfda fit: the following arguments are required: --input"),
+            (["fit", "--input", "x", "--output-dir", "o", "--gamma", "abc"], "argument --gamma: invalid float value: 'abc'"),
+            (["fit", "--input", "x", "--output-dir", "o", "--m", "2.5"], "argument --m: invalid int value: '2.5'"),
+            (["bogus"], "soapfda: argument command: invalid choice: 'bogus'"),
+        ],
+        ids=["missing-input", "gamma-abc", "m-2.5", "unknown-subcommand"],
+    )
+    def test_flag_error_gives_error_json(self, capsys, argv, expected):
+        status = run_cli(*argv)
+        captured = capsys.readouterr()
+        assert status == 2
+        error = json.loads(captured.out)["error"]
+        assert error["type"] == "cli"
+        assert expected in error["message"]
+        assert captured.err.startswith("usage: soapfda")
+
+    def test_help_still_exits_zero(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run_cli("fit", "--help")
+        assert exc.value.code == 0
+        assert capsys.readouterr().out.startswith("usage: soapfda fit")
+
+
 class TestEntryPoint:
     def test_module_invocation(self, sparse_fixture, tmp_path):
         out = tmp_path / "cli"

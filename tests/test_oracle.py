@@ -8,7 +8,6 @@ from soapfda import (
     grid_eigenfunctions,
     make_bspline_basis,
     sign_aligned_imse,
-    uncentered_cov,
 )
 from soapfda.core import DataValidationError, validate_dataset
 from soapfda.oracle import dense_curves, trapezoid_weights
@@ -22,26 +21,27 @@ def unit_cosine(grid):
     return f / np.sqrt(w @ f**2)
 
 
-class TestUncenteredCov:
-    def test_constant_curve_gives_ones(self):
-        grid = np.linspace(0, 1, 5)
-        cs = DenseCurveSet(grid=grid, curves=np.ones((1, 5)))
-        np.testing.assert_array_equal(uncentered_cov(cs), np.ones((5, 5)))
+def covariance_eigh(curves, grid, n_components):
+    """The reference: eigenpairs of the quadrature-weighted Q x Q uncentered
+    covariance from a full ``eigh``, descending, mapped back to functions."""
+    sw = np.sqrt(trapezoid_weights(grid))
+    K = curves.T @ curves / len(curves)
+    A = sw[:, None] * K * sw[None, :]
+    vals, vecs = np.linalg.eigh((A + A.T) / 2.0)
+    order = np.argsort(vals)[::-1][:n_components]
+    return vecs[:, order] / sw[:, None], vals[order]
 
-    def test_zero_curves(self):
-        grid = np.linspace(0, 1, 4)
-        cs = DenseCurveSet(grid=grid, curves=np.zeros((3, 4)))
-        np.testing.assert_array_equal(uncentered_cov(cs), np.zeros((4, 4)))
 
-    def test_matches_hand_loop(self, rng):
-        grid = np.linspace(0, 1, 4)
-        curves = rng.normal(size=(2, 4))
-        K = uncentered_cov(DenseCurveSet(grid=grid, curves=curves.copy()))
-        for p in range(4):
-            for q in range(4):
-                expected = np.mean([curves[i, p] * curves[i, q] for i in range(2)])
-                assert abs(K[p, q] - expected) < 1e-15
+def orthonormal_cosines(grid):
+    """cos(pi t) and cos(2 pi t), orthonormalised under the trapezoid rule."""
+    w = trapezoid_weights(grid)
+    f1 = unit_cosine(grid)
+    f2 = np.sqrt(2.0) * np.cos(2 * np.pi * grid)
+    f2 = f2 - (w @ (f1 * f2)) * f1
+    return f1, f2 / np.sqrt(w @ f2**2)
 
+
+class TestDenseCurveSet:
     def test_grid_validation(self):
         with pytest.raises(ValueError, match="equally spaced"):
             DenseCurveSet(grid=np.array([0.0, 0.5, 0.6]), curves=np.zeros((1, 3)))
@@ -50,37 +50,53 @@ class TestUncenteredCov:
 
 
 class TestGridEigenfunctions:
+    @pytest.mark.parametrize(
+        "n, Q, M, rank_two",
+        [(12, 101, 12, False), (3, 51, 3, False), (500, 41, 41, False), (50, 401, 4, True)],
+        ids=["12x101", "3x51", "500x41", "rank2-50x401"],
+    )
+    def test_matches_covariance_eigh(self, rng, n, Q, M, rank_two):
+        grid = np.linspace(0, 1, Q)
+        if rank_two:
+            curves = (rng.normal(size=(n, 2)) * [5.0, 1.5]) @ np.vstack(orthonormal_cosines(grid))
+        else:
+            curves = rng.normal(size=(n, Q))
+        funcs, vals = grid_eigenfunctions(DenseCurveSet(grid=grid, curves=curves.copy()), M)
+        ref_funcs, ref_vals = covariance_eigh(curves, grid, M)
+        assert funcs.shape == (Q, M) and vals.shape == (M,)
+        assert np.max(np.abs(vals - ref_vals)) <= 1e-12 * ref_vals[0]
+        nonzero = ref_vals > 1e-12 * ref_vals[0]
+        assert nonzero.sum() == (2 if rank_two else M)
+        for m in np.flatnonzero(nonzero):
+            assert sign_aligned_imse(funcs[:, m], ref_funcs[:, m], grid) < 1e-18
+
     def test_rank_one_recovery(self, rng):
         grid = np.linspace(0, 1, 201)
         psi = unit_cosine(grid)
         scores = rng.normal(0.0, 2.0, size=40)
         cs = DenseCurveSet(grid=grid, curves=np.outer(scores, psi))
-        funcs, vals = grid_eigenfunctions(uncentered_cov(cs), grid, 1)
+        funcs, vals = grid_eigenfunctions(cs, 1)
         assert sign_aligned_imse(funcs[:, 0], psi, grid) < 1e-20
         assert abs(vals[0] - np.mean(scores**2)) < 1e-10
 
     def test_eigenvalues_nonnegative_descending(self, rng):
         grid = np.linspace(0, 1, 101)
         cs = DenseCurveSet(grid=grid, curves=rng.normal(size=(12, 101)))
-        _, vals = grid_eigenfunctions(uncentered_cov(cs), grid, 6)
+        _, vals = grid_eigenfunctions(cs, 6)
         assert np.all(vals >= -1e-12)
         assert np.all(np.diff(vals) <= 1e-12)
 
     def test_quadrature_orthonormal(self, rng):
         grid = np.linspace(0, 1, 151)
         cs = DenseCurveSet(grid=grid, curves=rng.normal(size=(20, 151)))
-        funcs, _ = grid_eigenfunctions(uncentered_cov(cs), grid, 4)
+        funcs, _ = grid_eigenfunctions(cs, 4)
         w = trapezoid_weights(grid)
         gram = funcs.T @ (w[:, None] * funcs)
         assert np.max(np.abs(gram - np.eye(4))) <= 1e-8
 
     def test_rank_two_forward_construction(self, rng):
         grid = np.linspace(0, 1, 401)
-        w = trapezoid_weights(grid)
-        f1 = unit_cosine(grid)
-        f2 = np.sqrt(2.0) * np.cos(2 * np.pi * grid)
-        f2 = f2 - (w @ (f1 * f2)) * f1
-        f2 /= np.sqrt(w @ f2**2)
+        f1, f2 = orthonormal_cosines(grid)
         # make the sample second-moment matrix of the scores exactly diagonal
         # so the sample eigenfunctions ARE the generating pair
         scores = rng.normal(size=(300, 2))
@@ -88,15 +104,21 @@ class TestGridEigenfunctions:
         scores[:, 0] *= 5.0 / scores[:, 0].std()
         scores[:, 1] *= 1.5 / scores[:, 1].std()
         curves = np.outer(scores[:, 0], f1) + np.outer(scores[:, 1], f2)
-        funcs, _ = grid_eigenfunctions(uncentered_cov(DenseCurveSet(grid=grid, curves=curves)), grid, 2)
+        funcs, _ = grid_eigenfunctions(DenseCurveSet(grid=grid, curves=curves), 2)
         for m, truth in enumerate((f1, f2)):
             err = min(np.max(np.abs(funcs[:, m] - truth)), np.max(np.abs(funcs[:, m] + truth)))
             assert err < 1e-3
 
     def test_too_many_components_rejected(self):
-        grid = np.linspace(0, 1, 5)
-        with pytest.raises(ValueError, match="cannot extract"):
-            grid_eigenfunctions(np.eye(5), grid, 6)
+        cs = DenseCurveSet(grid=np.linspace(0, 1, 5), curves=np.eye(8, 5))
+        with pytest.raises(ValueError, match="cannot extract 6 eigenfunctions from 8 curves on a 5-point grid"):
+            grid_eigenfunctions(cs, 6)
+
+    @pytest.mark.parametrize("M", [4, 0, -1])
+    def test_component_count_outside_one_to_n_rejected(self, M):
+        cs = DenseCurveSet(grid=np.linspace(0, 1, 5), curves=np.eye(3, 5))
+        with pytest.raises(ValueError, match=f"cannot extract {M} eigenfunctions from 3 curves on a 5-point grid"):
+            grid_eigenfunctions(cs, M)
 
 
 class TestCompareToSoap:

@@ -249,5 +249,21 @@ class TestLocoCv:
         for g, tab in zip(gammas, tables):
             assert g == tab.chosen
 
+    def test_sequential_selection_skips_the_last_full_data_refit(self, monkeypatch):
+        ds = small_dataset(10, n=15)
+        basis = make_bspline_basis((0.0, 1.0), 6, 4)
+        full_data_fits = []
+        fit_on = selection._fit_component_on
+
+        def counted(ws, fixed, gamma):
+            if ws.n == ds.n_subjects:  # a CV fold holds one subject fewer
+                full_data_fits.append(fixed.shape[1] + 1)
+            return fit_on(ws, fixed, gamma)
+
+        monkeypatch.setattr(selection, "_fit_component_on", counted)
+        gammas, tables = select_gammas_sequential(ds, basis, 3, candidates=[1e-2])
+        assert full_data_fits == [1, 2]
+        assert len(gammas) == len(tables) == 3
+
     def test_default_grid_is_superset_of_paper_grid(self):
         assert {0.0, 1e2, 1e4, 1e8} <= set(DEFAULT_GAMMA_GRID)

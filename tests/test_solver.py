@@ -22,7 +22,7 @@ from soapfda import (
     validate_dataset,
 )
 from soapfda.basis import eval_basis_matrix
-from soapfda.oracle import grid_eigenfunctions, sign_aligned_imse, uncentered_cov, DenseCurveSet
+from soapfda.oracle import grid_eigenfunctions, sign_aligned_imse, DenseCurveSet
 from soapfda.sim import SimulationConfig, gen_sparse_dataset
 from soapfda import solver
 from soapfda.solver import SCORE_SINGULAR_FLOOR, _solve_scores, _subject_systems
@@ -402,8 +402,7 @@ class TestPsiStepOrthogonal:
         truth = rng.normal(size=(40, 2)) * [6.0, 2.0]
         ds, X = dense_rank2_dataset(cubic_basis, 40, grid, truth, (c1, c2))
         # oracle eigenfunctions of the uncentered covariance
-        K = uncentered_cov(DenseCurveSet(grid=grid.copy(), curves=X.copy()))
-        oracle_vals, _ = grid_eigenfunctions(K, grid, 2)
+        oracle_vals, _ = grid_eigenfunctions(DenseCurveSet(grid=grid.copy(), curves=X.copy()), 2)
         # project data onto oracle component 1 to fix it, then solve for 2
         B = eval_basis_matrix(cubic_basis, grid)
         f1, *_ = np.linalg.lstsq(B, oracle_vals[:, 0], rcond=None)
@@ -713,8 +712,7 @@ class TestFitSoap:
         truth = rng.normal(size=(40, 2)) * [5.0, 2.0]
         ds, X = dense_rank2_dataset(cubic_basis, 40, grid, truth, (c1, c2))
         model = fit_soap(ds, cubic_basis, 2, 0.0)
-        K = uncentered_cov(DenseCurveSet(grid=grid.copy(), curves=X.copy()))
-        oracle_vals, eigvals = grid_eigenfunctions(K, grid, 2)
+        oracle_vals, eigvals = grid_eigenfunctions(DenseCurveSet(grid=grid.copy(), curves=X.copy()), 2)
         fitted = model.component_values(grid)
         for m in range(2):
             assert sign_aligned_imse(fitted[:, m], oracle_vals[:, m], grid) < 1e-6
