@@ -61,7 +61,6 @@ from .solver import (
     PenalizedStepResult,
     SingularStepError,
     fit_soap,
-    kkt_residual,
     objective,
     psi_step_penalized,
     score_step,

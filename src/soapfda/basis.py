@@ -8,6 +8,17 @@ import numpy as np
 from scipy.interpolate import BSpline
 
 
+def _freeze(obj, *names) -> None:
+    """Store read-only views of a frozen dataclass's named arrays, so the
+    caller's arrays stay writeable; read-only arrays are kept as they are."""
+    for name in names:
+        arr = getattr(obj, name)
+        if arr.flags.writeable:
+            view = arr.view()
+            view.setflags(write=False)
+            object.__setattr__(obj, name, view)
+
+
 @dataclass(frozen=True)
 class BasisSystem:
     """B-spline basis on an interval.
@@ -39,8 +50,7 @@ class BasisSystem:
     penalty: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        for arr in (self.interior_knots, self.knots, self.gram, self.penalty):
-            arr.setflags(write=False)
+        _freeze(self, "interior_knots", "knots", "gram", "penalty")
 
     @property
     def degree(self) -> int:

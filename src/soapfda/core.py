@@ -10,7 +10,7 @@ from typing import Iterable, get_args, get_origin, get_type_hints
 
 import numpy as np
 
-from .basis import BasisSystem, make_bspline_basis
+from .basis import BasisSystem, _freeze, make_bspline_basis
 
 
 class DataValidationError(ValueError):
@@ -40,8 +40,7 @@ class Subject:
                 f"subject {self.id}: t and y must be 1-D arrays of equal length, "
                 f"got shapes {self.t.shape} and {self.y.shape}"
             )
-        self.t.setflags(write=False)
-        self.y.setflags(write=False)
+        _freeze(self, "t", "y")
 
     @property
     def n_obs(self) -> int:
@@ -81,14 +80,16 @@ class FitReport:
     each component's extraction stage and ``n_sweeps`` the refinement sweeps
     (0 for one component); ``sweep_objectives`` holds the objective at the
     end of each sweep; ``stage_offsets`` marks where each component's
-    extraction begins in ``loss_trace``. ``n_truncated`` counts the subjects
-    whose final score solve kept fewer than M directions (n_i < M, or a
-    direction cut by the score kernel's floor). ``n_guard_kept`` counts the
-    (score step, subject) pairs in which the score guard kept a subject's
-    previous scores, along the path the trace records: each stage's winning
-    start, then the sweeps. ``stage_capped`` marks each stage whose winning
-    start stopped at the cycle cap, and ``sweeps_capped`` whether the sweeps
-    stopped at theirs; ``converged`` is true exactly when neither happened.
+    extraction begins in ``loss_trace``. ``n_fallbacks`` counts the
+    hard-case component steps, each solved exactly in closed form.
+    ``n_truncated`` counts the subjects whose final score solve kept fewer
+    than M directions (n_i < M, or a direction cut by the score kernel's
+    floor). ``n_guard_kept`` counts the (score step, subject) pairs in which
+    the score guard kept a subject's previous scores, along the path the
+    trace records: each stage's winning start, then the sweeps.
+    ``stage_capped`` marks each stage whose winning start stopped at the
+    cycle cap, and ``sweeps_capped`` whether the sweeps stopped at theirs;
+    ``converged`` is true exactly when neither happened.
     ``final_objective`` is the objective of the returned model, whose scores
     come from a final unguarded refit, so it can differ from the trace's
     last entry.
@@ -134,8 +135,7 @@ class FecModel:
             raise ValueError("scores/gammas do not match the number of components")
         if self.noise_var < 0:
             raise ValueError("noise_var must be >= 0")
-        for arr in (self.coef, self.scores, self.gammas):
-            arr.setflags(write=False)
+        _freeze(self, "coef", "scores", "gammas")
 
     @property
     def n_components(self) -> int:
@@ -204,7 +204,10 @@ def validate_dataset(
     codes = np.fromiter(map(code_of.__getitem__, sids), dtype=np.intp, count=len(sids))
     order = np.lexsort((t, codes))  # stable: by id, then time, then input order
     ends = np.cumsum(np.bincount(codes))[:-1]
-    subjects = tuple(map(Subject, names, np.split(t[order], ends), np.split(y[order], ends)))
+    t, y = t[order], y[order]
+    t.setflags(write=False)  # read-only slices need no views of their own in Subject
+    y.setflags(write=False)
+    subjects = tuple(map(Subject, names, np.split(t, ends), np.split(y, ends)))
     return LongitudinalDataset(domain=(lo, hi), subjects=subjects)
 
 

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .basis import _freeze
 from .core import DataValidationError, FecModel, LongitudinalDataset
 
 
@@ -36,8 +37,7 @@ class DenseCurveSet:
             raise ValueError("grid must be equally spaced")
         if curves.ndim != 2 or curves.shape[1] != len(grid):
             raise ValueError(f"curves must be (n, {len(grid)}), got {curves.shape}")
-        grid.setflags(write=False)
-        curves.setflags(write=False)
+        _freeze(self, "grid", "curves")
 
 
 def trapezoid_weights(grid) -> np.ndarray:

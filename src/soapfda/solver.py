@@ -57,7 +57,8 @@ class SingularStepError(RuntimeError):
 class PenalizedStepResult(NamedTuple):
     """``score_scale`` is the G-norm of the unscaled solution at gamma 0
     (multiplying the paired score column by it keeps the fitted values), and
-    1.0 for gamma > 0, where the constrained solution is used as is."""
+    1.0 for gamma > 0, where the constrained solution is used as is.
+    ``fallback`` marks a hard-case step, solved exactly in closed form."""
 
     beta: np.ndarray
     multiplier: float
@@ -391,23 +392,27 @@ def _solve_norm_constrained(H, rhs, gram) -> tuple[np.ndarray, float, bool]:
     f is increasing and concave there (Reinsch 1967; Moré & Sorensen 1983),
     so Newton from the lower end climbs to the root in a few steps; a step
     that leaves the bracket is replaced by bisection.
-    Returns (beta, lam, fallback); fallback=True marks the hard case (no
-    root with delta > 0: rhs has no weight on the lowest eigenspace and the
-    pole-free norm at delta = 0 is at most 1), where a scaled ridge solution
-    is returned instead.
+    Returns (beta, lam, hard). hard=True marks the hard case, with no root at
+    delta > 0: rhs has no weight on the lowest eigenspace and ||d / gap|| <= 1.
+    There lam = mu_1 and beta = V (d / gap) + sqrt(1 - ||d / gap||^2) v_1,
+    with v_1 the lowest eigenvector.
     """
     rhs_norm = float(np.linalg.norm(rhs))
     if rhs_norm == 0.0:
         raise SingularStepError("zero right-hand side in norm-constrained component step")
     mu, V = _generalized_eigh(H, gram)
     d = V.T @ rhs
+    v1 = V[:, 0]
     # directions with zero rhs component contribute nothing, even at a pole
     nz = d != 0.0
     d, gap, V = d[nz], (mu - mu[0])[nz], V[:, nz]
     lo = float(np.max(np.abs(d) - gap, initial=0.0))
     hi = float(np.linalg.norm(d))
-    if lo == 0.0 and float(np.sum((d / gap) ** 2)) <= 1.0:
-        return _ridge_fallback(H, rhs, gram)
+    # lo == 0 leaves no nonzero d_j on the lowest eigenspace, so gap > 0
+    pole_free = float(np.sum((d / gap) ** 2)) if lo == 0.0 else math.inf
+    if pole_free <= 1.0:
+        beta = V @ (d / gap) + math.sqrt(1.0 - pole_free) * v1
+        return beta / math.sqrt(float(beta @ gram @ beta)), float(mu[0]), True
     delta = lo
     for _ in range(_SECULAR_MAX_ITERS):
         z = d / (gap + delta)
@@ -429,19 +434,6 @@ def _solve_norm_constrained(H, rhs, gram) -> tuple[np.ndarray, float, bool]:
     return beta / math.sqrt(float(beta @ gram @ beta)), float(mu[0] - delta), False
 
 
-def _ridge_fallback(H, rhs, gram) -> tuple[np.ndarray, float, bool]:
-    L = H.shape[0]
-    eps = 1e-10 * max(float(np.trace(H)) / L, 1.0)
-    try:
-        beta = sla.solve(H + eps * np.eye(L), rhs, assume_a="sym")
-    except sla.LinAlgError:
-        beta = _minnorm_lstsq(H + eps * np.eye(L), rhs, cond=_NORMAL_RANK_TOL)
-    nrm2 = float(beta @ gram @ beta)
-    if not (nrm2 > 0 and np.isfinite(nrm2)):
-        raise SingularStepError("norm-constrained step degenerate even under ridge fallback")
-    return beta / math.sqrt(nrm2), math.nan, True
-
-
 def _check_gamma(g, what: str = "gamma") -> None:
     if not (math.isfinite(g) and g >= 0):
         raise ValueError(f"{what} {float(g)!r} must be finite and >= 0")
@@ -460,9 +452,9 @@ def psi_step_penalized(normal_matrix, rhs, gram, penalty, gamma: float) -> Penal
     by the paired score column through ``score_scale``, so the norm
     constraint costs nothing). With gamma > 0 the penalty breaks that scale
     invariance and the constrained problem is solved exactly through its
-    secular equation; in its hard case (no root left of the lowest
-    eigenvalue), a G-normalized ridge solution is returned with
-    ``fallback=True``.
+    secular equation. Its hard case (no root left of the lowest
+    eigenvalue) is solved exactly too, in closed form, and flagged with
+    ``fallback=True``; the multiplier is then the lowest eigenvalue.
     """
     _check_gamma(gamma)
     normal_matrix = np.asarray(normal_matrix, dtype=float)
@@ -472,12 +464,6 @@ def psi_step_penalized(normal_matrix, rhs, gram, penalty, gamma: float) -> Penal
         return PenalizedStepResult(beta, 0.0, False, s)
     beta, lam, fb = _solve_norm_constrained(normal_matrix + gamma * penalty, rhs, gram)
     return PenalizedStepResult(beta, lam, fb, 1.0)
-
-
-def kkt_residual(normal_matrix, rhs, gram, penalty, gamma, beta, multiplier) -> float:
-    """Norm of the stationarity residual (H - lam*G) beta - rhs."""
-    H = np.asarray(normal_matrix) + gamma * np.asarray(penalty)
-    return float(np.linalg.norm(H @ beta - multiplier * (gram @ beta) - rhs))
 
 
 def _reduction(basis: BasisSystem, coef, m: int, gamma: float):

@@ -1,8 +1,10 @@
 """The public surface has callers: every name that ``soapfda`` exports is
 used by the package itself or by the benchmark harness, or is documented in
-README.md. A name that only tests call is a wrapper to delete."""
+README.md. A name that only tests call is a wrapper to delete. README.md
+also names every field of ``FitReport``, the keys of ``report.json``."""
 
 import ast
+import dataclasses
 import inspect
 import re
 from pathlib import Path
@@ -42,3 +44,10 @@ def test_every_export_has_a_caller_or_readme_entry():
     }
     unused = exported - referenced_names() - readme_names()
     assert not unused, f"exported but only called by tests: {sorted(unused)}"
+
+
+def test_readme_names_every_report_field():
+    """Every ``FitReport`` field is a key of ``report.json``, so README.md
+    names each one."""
+    missing = {f.name for f in dataclasses.fields(soapfda.FitReport)} - readme_names()
+    assert not missing, f"FitReport fields missing from README.md: {sorted(missing)}"

@@ -65,6 +65,13 @@ class TestConstruction:
         with pytest.raises(ValueError):
             make_bspline_basis((0.0, 1.0), 6, 4, interior_knots=[0.0, 0.5])
 
+    def test_caller_knots_stay_writeable(self):
+        knots = np.array([0.3, 0.6])
+        basis = make_bspline_basis((0.0, 1.0), 6, 4, interior_knots=knots)
+        assert knots.flags.writeable
+        assert not basis.interior_knots.flags.writeable
+        np.testing.assert_array_equal(basis.interior_knots, knots)
+
     def test_default_size_rule(self):
         assert default_basis_size(1700) == 20
         assert default_basis_size(30) == 7

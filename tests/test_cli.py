@@ -113,6 +113,24 @@ class TestFit:
         assert error["type"] == "ValueError"
         assert "needs at least 2 subjects, got 1" in error["message"]
 
+    def test_failed_cv_gives_solver_error_json(self, tmp_path, capsys):
+        # subject a is all zeros, so the fold that holds out b has nothing to fit
+        csv = tmp_path / "zeros.csv"
+        write_long_csv(csv, [
+            ("a", 0.1, 0.0), ("a", 0.5, 0.0), ("a", 0.9, 0.0),
+            ("b", 0.2, 1.0), ("b", 0.6, 2.0), ("b", 0.8, 1.5),
+        ])
+        out = tmp_path / "o"
+        status = run_cli(
+            "fit", "--input", str(csv), "--output-dir", str(out),
+            "--domain", "0,1", "--basis-size", "5", "--m", "1", "--gamma-grid", "0,1e2",
+        )
+        assert status == 2
+        error = json.loads(capsys.readouterr().out)["error"]
+        assert error["type"] == "solver"
+        assert "every candidate gamma failed" in error["message"]
+        assert not out.exists()
+
     def test_gamma_grid_with_m_grid(self, sparse_fixture, tmp_path):
         # gammas selected sequentially up to max M, then AIC across M
         out = tmp_path / "both"

@@ -87,6 +87,14 @@ class TestSubject:
         with pytest.raises(ValueError, match=f"subject a: t and y must be numpy arrays, got {got}"):
             Subject(id="a", t=t, y=y)
 
+    def test_caller_arrays_stay_writeable(self):
+        t, y = np.array([0.1, 0.2]), np.array([1.0, 2.0])
+        subject = Subject(id="a", t=t, y=y)
+        for given, stored in ((t, subject.t), (y, subject.y)):
+            assert given.flags.writeable
+            assert not stored.flags.writeable
+            np.testing.assert_array_equal(stored, given)
+
 
 class TestValidateDataset:
     def test_sorts_by_time_within_subject(self):
@@ -234,6 +242,18 @@ class TestCsvRoundTrip:
         path.write_text("subject_id,t,y\na,0.1,oops\n")
         with pytest.raises(DataValidationError, match="line 2"):
             read_long_csv(path)
+
+
+class TestFecModel:
+    def test_caller_arrays_stay_writeable(self):
+        basis = make_bspline_basis((0.0, 1.0), 6, 4)
+        coef = np.linalg.cholesky(np.linalg.inv(basis.gram))[:, :2]  # G-orthonormal columns
+        scores, gammas = np.ones((3, 2)), np.zeros(2)
+        model = FecModel(basis=basis, coef=coef, scores=scores, gammas=gammas, noise_var=0.0)
+        for given, stored in ((coef, model.coef), (scores, model.scores), (gammas, model.gammas)):
+            assert given.flags.writeable
+            assert not stored.flags.writeable
+            np.testing.assert_array_equal(stored, given)
 
 
 class TestModelRoundTrip:

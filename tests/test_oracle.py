@@ -48,6 +48,14 @@ class TestDenseCurveSet:
         with pytest.raises(ValueError, match="increasing"):
             DenseCurveSet(grid=np.array([0.0, 0.0, 0.1]), curves=np.zeros((1, 3)))
 
+    def test_caller_arrays_stay_writeable(self):
+        grid, curves = np.linspace(0.0, 1.0, 3), np.ones((2, 3))
+        curve_set = DenseCurveSet(grid=grid, curves=curves)
+        for given, stored in ((grid, curve_set.grid), (curves, curve_set.curves)):
+            assert given.flags.writeable
+            assert not stored.flags.writeable
+            np.testing.assert_array_equal(stored, given)
+
 
 class TestGridEigenfunctions:
     @pytest.mark.parametrize(
@@ -61,7 +69,7 @@ class TestGridEigenfunctions:
             curves = (rng.normal(size=(n, 2)) * [5.0, 1.5]) @ np.vstack(orthonormal_cosines(grid))
         else:
             curves = rng.normal(size=(n, Q))
-        funcs, vals = grid_eigenfunctions(DenseCurveSet(grid=grid, curves=curves.copy()), M)
+        funcs, vals = grid_eigenfunctions(DenseCurveSet(grid=grid, curves=curves), M)
         ref_funcs, ref_vals = covariance_eigh(curves, grid, M)
         assert funcs.shape == (Q, M) and vals.shape == (M,)
         assert np.max(np.abs(vals - ref_vals)) <= 1e-12 * ref_vals[0]

@@ -131,7 +131,20 @@ class TestAic:
         assert res.invalid == ()
 
 
+# subject a is all zeros, so the fold that holds out b has nothing to fit
+ALL_FOLDS_FAIL_ROWS = [
+    ("a", 0.1, 0.0), ("a", 0.5, 0.0), ("a", 0.9, 0.0),
+    ("b", 0.2, 1.0), ("b", 0.6, 2.0), ("b", 0.8, 1.5),
+]
+
+
 class TestLocoCv:
+    def test_every_candidate_failing_raises(self):
+        ds = validate_dataset(ALL_FOLDS_FAIL_ROWS, domain=(0.0, 1.0))
+        basis = make_bspline_basis(ds.domain, 5)
+        with pytest.raises(SingularStepError, match="every candidate gamma failed"):
+            loco_cv_gamma(ds, basis, 1, None, [0.0, 1e2])
+
     def test_singleton_candidate(self):
         ds = small_dataset(5)
         basis = make_bspline_basis((0.0, 1.0), 6, 4)

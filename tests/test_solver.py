@@ -11,7 +11,6 @@ from soapfda import (
     SingularStepError,
     Subject,
     fit_soap,
-    kkt_residual,
     loco_cv_gamma,
     make_bspline_basis,
     objective,
@@ -468,9 +467,8 @@ class TestPsiStepPenalized:
             ata, rhs = self.normal_system(cubic_basis, rng)
             gamma = float(10 ** rng.uniform(-3, 1))
             res = psi_step_penalized(ata, rhs, cubic_basis.gram, cubic_basis.penalty, gamma)
-            resid = kkt_residual(
-                ata, rhs, cubic_basis.gram, cubic_basis.penalty, gamma, res.beta, res.multiplier
-            )
+            H = ata + gamma * cubic_basis.penalty
+            resid = np.linalg.norm(H @ res.beta - res.multiplier * (cubic_basis.gram @ res.beta) - rhs)
             assert resid <= 1e-8 * np.linalg.norm(rhs)
             assert res.score_scale == 1.0
             assert abs(res.beta @ cubic_basis.gram @ res.beta - 1.0) <= 1e-12
@@ -481,6 +479,24 @@ class TestPsiStepPenalized:
         res = psi_step_penalized(H - np.eye(3), rhs, np.eye(3), np.eye(3), 1.0)
         assert res.fallback
         assert abs(res.beta @ res.beta - 1.0) <= 1e-12
+        # the hard case is solved exactly: lam = mu_1 and, with z = d / gap on
+        # the other directions, beta = z + sqrt(1 - ||z||^2) v_1, whose
+        # objective is sum_j (mu_j z_j^2 - 2 d_j z_j) + mu_1 (1 - ||z||^2)
+        cases = [
+            (H, rhs, np.eye(3), 0.985),
+            # a repeated lowest eigenvalue
+            (np.diag([1.0, 1.0, 3.0]), np.array([0.0, 0.0, 0.5]), np.eye(3), 0.875),
+            # a non-identity G: mu = (1, 2, 3) with v_1 = e_1 / sqrt(2)
+            (np.diag([2.0, 2.0, 3.0]), rhs, np.diag([2.0, 1.0, 1.0]), 0.985),
+        ]
+        for H, rhs, G, optimum in cases:
+            res = psi_step_penalized(H - np.eye(3), rhs, G, np.eye(3), 1.0)
+            assert res.fallback
+            assert abs(res.beta @ G @ res.beta - 1.0) <= 1e-12
+            assert res.multiplier == sla.eigh(H, G)[0][0]
+            resid = np.linalg.norm(H @ res.beta - res.multiplier * (G @ res.beta) - rhs)
+            assert resid <= 1e-12 * np.linalg.norm(rhs)
+            assert abs(res.beta @ H @ res.beta - 2.0 * rhs @ res.beta - optimum) <= 1e-12
 
     @pytest.mark.parametrize("d1", [1e-6, 1e-9, 1e-12, 1e-30])
     def test_near_hard_case_solved_exactly(self, d1):
@@ -491,7 +507,7 @@ class TestPsiStepPenalized:
         assert not res.fallback
         assert np.all(np.isfinite(res.beta))
         assert abs(res.beta @ res.beta - 1.0) <= 1e-12
-        resid = kkt_residual(ata, rhs, eye, eye, 1.0, res.beta, res.multiplier)
+        resid = np.linalg.norm((ata + eye) @ res.beta - res.multiplier * (eye @ res.beta) - rhs)
         assert resid <= 1e-12 * np.linalg.norm(rhs)
 
     def test_repeated_lowest_eigenvalue(self):
