@@ -313,12 +313,14 @@ def _field(doc, key: str, section: str | None = None):
 
 
 def _converted(doc, key: str, convert, section: str | None = None, default=MISSING):
-    """``convert(doc[key])``; a value of the wrong type raises a ValueError
-    naming the key. With ``default`` given, a missing key yields it."""
+    """``convert(doc[key])``; a wrongly typed value (for int, also a bool or
+    a fraction) raises a ValueError naming the key; ``default`` fills a missing key."""
     if default is not MISSING and isinstance(doc, dict) and key not in doc:
         return default
     value = _field(doc, key, section)
     try:
+        if convert is int and (isinstance(value, bool) or not float(value).is_integer()):
+            raise ValueError(f"expected an integer, got {value!r}")
         return convert(value)
     except (TypeError, ValueError, OverflowError) as exc:
         raise ValueError(f"model key {_name(key, section)!r} has an invalid value: {exc}") from exc

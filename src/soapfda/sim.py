@@ -58,7 +58,7 @@ def check_orthonormal(f1, f2, domain, tol: float = 1e-10) -> None:
         abs(float(wts @ (v2 * v2)) - 1.0),
         abs(float(wts @ (v1 * v2))),
     )
-    if worst > tol:
+    if not worst <= tol:  # a NaN error fails too
         raise ValueError(f"component pair is not orthonormal (error {worst:.2e} > {tol:g})")
 
 
@@ -99,8 +99,8 @@ class SimulationConfig:
         lo, hi = self.ni_range
         if lo < 1 or hi < lo:
             raise ValueError(f"invalid ni_range {self.ni_range}")
-        if self.domain[0] >= self.domain[1]:
-            raise ValueError(f"invalid domain {self.domain}")
+        if not (all(math.isfinite(v) for v in self.domain) and self.domain[0] < self.domain[1]):
+            raise ValueError(f"domain must be finite with lo < hi, got {self.domain}")
 
     def component_pair(self) -> tuple[Callable, Callable]:
         pair = self.components if self.components is not None else cosine_pair(self.domain)

@@ -115,28 +115,18 @@ class _Workspace:
 
         With the weights ``w`` they hold all the score and component steps
         use of the rows, so those steps cost O(n L^2 M) whatever the number
-        of observations per subject; only the exact objective reads the rows.
+        of observations per subject; the objective and stage starts read rows.
         """
         return _subject_systems(self.B, self.y, self.sizes)
 
-    @cached_property
-    def ridge_coefs(self) -> np.ndarray:
-        """Per-subject basis coefficients from a small ridge fit, the init's
-        input: (S_i + lam I) c_i = T_i, one batched solve on the statistics."""
-        S, T = self.stats
-        lam = 1e-6 * np.trace(self.basis.gram)
-        eye = lam * np.eye(self.basis.size)
-        return sla.solve(S + eye, T[..., None], assume_a="pos")[..., 0]
-
     def drop_subject(self, i: int) -> "_Workspace":
         """Fold workspace with subject i removed: its rows deleted from the
-        parent's, and row i deleted from the parent's statistics and ridge fits."""
+        parent's, and row i deleted from the parent's statistics."""
         rows = self.rows(i)
         fold = _Workspace(
             self.basis, np.delete(self.B, rows, axis=0), np.delete(self.y, rows), np.delete(self.sizes, i)
         )
         fold.stats = tuple(np.delete(a, i, axis=0) for a in self.stats)
-        fold.ridge_coefs = np.delete(self.ridge_coefs, i, axis=0)
         return fold
 
 
@@ -511,27 +501,34 @@ def _orthonormal_against(v: np.ndarray, fixed: np.ndarray, gram: np.ndarray) -> 
     """G-normalize v after projecting out the fixed components; None if degenerate."""
     u = v.copy()
     for _ in range(2):  # repeated Gram-Schmidt for numerical orthogonality
-        if fixed.shape[1]:
-            u -= fixed @ (fixed.T @ (gram @ u))
+        u -= fixed @ (fixed.T @ (gram @ u))
     nrm2 = float(u @ gram @ u)
     if nrm2 > 1e-16 * max(1.0, float(v @ gram @ v)):
         return u / math.sqrt(nrm2)
     return None
 
 
-def _stage_inits(ws: _Workspace, fixed: np.ndarray) -> list[np.ndarray]:
+def _stage_inits(ws: _Workspace, fixed: np.ndarray, scores: np.ndarray) -> list[np.ndarray]:
     """Deterministic starting vectors for one component stage.
 
     The alternation is a local method, so each extraction is started from
-    the first usable leading ridge-SVD direction and from the first usable
+    the first usable leading moment direction and from the first usable
     basis function (dropped when parallel to the first start), and the best
     final objective wins. A direction is usable when it keeps a G-norm after
-    projecting out the fixed components.
+    projecting out the fixed components. The moment directions are the
+    G-eigenvectors, largest first, of K = sum_i v_i sum_{j != k} r_ij r_ik
+    b(t_ij) b(t_ik)', v_i = 1/(n_i (n_i - 1)) (0 for n_i = 1), with r the
+    residuals under the fixed components and their ``scores``: the raw
+    covariance of Yao, Mueller & Wang (2005) without its noisy diagonal.
     """
     gram = ws.basis.gram
-    _, _, vt = np.linalg.svd(ws.ridge_coefs, full_matrices=False)
+    r = ws.y - np.einsum("nm,nm->n", np.repeat(scores, ws.sizes, axis=0), ws.B @ fixed)
+    R = np.add.reduceat(ws.B * r[:, None], ws.offsets[:-1], axis=0)  # B_i'r_i
+    pw = np.where(ws.sizes > 1, 1.0 / np.maximum(ws.sizes * (ws.sizes - 1), 1), 0.0)
+    K = (R.T * pw) @ R - (ws.B.T * (np.repeat(pw, ws.sizes) * r * r)) @ ws.B
+    _, V = _generalized_eigh((K + K.T) / 2.0, gram)
     inits: list[np.ndarray] = []
-    for family in (vt, np.eye(ws.basis.size)):
+    for family in (V[:, ::-1].T, np.eye(ws.basis.size)):
         for v in family:
             u = _orthonormal_against(v, fixed, gram)
             if u is None:
@@ -555,7 +552,7 @@ def _extract_stage(ws: _Workspace, coef, scores, gammas):
     m = coef.shape[1]
     best = None
     last_error: SingularStepError | None = None
-    for beta0 in _stage_inits(ws, coef):
+    for beta0 in _stage_inits(ws, coef, scores):
         segment: list[float] = []
         try:
             result = _alternate(
@@ -667,8 +664,8 @@ def fit_soap(
 
     Components are extracted sequentially: component m is alternated to
     convergence with components 1..m-1 fixed (and is constrained orthogonal
-    to them), from two deterministic starts (the leading ridge-SVD direction
-    and the first basis function), keeping the better run. With M >= 2,
+    to them), from the two deterministic starts of ``_stage_inits`` (a
+    moment direction and a basis function), keeping the better run. With M >= 2,
     refinement sweeps then re-optimize each component in turn against all
     the others. Stages and sweeps run the same alternation: a joint score
     refit before every component update. Each stops when a cycle (a sweep)

@@ -378,6 +378,10 @@ class TestPredict:
             ({**good, "basis": {**good["basis"], "interior_knots": knots[:-1]}}, "'basis.interior_knots' has shape"),
             ({**good, "basis": {**good["basis"], "order": 1}}, "'basis.order'"),
             ({**good, "l": 3}, "'l' is 3, below basis.order 4"),
+            ({**good, "l": 10.7}, "'l' has an invalid value"),
+            ({**good, "l": True}, "'l' has an invalid value"),
+            ({**good, "m": True}, "'m' has an invalid value"),
+            ({**good, "basis": {**good["basis"], "order": 4.9}}, "'basis.order' has an invalid value"),
         ]
         for doc, expected in cases:
             bad = tmp_path / "bad_model.json"

@@ -81,6 +81,11 @@ class TestGeneration:
         with pytest.raises(ValueError, match="orthonormal"):
             cfg.component_pair()
 
+    def test_nan_pair_rejected(self):
+        nan = lambda t: np.full_like(np.asarray(t, dtype=float), np.nan)
+        with pytest.raises(ValueError, match="not orthonormal"):
+            check_orthonormal(nan, nan, (0.0, 1.0))
+
 
 class TestMetrics:
     def test_impe_zero_on_exact(self, rng):
@@ -236,6 +241,7 @@ class TestConfigFile:
             ("n_train = abc\n", r"sim\.cfg:1: key 'n_train'.*'abc'"),
             # a setting out of range is found after parsing, so no line
             ("n_test = 0\n", r"sim\.cfg: n_test must be >= 1, got 0"),
+            ("domain_hi = inf\n", r"sim\.cfg: domain must be finite with lo < hi, got \(0\.0, inf\)"),
         ],
     )
     def test_errors_name_file_and_key(self, tmp_path, text, expected):
@@ -258,6 +264,9 @@ class TestConfigFile:
             {"noise_sd": float("inf")},
             {"score_scales": (float("inf"), 1.0)},
             {"gamma_rates": (0.1, float("nan"))},
+            {"domain": (float("nan"), 1.0)},
+            {"domain": (0.0, float("inf"))},
+            {"domain": (1.0, 0.0)},
         ):
             (name,) = kwargs
             with pytest.raises(ValueError, match=name):
