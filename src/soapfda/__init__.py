@@ -19,6 +19,7 @@ from .core import (
     FitReport,
     LongitudinalDataset,
     Subject,
+    dataset_from_columns,
     load_model,
     read_long_csv,
     save_model,

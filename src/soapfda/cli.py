@@ -21,11 +21,11 @@ from . import selection
 from .basis import default_basis_size, make_bspline_basis, quantile_interior_knots
 from .core import (
     DataValidationError,
+    dataset_from_columns,
     dataset_to_rows,
     load_model,
     read_long_csv,
     save_model,
-    validate_dataset,
     write_csv,
     write_long_csv,
 )
@@ -100,8 +100,7 @@ def _parse_gamma_grid(text: str) -> list[float]:
 def _load_dataset(path, domain):
     if not os.path.exists(path):
         raise CliError(f"input file not found: {path}")
-    rows = read_long_csv(path)
-    return validate_dataset(rows, domain=domain)
+    return dataset_from_columns(*read_long_csv(path), domain)
 
 
 def _build_basis(dataset, args):
@@ -262,11 +261,12 @@ def cmd_simulate(args) -> int:
 def cmd_oracle_check(args) -> int:
     if not os.path.exists(args.input):
         raise CliError(f"input file not found: {args.input}")
-    rows = read_long_csv(args.input)
-    # the default domain is the grid's span; validate_dataset reports empty input
-    times = [t for _, t, _ in rows]
-    span = (min(times), max(times)) if times else None
-    dataset = validate_dataset(rows, domain=args.domain or span)
+    ids, t, y = read_long_csv(args.input)
+    # the default domain is the grid's span; dataset_from_columns reports empty
+    # input. argmin and argmax pick the first extreme in file order, as min()
+    # and max() on a list do, so a span bound is -0.0 only if the file says so first.
+    span = (t[t.argmin()], t[t.argmax()]) if t.size else None
+    dataset = dataset_from_columns(ids, t, y, args.domain or span)
     curve_set = dense_curves(dataset)
     model = fit_soap(dataset, _build_basis(dataset, args), args.m, 0.0)
 

@@ -5,6 +5,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+import numbers
 from dataclasses import MISSING, asdict, dataclass, field, fields
 from typing import Iterable, get_args, get_origin, get_type_hints
 
@@ -159,34 +160,68 @@ def validate_dataset(
 ) -> LongitudinalDataset:
     """Group (id, t, y) triples into a validated dataset.
 
-    This is the one place where rows become subjects. Rows are grouped by
-    subject id (``str(id)``) and sorted ascending by time within each
-    subject (stable, so exact time ties keep their input order). Subjects
-    are ordered by id as ``sorted()`` orders strings, making the result
-    independent of input row order. The domain defaults to (0, max observed
-    t) when not supplied.
+    Checks that each row has three fields, then hands the id, time and
+    value columns to ``dataset_from_columns``, which makes the subjects; an
+    error there names the row by its input index and repeats the caller's
+    own value.
 
     Raises
     ------
     DataValidationError
-        On empty input, a row without three fields, non-finite values or
-        out-of-domain times; the message names the first offending input
-        row index, and for a row with a non-finite time and value, the time.
+        On a row without three fields, and on everything
+        ``dataset_from_columns`` rejects, empty input included.
     """
     rows = list(raw)
-    if not rows:
-        raise DataValidationError("empty input: no observation rows")
     lengths = np.fromiter(map(len, rows), dtype=np.intp, count=len(rows))
     if np.any(lengths != 3):
         idx = int(np.argmax(lengths != 3))
         raise DataValidationError(f"row {idx}: expected (id, t, y), got {rows[idx]!r}")
+    ids, t, y = tuple(zip(*rows)) or ((), (), ())
+    return dataset_from_columns(ids, t, y, domain)
 
-    ids, t, y = zip(*rows)
-    t, y = np.array(t, dtype=float), np.array(y, dtype=float)
+
+def _given(column, idx):
+    """Entry ``idx`` of a column as the caller gave it; a Python scalar for an array."""
+    return column[idx].item() if isinstance(column, np.ndarray) else column[idx]
+
+
+def dataset_from_columns(ids, t, y, domain: tuple[float, float] | None = None) -> LongitudinalDataset:
+    """Group observation columns into a validated dataset.
+
+    This is the one place where observations become subjects: row k is
+    (``ids[k]``, ``t[k]``, ``y[k]``). Rows are grouped by subject id
+    (``str(id)``) and sorted ascending by time within each subject (stable,
+    so exact time ties keep their input order). Subjects are ordered by id
+    as ``sorted()`` orders strings, making the result independent of input
+    row order. The domain defaults to (0, max observed t) when not supplied.
+    The subjects' arrays are read-only slices of two sorted copies, so the
+    caller's columns are neither kept nor changed.
+
+    Raises
+    ------
+    DataValidationError
+        On empty or unequal columns, non-finite values or out-of-domain
+        times; the message names the first offending row index, and for a
+        row with a non-finite time and value, the time. It repeats the
+        offending value as the caller gave it (as a Python float when the
+        column is an array).
+    """
+    t_in, y_in = t, y
+    t, y = np.asarray(t, dtype=float), np.asarray(y, dtype=float)
+    if t.shape != (len(ids),) or y.shape != (len(ids),):
+        raise DataValidationError(
+            f"ids, t and y must be columns of equal length, got {len(ids)} ids "
+            f"and shapes {t.shape} and {y.shape}"
+        )
+    if not len(ids):
+        raise DataValidationError("empty input: no observation rows")
+
     bad = ~np.isfinite(np.column_stack([t, y])).ravel()  # row by row, time before value
     if np.any(bad):
         idx, col = divmod(int(np.argmax(bad)), 2)
-        raise DataValidationError(f"row {idx}: non-finite {('time', 'value')[col]} {rows[idx][col + 1]!r}")
+        raise DataValidationError(
+            f"row {idx}: non-finite {('time', 'value')[col]} {_given((t_in, y_in)[col], idx)!r}"
+        )
 
     if domain is None:
         domain = (0.0, t.max())
@@ -196,7 +231,7 @@ def validate_dataset(
     outside = ~((lo <= t) & (t <= hi))
     if np.any(outside):
         idx = int(np.argmax(outside))
-        raise DataValidationError(f"row {idx}: time {rows[idx][1]} outside domain [{lo}, {hi}]")
+        raise DataValidationError(f"row {idx}: time {_given(t_in, idx)} outside domain [{lo}, {hi}]")
 
     sids = list(map(str, ids))
     names = sorted(set(sids))
@@ -218,8 +253,23 @@ def validate_dataset(
 CSV_HEADER = ("subject_id", "t", "y")
 
 
-def read_long_csv(path) -> list[tuple[str, float, float]]:
-    """Read (id, t, y) triples from a long-format CSV with the standard header."""
+def read_long_csv(path) -> tuple[list[str], np.ndarray, np.ndarray]:
+    """Read a long-format CSV with the standard header into three columns.
+
+    Returns ``(ids, t, y)``: the subject ids as strings and the times and
+    values as float arrays, each converted by ``float()``, one entry per
+    record in file order; blank lines are skipped. No per-record object is
+    kept, so a large file leaves only the three columns behind. A header
+    with no records gives empty columns, which ``dataset_from_columns``
+    rejects as empty input.
+
+    Raises
+    ------
+    DataValidationError
+        On a wrong or missing header, and on the first record in file order
+        without three fields or with a field ``float()`` rejects (the time
+        before the value); the message names its line, counting records.
+    """
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
@@ -227,17 +277,34 @@ def read_long_csv(path) -> list[tuple[str, float, float]]:
             raise DataValidationError(
                 f"expected header {','.join(CSV_HEADER)}, got {header!r}"
             )
-        rows = []
-        for lineno, rec in enumerate(reader, start=2):
-            if not rec:
-                continue
-            if len(rec) != 3:
-                raise DataValidationError(f"line {lineno}: expected 3 fields, got {len(rec)}")
-            try:
-                rows.append((rec[0], float(rec[1]), float(rec[2])))
-            except ValueError as exc:
-                raise DataValidationError(f"line {lineno}: {exc}") from exc
-    return rows
+        ids, ts, ys = [], [], []
+        try:
+            for sid, t_text, y_text in filter(None, reader):
+                ids.append(sid)
+                ts.append(t_text)
+                ys.append(y_text)
+            t = np.fromiter(map(float, ts), dtype=float, count=len(ts))
+            y = np.fromiter(map(float, ys), dtype=float, count=len(ys))
+        except ValueError:
+            fh.seek(0)
+            _raise_first_bad_record(csv.reader(fh))
+            raise
+    return ids, t, y
+
+
+def _raise_first_bad_record(reader) -> None:
+    """Raise the error of the first record, after the header, that has not
+    three fields or a time or value ``float()`` rejects."""
+    next(reader)
+    for lineno, rec in enumerate(reader, start=2):
+        if not rec:
+            continue
+        if len(rec) != 3:
+            raise DataValidationError(f"line {lineno}: expected 3 fields, got {len(rec)}")
+        try:
+            float(rec[1]), float(rec[2])
+        except ValueError as exc:
+            raise DataValidationError(f"line {lineno}: {exc}") from exc
 
 
 def write_csv(path, header, columns) -> None:
@@ -313,20 +380,48 @@ def _field(doc, key: str, section: str | None = None):
 
 
 def _converted(doc, key: str, convert, section: str | None = None, default=MISSING):
-    """``convert(doc[key])``; a wrongly typed value (for int, also a bool or
-    a fraction) raises a ValueError naming the key; ``default`` fills a missing key."""
+    """``convert(doc[key])``; a wrongly typed value raises a ValueError naming
+    the key; ``default`` fills a missing key."""
     if default is not MISSING and isinstance(doc, dict) and key not in doc:
         return default
     value = _field(doc, key, section)
     try:
-        if convert is int and (isinstance(value, bool) or not float(value).is_integer()):
-            raise ValueError(f"expected an integer, got {value!r}")
         return convert(value)
     except (TypeError, ValueError, OverflowError) as exc:
         raise ValueError(f"model key {_name(key, section)!r} has an invalid value: {exc}") from exc
 
 
-def _finite(doc, key: str, section: str | None = None, convert=lambda v: np.asarray(v, dtype=float)):
+def _number(value):
+    """``value`` if it is a number; a string, a boolean or null raises."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(f"expected a number, got {value!r}")
+    return value
+
+
+def _as_int(value) -> int:
+    if not float(_number(value)).is_integer():
+        raise ValueError(f"expected an integer, got {value!r}")
+    return int(value)
+
+
+def _as_float(value) -> float:
+    return float(_number(value))
+
+
+def _as_bool(value) -> bool:
+    if not isinstance(value, (bool, np.bool_)):
+        raise ValueError(f"expected true or false, got {value!r}")
+    return bool(value)
+
+
+def _as_floats(value) -> np.ndarray:
+    """A number, or nested lists of numbers, as a float array."""
+    for item in np.asarray(value, dtype=object).flat:
+        _number(item)
+    return np.asarray(value, dtype=float)
+
+
+def _finite(doc, key: str, section: str | None = None, convert=_as_floats):
     """``doc[key]`` as a float array (or through ``convert``), all entries finite."""
     value = _converted(doc, key, convert, section)
     if not np.all(np.isfinite(value)):
@@ -334,13 +429,23 @@ def _finite(doc, key: str, section: str | None = None, convert=lambda v: np.asar
     return value
 
 
+_AS_SCALAR = {bool: _as_bool, int: _as_int, float: _as_float}
+
+
 def _converter(hint):
     """The function that reads a JSON value back as type ``hint``: a scalar
-    type itself, or a tuple of one item type."""
+    type, or a tuple of one item type read from a list. A bool is only a
+    JSON boolean, an int only an integral number and a float only a number."""
     if get_origin(hint) is tuple:
-        item = get_args(hint)[0]
-        return lambda values: tuple(item(v) for v in values)
-    return hint
+        item = _AS_SCALAR[get_args(hint)[0]]
+
+        def convert(values):
+            if not isinstance(values, (list, tuple)):
+                raise ValueError(f"expected a list, got {values!r}")
+            return tuple(map(item, values))
+
+        return convert
+    return _AS_SCALAR[hint]
 
 
 # a fitted model's coefficients are G-orthonormal to about 1e-16
@@ -351,7 +456,9 @@ def model_from_dict(doc: dict) -> FecModel:
     """Rebuild a fitted model from ``model_to_dict`` output.
 
     The document comes from outside the program, so each of these raises a
-    ValueError that names the key: a missing key, a value of the wrong type,
+    ValueError that names the key: a missing key, a value of the wrong type
+    (a bool field takes only a JSON boolean, an int only an integral number
+    and a float only a number, in a list as alone; a string never passes),
     a non-finite ``coef``, ``scores``, ``gammas`` or ``noise_var``, a ``coef``
     or ``scores`` whose shape does not match ``l`` and ``m``, and a ``coef``
     whose columns are not G-orthonormal to 1e-8; so does a basis that
@@ -373,8 +480,8 @@ def model_from_dict(doc: dict) -> FecModel:
     lo, hi = float(domain[0]), float(domain[1])
     if lo >= hi:
         raise ValueError(f"model key 'basis.domain' is ({lo}, {hi}), not an interval")
-    L, M = _converted(doc, "l", int), _converted(doc, "m", int)
-    order = _converted(b, "order", int, "basis")
+    L, M = _converted(doc, "l", _as_int), _converted(doc, "m", _as_int)
+    order = _converted(b, "order", _as_int, "basis")
     if order < 2:
         raise ValueError(f"model key 'basis.order' is {order}, expected >= 2")
     if L < order:
@@ -410,7 +517,7 @@ def model_from_dict(doc: dict) -> FecModel:
         coef=coef,
         scores=scores,
         gammas=_finite(doc, "gammas"),
-        noise_var=_finite(doc, "noise_var", convert=float),
+        noise_var=_finite(doc, "noise_var", convert=_as_float),
         report=report,
     )
     err = model.orthonormality_error()

@@ -15,7 +15,7 @@ from typing import Callable
 import numpy as np
 
 from .basis import default_basis_size, make_bspline_basis
-from .core import LongitudinalDataset, validate_dataset
+from .core import LongitudinalDataset, dataset_from_columns
 from .oracle import sign_aligned_imse
 from .predict import default_grid, predict_trajectories
 from .solver import fit_soap
@@ -162,15 +162,17 @@ def gen_sparse_dataset(
     lo, hi = config.domain
     ni_lo, ni_hi = config.ni_range
     width = len(str(max(n, 1)))
-    rows = []
+    # the empty first arrays make n = 0 empty columns, which dataset_from_columns rejects
+    ids, ts, ys = [], [np.empty(0)], [np.empty(0)]
     for i in range(n):
         n_i = int(rng.integers(ni_lo, ni_hi + 1))
         t = np.sort(rng.uniform(lo, hi, size=n_i))
         x = scores[i, 0] * f1(t) + scores[i, 1] * f2(t)
         y = x + rng.normal(0.0, config.noise_sd, size=n_i) if config.noise_sd > 0 else x
-        sid = f"s{i:0{width}d}"
-        rows.extend((sid, float(tj), float(yj)) for tj, yj in zip(t, y))
-    dataset = validate_dataset(rows, domain=config.domain)
+        ids += [f"s{i:0{width}d}"] * n_i
+        ts.append(t)
+        ys.append(y)
+    dataset = dataset_from_columns(ids, np.concatenate(ts), np.concatenate(ys), config.domain)
     return dataset, scores, TrueCurves(scores=scores, f1=f1, f2=f2)
 
 

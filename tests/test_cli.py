@@ -9,7 +9,7 @@ import sys
 import numpy as np
 import pytest
 
-from soapfda import FitReport, SimulationConfig, cli, fit_soap, gen_sparse_dataset, solver, validate_dataset
+from soapfda import FitReport, SimulationConfig, cli, dataset_from_columns, fit_soap, gen_sparse_dataset, solver
 from soapfda.cli import main
 from soapfda.core import dataset_to_rows, load_model, read_long_csv, write_long_csv
 from soapfda.basis import eval_basis_matrix, make_bspline_basis
@@ -155,7 +155,7 @@ class TestFit:
         )
         assert status == 0
         report = json.loads((out / "report.json").read_text())
-        ds = validate_dataset(read_long_csv(sparse_fixture), (0.0, 1.0))
+        ds = dataset_from_columns(*read_long_csv(sparse_fixture), (0.0, 1.0))
         model = fit_soap(ds, make_bspline_basis((0.0, 1.0), 8, 4), 2, 0.001)
         assert report["n_fallbacks"] == model.report.n_fallbacks
         saved = json.loads((out / "model.json").read_text())["report"]
@@ -173,7 +173,7 @@ class TestFit:
             "--domain", "0,1", "--m", "2", "--gamma", "0.001", "--basis-size", "8",
         )
         assert status == 0
-        ds = validate_dataset(read_long_csv(sparse_fixture), (0.0, 1.0))
+        ds = dataset_from_columns(*read_long_csv(sparse_fixture), (0.0, 1.0))
         fitted = fit_soap(ds, make_bspline_basis((0.0, 1.0), 8, 4), 2, 0.001).report
         loaded = load_model(out / "model.json").report
         report = json.loads((out / "report.json").read_text())
@@ -382,6 +382,25 @@ class TestPredict:
             ({**good, "l": True}, "'l' has an invalid value"),
             ({**good, "m": True}, "'m' has an invalid value"),
             ({**good, "basis": {**good["basis"], "order": 4.9}}, "'basis.order' has an invalid value"),
+            *[
+                ({**good, "report": {**good["report"], key: value}}, f"'report.{key}' has an invalid value{detail}")
+                for key, value, detail in [
+                    ("stage_cycles", [29.7, 3], ": expected an integer, got 29.7"),
+                    ("stage_cycles", [True], ""),
+                    ("stage_cycles", "12", ""),
+                    ("stage_capped", ["no", "no"], ": expected true or false, got 'no'"),
+                    ("converged", "no", ""),
+                    ("sweeps_capped", 0.5, ""),
+                    ("n_sweeps", "2", ""),
+                    ("final_objective", "1.5", ""),
+                    ("loss_trace", [1.0, None], ""),
+                ]
+            ],
+            ({**good, "noise_var": "1.5"}, "'noise_var' has an invalid value: expected a number, got '1.5'"),
+            ({**good, "noise_var": True}, "'noise_var' has an invalid value"),
+            ({**good, "gammas": ["0"] * len(good["gammas"])}, "'gammas' has an invalid value: expected a number"),
+            ({**good, "coef": [False] + good["coef"][1:]}, "'coef' has an invalid value"),
+            ({**good, "l": "8"}, "'l' has an invalid value"),
         ]
         for doc, expected in cases:
             bad = tmp_path / "bad_model.json"
@@ -416,7 +435,8 @@ class TestSimulate:
         run_cli("simulate", "--config", str(cfg), "--output-dir", str(out),
                 "--reps", "1", "--basis-size", "6", "--dump-data")
         from soapfda.sim import draw_replication, parse_config_file
-        rows = read_long_csv(out / "train_000.csv")
+        ids, t, y = read_long_csv(out / "train_000.csv")
+        rows = list(zip(ids, t.tolist(), y.tolist()))
         assert len({r[0] for r in rows}) == 10
         train, _, _ = draw_replication(parse_config_file(cfg), 0)
         assert rows == dataset_to_rows(train)

@@ -1,3 +1,5 @@
+import csv
+import gc
 import math
 
 import numpy as np
@@ -8,6 +10,7 @@ from soapfda import (
     FecModel,
     FitReport,
     Subject,
+    dataset_from_columns,
     make_bspline_basis,
     validate_dataset,
 )
@@ -50,6 +53,50 @@ def reference_validate(rows, domain=None):
         order = np.argsort(t, kind="stable")
         subjects.append((sid, t[order], y[order]))
     return (lo, hi), subjects
+
+
+def reference_read(path):
+    """The per-row reader: one (id, t, y) tuple per record, numbered from
+    the header's line 1 with blank records counted; raises
+    DataValidationError like read_long_csv."""
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if header is None or tuple(h.strip() for h in header) != ("subject_id", "t", "y"):
+            raise DataValidationError(f"expected header subject_id,t,y, got {header!r}")
+        rows = []
+        for lineno, rec in enumerate(reader, start=2):
+            if not rec:
+                continue
+            if len(rec) != 3:
+                raise DataValidationError(f"line {lineno}: expected 3 fields, got {len(rec)}")
+            try:
+                rows.append((rec[0], float(rec[1]), float(rec[2])))
+            except ValueError as exc:
+                raise DataValidationError(f"line {lineno}: {exc}") from exc
+    return rows
+
+
+def read_outcome(fn, path):
+    try:
+        return fn(path)
+    except DataValidationError as exc:
+        return str(exc)
+
+
+def assert_reads_like_reference(path):
+    """read_long_csv gives the reference's rows as bitwise-equal columns,
+    or its message; returns the reference outcome."""
+    want, got = read_outcome(reference_read, path), read_outcome(read_long_csv, path)
+    if isinstance(want, str):
+        assert got == want
+        return want
+    ids, t, y = got
+    assert ids == [r[0] for r in want]
+    assert t.dtype == y.dtype == np.float64
+    assert t.tobytes() == np.array([r[1] for r in want], dtype=float).tobytes()
+    assert y.tobytes() == np.array([r[2] for r in want], dtype=float).tobytes()
+    return want
 
 
 def outcome(fn, rows, domain):
@@ -210,12 +257,41 @@ class TestValidateDataset:
             ds.subjects[0].t[0] = 0.9
 
 
+class TestDatasetFromColumns:
+    @pytest.mark.parametrize(
+        "t, y, message",
+        [
+            ([0.1, math.nan], [1.0, 2.0], "row 1: non-finite time nan"),
+            ([0.1, 0.2], [1.0, -math.inf], "row 1: non-finite value -inf"),
+            ([0.1, 1.5], [1.0, 2.0], "row 1: time 1.5 outside domain [0.0, 1.0]"),
+        ],
+    )
+    def test_array_columns_named_as_rows_are(self, t, y, message):
+        rows = list(zip(["a", "b"], t, y))
+        assert outcome(reference_validate, rows, (0.0, 1.0)) == message
+        with pytest.raises(DataValidationError) as info:
+            dataset_from_columns(["a", "b"], np.array(t), np.array(y), (0.0, 1.0))
+        assert str(info.value) == message
+
+    def test_unequal_columns_rejected(self):
+        with pytest.raises(DataValidationError, match="equal length, got 2 ids and shapes"):
+            dataset_from_columns(["a", "b"], np.array([0.1]), np.array([1.0, 2.0]))
+
+    def test_caller_columns_unchanged(self):
+        t, y = np.array([0.2, 0.1]), np.array([1.0, 2.0])
+        ds = dataset_from_columns(["a", "a"], t, y, (0.0, 1.0))
+        assert t.flags.writeable and t.tolist() == [0.2, 0.1]
+        np.testing.assert_array_equal(ds.subjects[0].t, [0.1, 0.2])
+        np.testing.assert_array_equal(ds.subjects[0].y, [2.0, 1.0])
+
+
 class TestCsvRoundTrip:
     def test_round_trip(self, tmp_path, rng):
         rows = [(f"s{i}", float(rng.uniform()), float(rng.normal())) for i in range(20)]
         path = tmp_path / "data.csv"
         write_long_csv(path, rows)
-        back = read_long_csv(path)
+        ids, t, y = read_long_csv(path)
+        back = list(zip(ids, t.tolist(), y.tolist()))
         assert back == [(sid, t, y) for sid, t, y in rows]
         ds = validate_dataset(back, (0.0, 1.0))
         again = validate_dataset(dataset_to_rows(ds), (0.0, 1.0))
@@ -242,6 +318,72 @@ class TestCsvRoundTrip:
         path.write_text("subject_id,t,y\na,0.1,oops\n")
         with pytest.raises(DataValidationError, match="line 2"):
             read_long_csv(path)
+
+
+class TestReadLongCsv:
+    def test_round_trip_with_awkward_ids(self, tmp_path, rng):
+        ids = ["a,b", 'say "hi"', " lead", "Zoë", "北京", "10", "9", "10"]
+        rows = [(sid, float(t), float(v)) for sid, t, v in zip(ids, rng.uniform(size=8), rng.normal(size=8))]
+        rows.append(("9", 5e-324, -0.0))
+        path = tmp_path / "data.csv"
+        write_long_csv(path, rows)
+        assert b"\r\n" in path.read_bytes()
+        assert assert_reads_like_reference(path) == rows
+        ds = dataset_from_columns(*read_long_csv(path))
+        assert ds.ids == (" lead", "10", "9", "Zoë", "a,b", 'say "hi"', "北京")
+        assert [s.n_obs for s in ds.subjects] == [1, 2, 2, 1, 1, 1, 1]
+
+    def test_crlf_and_blank_lines_between_records(self, tmp_path):
+        path = tmp_path / "data.csv"
+        path.write_bytes(b"subject_id,t,y\r\n\r\na,0.1,1\r\n\r\n\r\nb,0.2,2\n\nc,0.3,3e2\r\n\n")
+        assert assert_reads_like_reference(path) == [("a", 0.1, 1.0), ("b", 0.2, 2.0), ("c", 0.3, 300.0)]
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("id,time,value\na,0.1,2\n", "expected header subject_id,t,y, got ['id', 'time', 'value']"),
+            ("", "expected header subject_id,t,y, got None"),
+            ("a,0.1\n", "line 3: expected 3 fields, got 2"),
+            ("a,0.1,1,9\n", "line 3: expected 3 fields, got 4"),
+            ("a,zz,1\n", "line 3: could not convert string to float: 'zz'"),
+            ("a,0.1,oops\n", "line 3: could not convert string to float: 'oops'"),
+            # the first bad line in file order, the time before the value
+            ("a,x,y\n", "line 3: could not convert string to float: 'x'"),
+            ("b,0.2,oops\na,zz,1\n", "line 3: could not convert string to float: 'oops'"),
+            ("a,zz,1\nb,0.2\n", "line 3: could not convert string to float: 'zz'"),
+            ("a,0.1\nb,zz,1\n", "line 3: expected 3 fields, got 2"),
+            # blank lines count toward the line number
+            ("\n\nb,0.2,1\n\r\nc,0.3\n", "line 7: expected 3 fields, got 2"),
+            ("\n\nb,0.2,1\n\nc,0.3,\n", "line 7: could not convert string to float: ''"),
+        ],
+    )
+    def test_malformed_file_named_like_reference(self, tmp_path, text, message):
+        path = tmp_path / "bad.csv"
+        body = text if text.startswith("id,") or not text else "subject_id,t,y\n\n" + text
+        path.write_text(body, encoding="utf-8")
+        assert assert_reads_like_reference(path) == message
+
+    def test_header_without_rows_is_empty_input(self, tmp_path):
+        path = tmp_path / "empty.csv"
+        path.write_text("subject_id,t,y\n\n")
+        assert assert_reads_like_reference(path) == []
+        with pytest.raises(DataValidationError, match="^empty input: no observation rows$"):
+            dataset_from_columns(*read_long_csv(path))
+
+    def test_no_per_row_objects_kept(self, tmp_path):
+        grid = np.linspace(0.0, 1.0, 401)
+        path = tmp_path / "dense.csv"
+        write_long_csv(path, [(f"s{i:02d}", t, t * i) for i in range(50) for t in grid.tolist()])
+        gc.collect()
+        gc.disable()  # a collection would untrack the tuples the per-row reader keeps
+        try:
+            before = len(gc.get_objects())
+            columns = read_long_csv(path)
+            grown = len(gc.get_objects()) - before
+        finally:
+            gc.enable()
+        assert len(columns[0]) == 20_050
+        assert grown < 100
 
 
 class TestFecModel:
