@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 from scipy.interpolate import BSpline
@@ -55,6 +56,13 @@ class BasisSystem:
     @property
     def degree(self) -> int:
         return self.order - 1
+
+    @cached_property
+    def _spline(self) -> BSpline:
+        """Every basis function as one spline with identity coefficients,
+        built on first use and kept in the instance ``__dict__``, so it is
+        not a field: equality, ``asdict`` and the model file ignore it."""
+        return BSpline(self.knots, np.eye(self.size), self.degree)
 
 
 def default_basis_size(n_obs_total: int, order: int = 4) -> int:
@@ -158,11 +166,11 @@ def _gram_and_penalty(knots, order, lo, hi, interior, size):
 
 
 def eval_basis_matrix(basis: BasisSystem, times) -> np.ndarray:
-    """Evaluate all basis functions at the given times, as one dense spline
-    with identity coefficients; rows sum to 1."""
+    """Evaluate all basis functions at the given times, as the basis's one
+    dense spline with identity coefficients; rows sum to 1."""
     times = np.atleast_1d(np.asarray(times, dtype=float))
     lo, hi = basis.domain
     if times.size and (times.min() < lo or times.max() > hi):
         raise ValueError(f"evaluation times outside domain [{lo}, {hi}]")
-    return BSpline(basis.knots, np.eye(basis.size), basis.degree)(times)
+    return basis._spline(times)
 

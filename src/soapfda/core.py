@@ -11,7 +11,7 @@ from typing import Iterable, get_args, get_origin, get_type_hints
 
 import numpy as np
 
-from .basis import BasisSystem, _freeze, make_bspline_basis
+from .basis import BasisSystem, _freeze, eval_basis_matrix, make_bspline_basis
 
 
 class DataValidationError(ValueError):
@@ -144,8 +144,6 @@ class FecModel:
 
     def component_values(self, grid) -> np.ndarray:
         """Values of every component at the grid points, shape (len(grid), M)."""
-        from .basis import eval_basis_matrix
-
         return eval_basis_matrix(self.basis, grid) @ self.coef
 
     def orthonormality_error(self) -> float:
@@ -268,7 +266,7 @@ def read_long_csv(path) -> tuple[list[str], np.ndarray, np.ndarray]:
     DataValidationError
         On a wrong or missing header, and on the first record in file order
         without three fields or with a field ``float()`` rejects (the time
-        before the value); the message names its line, counting records.
+        before the value); the message names the line the record starts on.
     """
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
@@ -294,9 +292,13 @@ def read_long_csv(path) -> tuple[list[str], np.ndarray, np.ndarray]:
 
 def _raise_first_bad_record(reader) -> None:
     """Raise the error of the first record, after the header, that has not
-    three fields or a time or value ``float()`` rejects."""
+    three fields or a time or value ``float()`` rejects, naming the
+    physical line on which the record starts (a quoted field may span
+    lines, so this is not the record count)."""
     next(reader)
-    for lineno, rec in enumerate(reader, start=2):
+    start = reader.line_num + 1
+    for rec in reader:
+        lineno, start = start, reader.line_num + 1
         if not rec:
             continue
         if len(rec) != 3:

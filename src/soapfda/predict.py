@@ -43,19 +43,21 @@ class MspeReport:
         }
 
 
-def _project(subjects: Sequence[Subject], model: FecModel) -> np.ndarray:
+def _project(subjects: Sequence[Subject], model: FecModel, stacklevel: int = 3) -> np.ndarray:
     """Scores of every subject, (len(subjects), M).
 
     The rows come from ``_stack``, as the fit's do, and the systems from
     ``_subject_systems``, as the fit's final refit does, so a subject's
-    scores do not depend on which subjects share the call.
+    scores do not depend on which subjects share the call. ``stacklevel``
+    is that of the vanishing-subject warning: 3 points at the caller of a
+    public function that calls this one directly.
     """
     gram, rhs = _subject_systems(*_stack(subjects, model.basis), model.coef)
     for i in np.flatnonzero(~gram.any(axis=(1, 2))):
         warnings.warn(
             f"subject {subjects[i].id}: all components vanish at its observation times; "
             "returning zero scores",
-            stacklevel=3,
+            stacklevel=stacklevel,
         )
     return _solve_scores(gram, rhs)[0]
 
@@ -71,26 +73,53 @@ def project_scores(subject: Subject, model: FecModel) -> np.ndarray:
     return _project([subject], model)[0]
 
 
-def predict_trajectories(subjects: Sequence[Subject], model: FecModel, grid) -> list[TrajectoryEstimate]:
-    """Project every subject's scores and reconstruct it on the grid.
+def _grid_values(model: FecModel, grid: np.ndarray) -> np.ndarray:
+    """``model.component_values(grid)``, evaluated once for a run of calls
+    on equal grids.
 
-    Scores are projected in batches (see ``project_scores``) and the
-    components are evaluated on the grid once for all subjects.
+    The model keeps its last grid's key and values as one tuple in its
+    ``__dict__``, so a reader never pairs one grid's key with another's
+    values. The key is the float64 grid's shape and bytes, not its
+    identity, so a grid edited in place is evaluated again; it holds the
+    coefficients' bytes too, since the model's ``coef`` is a read-only view
+    of an array its caller may still edit.
     """
+    key = (grid.shape, grid.tobytes(), model.coef.tobytes())
+    memo = model.__dict__.get("_grid_values")
+    if memo is None or memo[0] != key:
+        memo = (key, model.component_values(grid))
+        object.__setattr__(model, "_grid_values", memo)
+    return memo[1]
+
+
+def _trajectories(subjects: Sequence[Subject], model: FecModel, grid) -> list[TrajectoryEstimate]:
     grid = np.asarray(grid, dtype=float)
-    phi = model.component_values(grid)
+    phi = _grid_values(model, grid)
     if not subjects:
         return []
-    scores = _project(subjects, model)
+    scores = _project(subjects, model, stacklevel=4)
     return [
         TrajectoryEstimate(subject_id=s.id, grid=grid, values=phi @ a, scores=a)
         for s, a in zip(subjects, scores)
     ]
 
 
+def predict_trajectories(subjects: Sequence[Subject], model: FecModel, grid) -> list[TrajectoryEstimate]:
+    """Project every subject's scores and reconstruct it on the grid.
+
+    Scores are projected in batches (see ``project_scores``) and the
+    components are evaluated on the grid once for all subjects, and not
+    again while the model's next calls use an equal grid.
+    """
+    return _trajectories(subjects, model, grid)
+
+
 def predict_trajectory(subject: Subject, model: FecModel, grid) -> TrajectoryEstimate:
-    """Project a subject's scores and reconstruct it on the grid."""
-    return predict_trajectories([subject], model, grid)[0]
+    """Project a subject's scores and reconstruct it on the grid.
+
+    Repeated calls with one model and an equal grid evaluate the grid once.
+    """
+    return _trajectories([subject], model, grid)[0]
 
 
 def default_grid(domain: tuple[float, float], size: int = 101) -> np.ndarray:

@@ -1,4 +1,7 @@
+import copy
+import dataclasses
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -6,11 +9,17 @@ from scipy.integrate import quad
 from scipy.interpolate import BSpline
 
 from soapfda import (
+    FecModel,
+    Subject,
     eval_basis_matrix,
+    load_model,
     make_bspline_basis,
+    predict_trajectory,
     quantile_interior_knots,
+    save_model,
 )
-from soapfda.basis import default_basis_size
+from soapfda.basis import BasisSystem, default_basis_size
+from soapfda.core import model_to_dict
 
 
 def bernstein_mass_matrix():
@@ -184,3 +193,59 @@ class TestOrderTwo:
         assert np.all(basis.penalty == 0)
         ts = np.linspace(0, 1, 41)
         np.testing.assert_allclose(eval_basis_matrix(basis, ts).sum(axis=1), 1.0, atol=1e-12)
+
+
+def model_on(basis):
+    coef = np.linalg.cholesky(np.linalg.inv(basis.gram))[:, :2]  # G-orthonormal columns
+    return FecModel(basis=basis, coef=coef, scores=np.ones((3, 2)), gammas=np.zeros(2), noise_var=0.0)
+
+
+def check_times(basis):
+    """Both domain ends, every knot and 101 grid points."""
+    lo, hi = basis.domain
+    return np.concatenate([[lo, hi], basis.knots, np.linspace(lo, hi, 101)])
+
+
+class TestCachedSpline:
+    def test_matches_a_fresh_identity_spline(self, tmp_path):
+        made = make_bspline_basis((0.0, 2.0), 9, 4)
+        uneven = make_bspline_basis((-1.0, 1.5), 7, 3, interior_knots=[-0.9, 0.3, 0.35, 1.2])
+        by_hand = BasisSystem(
+            domain=uneven.domain,
+            order=uneven.order,
+            interior_knots=uneven.interior_knots.copy(),
+            knots=uneven.knots.copy(),
+            size=uneven.size,
+            gram=uneven.gram.copy(),
+            penalty=uneven.penalty.copy(),
+        )
+        save_model(model_on(make_bspline_basis((0.5, 3.0), 12, 5)), tmp_path / "model.json")
+        loaded = load_model(tmp_path / "model.json").basis
+        for basis in (made, by_hand, loaded):
+            ts = check_times(basis)
+            ref = BSpline(basis.knots, np.eye(basis.size), basis.degree)(ts)
+            for _ in range(2):  # the first call builds the spline, the second reuses it
+                assert eval_basis_matrix(basis, ts).tobytes() == ref.tobytes()
+
+    def test_used_basis_and_model_copy_and_save_alike(self):
+        basis = make_bspline_basis((0.0, 1.0), 8, 4)
+        model = model_on(basis)
+        grid = np.linspace(0.0, 1.0, 101)
+        subject = Subject(id="s", t=np.array([0.2, 0.5, 0.9]), y=np.array([1.0, -1.0, 2.0]))
+        doc = model_to_dict(model)
+        values = predict_trajectory(subject, model, grid).values
+        rows = eval_basis_matrix(basis, check_times(basis))
+        assert model_to_dict(model) == doc
+
+        def pickled(obj):
+            return pickle.loads(pickle.dumps(obj))
+
+        for clone in (pickled, copy.deepcopy, dataclasses.replace):
+            assert eval_basis_matrix(clone(basis), check_times(basis)).tobytes() == rows.tobytes()
+            again = clone(model)
+            assert predict_trajectory(subject, again, grid).values.tobytes() == values.tobytes()
+            assert model_to_dict(again) == doc
+        flipped = dataclasses.replace(model, coef=-model.coef)
+        traj = predict_trajectory(subject, flipped, grid)
+        fresh = eval_basis_matrix(basis, grid) @ flipped.coef
+        assert traj.values.tobytes() == (fresh @ traj.scores).tobytes()

@@ -363,6 +363,24 @@ class TestReadLongCsv:
         path.write_text(body, encoding="utf-8")
         assert assert_reads_like_reference(path) == message
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            # the short record starts on line 4, after a record on lines 2-3
+            ('"a\nb",0.1,1\nc,0.2\n', "line 4: expected 3 fields, got 2"),
+            ('"a\r\nb",0.1,1\r\n\r\nc,0.2\r\n', "line 5: expected 3 fields, got 2"),
+            # a bad value inside a record that spans lines 4-5 is on line 4
+            ('"a\nb",0.1,1\n"c\nd",0.2,oops\n', "line 4: could not convert string to float: 'oops'"),
+            ('a,0.1,1\nb,0.2,"1\n2"\n', "line 3: could not convert string to float: '1\\n2'"),
+        ],
+    )
+    def test_malformed_record_after_multiline_field_names_its_physical_line(self, tmp_path, text, message):
+        path = tmp_path / "bad.csv"
+        path.write_bytes(("subject_id,t,y\n" + text).encode())
+        with pytest.raises(DataValidationError) as exc:
+            read_long_csv(path)
+        assert str(exc.value) == message
+
     def test_header_without_rows_is_empty_input(self, tmp_path):
         path = tmp_path / "empty.csv"
         path.write_text("subject_id,t,y\n\n")

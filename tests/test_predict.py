@@ -3,6 +3,7 @@ import warnings
 import numpy as np
 import pytest
 
+import soapfda.basis
 from soapfda import (
     FecModel,
     Subject,
@@ -88,6 +89,20 @@ class TestProjectScores:
             got = project_scores(subject, model)
         np.testing.assert_array_equal(got, np.zeros(2))
 
+    def test_vanishing_subject_warning_points_at_the_caller(self, cubic_basis, rng):
+        model, _ = make_model(cubic_basis, rng)
+        subject = Subject(id="empty", t=np.array([]), y=np.array([]))
+        grid = np.linspace(0, 1, 5)
+        with pytest.warns(UserWarning, match="subject empty") as record:
+            project_scores(subject, model)
+        assert record[0].filename == __file__
+        with pytest.warns(UserWarning, match="subject empty") as record:
+            predict_trajectories([subject], model, grid)
+        assert record[0].filename == __file__
+        with pytest.warns(UserWarning, match="subject empty") as record:
+            predict_trajectory(subject, model, grid)
+        assert record[0].filename == __file__
+
 
 class TestBatchedProjection:
     def test_alone_equals_row_of_mixed_size_batch(self, cubic_basis, rng):
@@ -163,6 +178,59 @@ class TestBatchedProjection:
         messages = [str(w.message) for w in got_warnings]
         assert messages == [str(w.message) for w in ref_warnings]
         assert len(messages) == 1 and "subject vanish" in messages[0]
+
+
+class TestRepeatedGrid:
+    def test_one_spline_per_basis_over_repeated_predictions(self, cubic_basis, rng, monkeypatch):
+        model, _ = make_model(cubic_basis, rng)
+        grid = np.linspace(0, 1, 101)
+        t = np.array([0.2, 0.5, 0.7])
+        built = []
+        spline = soapfda.basis.BSpline
+
+        def counting(*args, **kwargs):
+            built.append(args)
+            return spline(*args, **kwargs)
+
+        monkeypatch.setattr(soapfda.basis, "BSpline", counting)
+        for i in range(50):
+            predict_trajectory(Subject(id=f"s{i}", t=t, y=rng.normal(size=3)), model, grid)
+        assert len(built) <= 1
+
+    def test_every_grid_change_is_evaluated_again(self, cubic_basis, rng):
+        model_a, _ = make_model(cubic_basis, rng)
+        model_b, _ = make_model(cubic_basis, rng)
+        subject = Subject(id="s", t=np.array([0.1, 0.4, 0.8]), y=np.array([1.0, -2.0, 0.5]))
+
+        def check(model, grid):
+            traj = predict_trajectory(subject, model, grid)
+            fresh = eval_basis_matrix(model.basis, grid) @ model.coef
+            assert traj.values.tobytes() == (fresh @ traj.scores).tobytes()
+
+        first = np.linspace(0, 1, 101)
+        check(model_a, first)
+        check(model_a, np.linspace(0, 1, 33))
+        check(model_a, first)
+        first[3] += 0.01
+        check(model_a, first)
+        check(model_a, first.tolist())
+        check(model_a, first.copy())
+        for model in (model_b, model_a, model_b):
+            check(model, first)
+        coef = model_a.coef.copy()
+        own = FecModel(basis=cubic_basis, coef=coef, scores=model_a.scores, gammas=np.zeros(2), noise_var=0.0)
+        check(own, first)
+        coef[:, 0] *= -1.0  # the model's coef is a view of this array
+        check(own, first)
+
+    def test_values_are_fresh_arrays(self, cubic_basis, rng):
+        model, _ = make_model(cubic_basis, rng)
+        subject = Subject(id="s", t=np.array([0.3, 0.6]), y=np.array([1.0, 2.0]))
+        grid = np.linspace(0, 1, 11)
+        first = predict_trajectory(subject, model, grid)
+        expected = first.values.copy()
+        first.values[:] = 0.0
+        np.testing.assert_array_equal(predict_trajectory(subject, model, grid).values, expected)
 
 
 class TestReconstruct:
