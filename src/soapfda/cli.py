@@ -120,15 +120,11 @@ def _write_scores_csv(path, ids, scores) -> None:
     write_csv(path, header, [ids, *scores.T])
 
 
-def _write_trajectories_csv(path, trajectories) -> None:
+def _write_trajectories_csv(path, ids, grid, values) -> None:
     write_csv(
         path,
         ["subject_id", "t", "x_hat"],
-        [
-            [traj.subject_id for traj in trajectories for _ in range(len(traj.grid))],
-            np.concatenate([traj.grid for traj in trajectories]),
-            np.concatenate([traj.values for traj in trajectories]),
-        ],
+        [[sid for sid in ids for _ in range(len(grid))], np.tile(grid, len(ids)), np.concatenate(values)],
     )
 
 
@@ -138,7 +134,8 @@ def cmd_fit(args) -> int:
     basis = _build_basis(dataset, args)
 
     m_grid = _parse_m_grid(args.m_grid) if args.m_grid else None
-    max_m = max(m_grid) if m_grid else args.m
+    candidate_m = m_grid or [args.m]
+    max_m = max(candidate_m)
     report: dict = {
         "n_subjects": dataset.n_subjects,
         "n_obs_total": dataset.n_obs_total,
@@ -148,16 +145,18 @@ def cmd_fit(args) -> int:
 
     if args.gamma_grid:
         candidates = _parse_gamma_grid(args.gamma_grid)
-        _log(f"selecting gamma for {max_m} component(s) over {candidates} by LOCO-CV")
-        gammas, cv_tables = selection.select_gammas_sequential(dataset, basis, max_m, candidates)
+        _log(f"selecting gamma and fitting 1..{max_m} component(s) over {candidates} by LOCO-CV")
+        gammas, cv_tables, models = selection.select_gammas_sequential(dataset, basis, max_m, candidates)
         report["cv"] = [{"component": m + 1, **dataclasses.asdict(tab)} for m, tab in enumerate(cv_tables)]
+        fits = [models[m - 1] for m in candidate_m]
     else:
         gammas = [args.gamma] * max_m
+        _log(f"fitting component counts {candidate_m}, gamma {args.gamma!r}")
+        fits = [fit_soap(dataset, basis, m, gammas[:m]) for m in candidate_m]
     report["gammas"] = list(map(float, gammas))
 
+    model = fits[-1]
     if m_grid:
-        _log(f"fitting candidate component counts {m_grid}")
-        fits = [fit_soap(dataset, basis, m, gammas[:m]) for m in m_grid]
         aic_result = selection.aic(dataset, fits)
         report["aic"] = [
             {"m": m, "aic": a, "sigma2": s2}
@@ -165,9 +164,6 @@ def cmd_fit(args) -> int:
         ]
         report["chosen_m"] = aic_result.chosen
         model = fits[m_grid.index(aic_result.chosen)]
-    else:
-        _log(f"fitting {max_m} component(s), gammas {report['gammas']}")
-        model = fit_soap(dataset, basis, max_m, gammas)
 
     fit_report = model.report
     report.update(dataclasses.asdict(fit_report))
@@ -183,11 +179,13 @@ def cmd_fit(args) -> int:
             f"final objective {fit_report.final_objective!r}"
         )
 
-    trajectories = predict_trajectories(dataset.subjects, model, grid)
+    # the fitted scores are the projections bitwise, so no subject is projected again
+    phi = model.component_values(grid)
+    fitted = [phi @ a for a in model.scores]
     os.makedirs(args.output_dir, exist_ok=True)
     save_model(model, os.path.join(args.output_dir, "model.json"))
     _write_scores_csv(os.path.join(args.output_dir, "scores.csv"), dataset.ids, model.scores)
-    _write_trajectories_csv(os.path.join(args.output_dir, "fitted.csv"), trajectories)
+    _write_trajectories_csv(os.path.join(args.output_dir, "fitted.csv"), dataset.ids, grid, fitted)
     _write_json(report, os.path.join(args.output_dir, "report.json"))
     _log(f"wrote model.json, scores.csv, fitted.csv, report.json to {args.output_dir}")
     return 0
@@ -201,14 +199,12 @@ def cmd_predict(args) -> int:
     grid = default_grid(model.basis.domain, args.grid_size)
 
     trajectories = predict_trajectories(dataset.subjects, model, grid)
+    values = [traj.values for traj in trajectories]
+    scores = np.vstack([traj.scores for traj in trajectories])
     mspe = holdout_last_mspe_model(model, dataset) if args.holdout_last else None
     os.makedirs(args.output_dir, exist_ok=True)
-    _write_trajectories_csv(os.path.join(args.output_dir, "predictions.csv"), trajectories)
-    _write_scores_csv(
-        os.path.join(args.output_dir, "scores.csv"),
-        dataset.ids,
-        np.vstack([traj.scores for traj in trajectories]),
-    )
+    _write_trajectories_csv(os.path.join(args.output_dir, "predictions.csv"), dataset.ids, grid, values)
+    _write_scores_csv(os.path.join(args.output_dir, "scores.csv"), dataset.ids, scores)
     written = "predictions.csv, scores.csv"
 
     if mspe is not None:

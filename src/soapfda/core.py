@@ -256,10 +256,10 @@ def read_long_csv(path) -> tuple[list[str], np.ndarray, np.ndarray]:
 
     Returns ``(ids, t, y)``: the subject ids as strings and the times and
     values as float arrays, each converted by ``float()``, one entry per
-    record in file order; blank lines are skipped. No per-record object is
-    kept, so a large file leaves only the three columns behind. A header
-    with no records gives empty columns, which ``dataset_from_columns``
-    rejects as empty input.
+    record in file order; blank lines and a UTF-8 byte-order mark (as Excel
+    writes) are skipped. No per-record object is kept, so a large file
+    leaves only the three columns behind. A header with no records gives
+    empty columns, which ``dataset_from_columns`` rejects as empty input.
 
     Raises
     ------
@@ -268,7 +268,7 @@ def read_long_csv(path) -> tuple[list[str], np.ndarray, np.ndarray]:
         without three fields or with a field ``float()`` rejects (the time
         before the value); the message names the line the record starts on.
     """
-    with open(path, newline="", encoding="utf-8") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         if header is None or tuple(h.strip() for h in header) != CSV_HEADER:

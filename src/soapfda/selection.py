@@ -11,7 +11,7 @@ import numpy as np
 from .basis import BasisSystem
 from .core import _MAX_ORTHONORMALITY_ERROR, FecModel, LongitudinalDataset
 from .solver import SingularStepError, _check_component_count, _check_gamma, _extract_stage, _loss
-from .solver import _solve_scores, _subject_systems, _Workspace
+from .solver import _solve_scores, _subject_systems, _Workspace, fit_soap
 
 DEFAULT_GAMMA_GRID = (0.0, 1e-2, 1.0, 1e2, 1e4, 1e8)
 
@@ -98,19 +98,15 @@ def aic(dataset: LongitudinalDataset, fits: Sequence[FecModel]) -> AicResult:
     )
 
 
-def _fit_component_on(ws, fixed: np.ndarray, gamma: float) -> np.ndarray:
-    """Extract one component on the given workspace with earlier ones fixed."""
-    gammas = np.concatenate([np.zeros(fixed.shape[1]), [gamma]])
-    coef = _extract_stage(ws, fixed, np.zeros((ws.n, fixed.shape[1])), gammas)[0]
-    return coef[:, -1]
-
-
-def _cv_fold_error(parent: _Workspace, i: int, fixed, gamma) -> float:
-    """Prediction error for held-out subject i: (1/n_i) sum_j (yhat - y)^2."""
+def _cv_fold_error(parent: _Workspace, i: int, fixed, scores, gamma) -> float:
+    """Prediction error for held-out subject i, (1/n_i) sum_j (yhat - y)^2.
+    The fold's stage starts, as the fit's do, from the residuals under
+    ``fixed``, scored by the parent's fixed-component ``scores`` less row i."""
     fold = parent.drop_subject(i)
-    beta = _fit_component_on(fold, fixed, gamma)
+    gammas = np.concatenate([np.zeros(fixed.shape[1]), [gamma]])
+    coef = _extract_stage(fold, fixed, np.delete(scores, i, axis=0), gammas)[0]
     rows = parent.rows(i)
-    B, y, coef = parent.B[rows], parent.y[rows], np.column_stack([fixed, beta])
+    B, y = parent.B[rows], parent.y[rows]
     alpha = _solve_scores(*_subject_systems(B, y, [len(y)], coef))[0][0]
     resid = y - B @ coef @ alpha
     return float(resid @ resid) / len(y)
@@ -129,10 +125,11 @@ def loco_cv_gamma(
 
     For each candidate gamma and each held-out subject, component
     ``component`` is refit on the remaining subjects (earlier components
-    fixed), the held-out subject's scores are recovered by per-curve least
-    squares on all ``component`` functions, and the squared prediction
-    errors accumulate into CV(gamma). A fold whose training fit fails marks
-    that candidate invalid (inf); if every candidate fails, raises.
+    fixed, the stage started from the residuals under them), the held-out
+    subject's scores are recovered by per-curve least squares on all
+    ``component`` functions, and the squared prediction errors accumulate
+    into CV(gamma). A fold whose training fit fails marks that candidate
+    invalid (inf); if every candidate fails, raises.
 
     ``max_folds`` optionally evaluates only a seeded random subset of at
     least one fold (useful for large n; the default is the exact procedure).
@@ -164,6 +161,9 @@ def loco_cv_gamma(
         )
 
     parent = _Workspace.from_dataset(dataset, basis)
+    # the fixed components' scores by the final refit's kernel; it is
+    # batch-independent, so fold i's are these with row i deleted
+    scores = _solve_scores(*_subject_systems(parent.B, parent.y, parent.sizes, fixed))[0]
     folds = list(range(parent.n))
     if max_folds is not None and max_folds < len(folds):
         rng = np.random.default_rng(fold_seed)
@@ -172,7 +172,7 @@ def loco_cv_gamma(
     errors = []
     for gamma in candidates:
         try:
-            errors.append(float(sum(_cv_fold_error(parent, i, fixed, gamma) for i in folds)))
+            errors.append(float(sum(_cv_fold_error(parent, i, fixed, scores, gamma) for i in folds)))
         except SingularStepError:
             errors.append(math.inf)
 
@@ -196,23 +196,19 @@ def select_gammas_sequential(
     basis: BasisSystem,
     n_components: int,
     candidates: Sequence[float] = DEFAULT_GAMMA_GRID,
-) -> tuple[list[float], list[CvResult]]:
+) -> tuple[list[float], list[CvResult], list[FecModel]]:
     """Pick gamma for each component in turn, fixing earlier components.
 
-    Every stage runs exact LOCO-CV. After each selection but the last, the
-    component is refit on the full data with its chosen gamma and held fixed
-    for the next stage. Returns the selected gammas and the per-component CV
-    tables.
+    Every stage runs exact LOCO-CV. Once gamma_m is chosen, ``fit_soap``
+    fits m components with gamma_1..gamma_m, and component m + 1's CV holds
+    that model's components fixed. Returns the selected gammas, the
+    per-component CV tables and the fitted models (m components in models[m - 1]).
     """
     _check_component_count(n_components, basis.size)
-    ws = _Workspace.from_dataset(dataset, basis)
-    fixed = np.zeros((basis.size, 0))
-    chosen: list[float] = []
-    tables: list[CvResult] = []
+    chosen, tables, models = [], [], []
     for m in range(1, n_components + 1):
-        result = loco_cv_gamma(dataset, basis, m, fixed, candidates)
+        result = loco_cv_gamma(dataset, basis, m, models[-1].coef if models else None, candidates)
         chosen.append(result.chosen)
         tables.append(result)
-        if m < n_components:
-            fixed = np.column_stack([fixed, _fit_component_on(ws, fixed, result.chosen)])
-    return chosen, tables
+        models.append(fit_soap(dataset, basis, m, chosen))
+    return chosen, tables, models

@@ -238,7 +238,7 @@ def _solve_scores(gram, rhs, prev: np.ndarray | None = None) -> tuple[np.ndarray
     vy = np.einsum("km,kmj->kj", rhs, v)
     sol = np.einsum("kmj,kj->km", v, inv * vy)
     # eigenvalues ascend, so a subject is truncated exactly when its smallest is cut
-    n_truncated = len(w) - int(np.count_nonzero(keep[:, 0]))
+    n_truncated = int(np.count_nonzero(~keep[:, :1]))
     if prev is None:
         return sol, n_truncated, 0
     grow = np.einsum("kmj,kj->km", gram, sol + prev) - 2.0 * rhs
@@ -304,6 +304,8 @@ def score_step(dataset: LongitudinalDataset, fec_values: Sequence[np.ndarray]) -
     m_cols = {v.shape[1] for v in values}
     if len(m_cols) != 1:
         raise ValueError(f"inconsistent component counts across subjects: {sorted(m_cols)}")
+    if 0 in m_cols:
+        raise ValueError("value matrices have 0 columns; need at least one component")
     for vals, subject in zip(values, dataset.subjects):
         if vals.shape[0] != subject.n_obs:
             raise ValueError(f"subject {subject.id}: {vals.shape[0]} rows for {subject.n_obs} observations")

@@ -530,6 +530,17 @@ class TestDeterminism:
             outs.append(out)
         assert tree_bytes(outs[0]) == tree_bytes(outs[1])
 
+    def test_fit_on_byte_order_marked_copy_is_byte_identical(self, sparse_fixture, tmp_path):
+        marked = tmp_path / "excel.csv"
+        with open(sparse_fixture, "rb") as fh:
+            marked.write_bytes(b"\xef\xbb\xbf" + fh.read())
+        outs = []
+        for tag, path in (("a", sparse_fixture), ("b", str(marked))):
+            out = tmp_path / tag
+            assert run_cli("fit", "--input", path, "--output-dir", str(out), "--domain", "0,1", "--m", "2") == 0
+            outs.append(out)
+        assert tree_bytes(outs[0]) == tree_bytes(outs[1])
+
     def test_simulate_byte_identical_across_runs(self, tmp_path):
         cfg = tmp_path / "sim.cfg"
         cfg.write_text("n_train = 15\nn_test = 15\nseed = 8\nni_min = 3\nni_max = 6\n")

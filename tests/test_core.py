@@ -381,6 +381,21 @@ class TestReadLongCsv:
             read_long_csv(path)
         assert str(exc.value) == message
 
+    @pytest.mark.parametrize("text", ["a,0.1,1\nb,0.2,2\n", "a,0.1,1\nb,0.2\n", "a,0.1,1\nb,zz,2\n"])
+    def test_byte_order_mark_reads_like_the_plain_file(self, tmp_path, text):
+        # Excel's CSV export starts the file with a UTF-8 byte-order mark;
+        # the reread that names a bad record must skip it too
+        plain, marked = tmp_path / "plain.csv", tmp_path / "excel.csv"
+        plain.write_bytes(("subject_id,t,y\n" + text).encode())
+        marked.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+        want = assert_reads_like_reference(plain)
+        got = read_outcome(read_long_csv, marked)
+        if isinstance(want, str):
+            assert got == want
+        else:
+            ids, t, y = got
+            assert list(zip(ids, t.tolist(), y.tolist())) == want
+
     def test_header_without_rows_is_empty_input(self, tmp_path):
         path = tmp_path / "empty.csv"
         path.write_text("subject_id,t,y\n\n")

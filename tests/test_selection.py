@@ -16,7 +16,9 @@ from soapfda import (
     sigma2_hat,
     validate_dataset,
 )
-from soapfda import selection
+from soapfda import selection, solver
+from soapfda.cli import main
+from soapfda.core import dataset_to_rows, write_long_csv
 from soapfda.basis import eval_basis_matrix
 from soapfda.selection import DEFAULT_GAMMA_GRID
 from soapfda.sim import SimulationConfig, gen_sparse_dataset
@@ -257,26 +259,72 @@ class TestLocoCv:
     def test_sequential_selection_returns_tables(self):
         ds = small_dataset(10, n=15)
         basis = make_bspline_basis((0.0, 1.0), 6, 4)
-        gammas, tables = select_gammas_sequential(ds, basis, 2, candidates=[0.0, 1e-2])
+        gammas, tables, _ = select_gammas_sequential(ds, basis, 2, candidates=[0.0, 1e-2])
         assert len(gammas) == 2 and len(tables) == 2
         for g, tab in zip(gammas, tables):
             assert g == tab.chosen
 
-    def test_sequential_selection_skips_the_last_full_data_refit(self, monkeypatch):
+    def test_sequential_selection_holds_the_fitted_model_fixed(self, monkeypatch):
         ds = small_dataset(10, n=15)
         basis = make_bspline_basis((0.0, 1.0), 6, 4)
-        full_data_fits = []
-        fit_on = selection._fit_component_on
+        received = []
+        cv = selection.loco_cv_gamma
 
-        def counted(ws, fixed, gamma):
+        def recorded(dataset, basis, component, fixed_coefs, candidates):
+            received.append(fixed_coefs)
+            return cv(dataset, basis, component, fixed_coefs, candidates)
+
+        monkeypatch.setattr(selection, "loco_cv_gamma", recorded)
+        gammas, _, models = select_gammas_sequential(ds, basis, 3, candidates=[0.0, 1e-2])
+        assert received[0] is None and len(received) == len(models) == 3
+        for m, model in enumerate(models, start=1):
+            fresh = fit_soap(ds, basis, m, gammas[:m])
+            assert model.coef.tobytes() == fresh.coef.tobytes()
+            assert model.scores.tobytes() == fresh.scores.tobytes()
+            assert model.gammas.tobytes() == fresh.gammas.tobytes()
+            assert (model.noise_var, model.report) == (fresh.noise_var, fresh.report)
+            if m < 3:  # component m + 1's CV holds this fit's components fixed
+                assert np.asarray(received[m]).tobytes() == fresh.coef.tobytes()
+
+    def test_fold_stage_starts_from_the_fixed_components_residuals(self):
+        ds = small_dataset(11, n=20)
+        basis = make_bspline_basis((0.0, 1.0), 6, 4)
+        fixed = fit_soap(ds, basis, 1, 1e-2).coef
+        parent = solver._Workspace.from_dataset(ds, basis)
+        scores = solver._solve_scores(*solver._subject_systems(parent.B, parent.y, parent.sizes, fixed))[0]
+        for i in (0, 7, 19):
+            fold = parent.drop_subject(i)
+            start = np.delete(scores, i, axis=0)
+            # the kernel is batch-independent: these are the fold's own scores
+            own = solver._solve_scores(*solver._subject_systems(fold.B, fold.y, fold.sizes, fixed))[0]
+            assert start.tobytes() == own.tobytes()
+            for gamma in (0.0, 1e2):
+                coef = solver._extract_stage(fold, fixed, start, np.array([0.0, gamma]))[0]
+                B, y = parent.B[parent.rows(i)], parent.y[parent.rows(i)]
+                alpha = solver._solve_scores(*solver._subject_systems(B, y, [len(y)], coef))[0][0]
+                resid = y - B @ coef @ alpha
+                expected = float(resid @ resid) / len(y)
+                assert selection._cv_fold_error(parent, i, fixed, scores, gamma) == expected
+
+    def test_fit_m_grid_extracts_only_the_selection_fits(self, tmp_path, monkeypatch):
+        ds = small_dataset(10, n=15)
+        path = tmp_path / "data.csv"
+        write_long_csv(path, dataset_to_rows(ds))
+        full_data_stages = []
+        extract = solver._extract_stage
+
+        def counted(ws, coef, scores, gammas):
             if ws.n == ds.n_subjects:  # a CV fold holds one subject fewer
-                full_data_fits.append(fixed.shape[1] + 1)
-            return fit_on(ws, fixed, gamma)
+                full_data_stages.append(coef.shape[1] + 1)
+            return extract(ws, coef, scores, gammas)
 
-        monkeypatch.setattr(selection, "_fit_component_on", counted)
-        gammas, tables = select_gammas_sequential(ds, basis, 3, candidates=[1e-2])
-        assert full_data_fits == [1, 2]
-        assert len(gammas) == len(tables) == 3
+        monkeypatch.setattr(solver, "_extract_stage", counted)
+        monkeypatch.setattr(selection, "_extract_stage", counted)
+        argv = ["fit", "--input", str(path), "--output-dir", str(tmp_path / "out"), "--domain", "0,1"]
+        argv += ["--basis-size", "6", "--m-grid", "1..3", "--gamma-grid", "1e-2"]
+        assert main(argv) == 0
+        # fit_soap for M = 1, 2 and 3, each run once, inside the selection
+        assert full_data_stages == [1, 1, 2, 1, 2, 3]
 
     def test_default_grid_is_superset_of_paper_grid(self):
         assert {0.0, 1e2, 1e4, 1e8} <= set(DEFAULT_GAMMA_GRID)

@@ -136,6 +136,11 @@ class TestScoreStep:
         with pytest.raises(ValueError, match="inconsistent"):
             score_step(ds, [np.ones((1, 2)), np.ones((1, 3))])
 
+    def test_zero_columns_rejected(self):
+        ds = validate_dataset([("a", 0.5, 2.0), ("a", 0.7, 1.0), ("b", 0.5, 2.0)], (0.0, 1.0))
+        with pytest.raises(ValueError, match="value matrices have 0 columns"):
+            score_step(ds, [np.zeros((s.n_obs, 0)) for s in ds.subjects])
+
 
 def svd_reference_scores(psi, y, prev=None):
     """One subject's scores by truncated minimum-norm least squares on the SVD
