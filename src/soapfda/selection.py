@@ -98,11 +98,11 @@ def aic(dataset: LongitudinalDataset, fits: Sequence[FecModel]) -> AicResult:
     )
 
 
-def _cv_fold_error(parent: _Workspace, i: int, fixed, scores, gamma) -> float:
-    """Prediction error for held-out subject i, (1/n_i) sum_j (yhat - y)^2.
-    The fold's stage starts, as the fit's do, from the residuals under
-    ``fixed``, scored by the parent's fixed-component ``scores`` less row i."""
-    fold = parent.drop_subject(i)
+def _cv_fold_error(parent: _Workspace, fold: _Workspace, i: int, fixed, scores, gamma) -> float:
+    """Prediction error for held-out subject i, (1/n_i) sum_j (yhat - y)^2,
+    of the component fitted on ``fold``, the parent without subject i. The
+    fold's stage starts, as the fit's do, from the residuals under ``fixed``,
+    scored by the parent's fixed-component ``scores`` less row i."""
     gammas = np.concatenate([np.zeros(fixed.shape[1]), [gamma]])
     coef = _extract_stage(fold, fixed, np.delete(scores, i, axis=0), gammas)[0]
     rows = parent.rows(i)
@@ -169,12 +169,20 @@ def loco_cv_gamma(
         rng = np.random.default_rng(fold_seed)
         folds = sorted(rng.choice(len(folds), size=max_folds, replace=False).tolist())
 
-    errors = []
-    for gamma in candidates:
-        try:
-            errors.append(float(sum(_cv_fold_error(parent, i, fixed, scores, gamma) for i in folds)))
-        except SingularStepError:
-            errors.append(math.inf)
+    # folds outside, candidates inside: each fold workspace is built once and
+    # dropped before the next is built. Each candidate still sums its errors
+    # in fold order, and one whose fold fit fails (None) runs no later fold.
+    sums: list[float | None] = [0.0] * len(candidates)
+    for i in folds:
+        fold = parent.drop_subject(i)
+        for k, gamma in enumerate(candidates):
+            if sums[k] is not None:
+                try:
+                    sums[k] += _cv_fold_error(parent, fold, i, fixed, scores, gamma)
+                except SingularStepError:
+                    sums[k] = None
+        del fold
+    errors = [math.inf if e is None else e for e in sums]
 
     if all(math.isinf(e) for e in errors):
         raise SingularStepError("every candidate gamma failed during cross-validation")

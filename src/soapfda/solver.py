@@ -174,24 +174,19 @@ def _subject_systems(X, y, sizes, coef=None) -> tuple[np.ndarray, np.ndarray]:
     return gram, rhs
 
 
-def _eigh(gram: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Ascending eigenvalues (k, M) and orthonormal eigenvectors (k, M, M) of
-    a stack of symmetric positive-semidefinite matrices.
+def _eigh2(gram: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Ascending eigenvalues (k, 2) of a stack of symmetric positive-semidefinite
+    2 x 2 matrices, and the cosine and sine (k,) of the angle t of their
+    eigenvectors: (-sin t, cos t) for the smaller eigenvalue and (cos t, sin t)
+    for the larger.
 
-    At M = 2 they come in closed form, vectorised over the stack: numpy's
-    ``eigh`` calls LAPACK once per matrix, and at this size that call costs
-    far more than the arithmetic. With G = [[a, b], [b, c]], the larger
-    eigenvalue is (a + c + hypot(a - c, 2b)) / 2 and, as in LAPACK's
-    ``dlaev2``, the smaller is (ac - b^2) over the larger, which avoids
-    cancelling the larger against the trace. The larger eigenvector is
-    (cos t, sin t) with t = atan2(2b, a - c) / 2. At M = 1 the eigenvalue is
-    G itself and the eigenvector 1. Every other M calls ``np.linalg.eigh``.
+    They come in closed form, vectorised over the stack: numpy's ``eigh``
+    calls LAPACK once per matrix, and at this size that call costs far more
+    than the arithmetic. With G = [[a, b], [b, c]], the larger eigenvalue is
+    (a + c + hypot(a - c, 2b)) / 2 and, as in LAPACK's ``dlaev2``, the
+    smaller is (ac - b^2) over the larger, which avoids cancelling the
+    larger against the trace; t = atan2(2b, a - c) / 2.
     """
-    if gram.shape[-1] == 1:
-        # what LAPACK returns for N = 1, bit for bit
-        return gram[..., 0].copy(), np.ones_like(gram)
-    if gram.shape[-1] != 2:
-        return np.linalg.eigh(gram)
     a, b, c = gram[:, 0, 0], gram[:, 0, 1], gram[:, 1, 1]
     diff, b2 = a - c, b + b
     w = np.zeros((len(gram), 2))
@@ -200,11 +195,7 @@ def _eigh(gram: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     # a zero matrix keeps both eigenvalues at zero
     np.divide(a * c - b * b, big, out=w[:, 0], where=big > 0)
     t = 0.5 * np.arctan2(b2, diff)
-    # columns (-sin t, cos t) and (cos t, sin t)
-    v = np.empty((len(gram), 2, 2))
-    v[:, 1, 0] = np.cos(t, out=v[:, 0, 1])
-    np.negative(np.sin(t, out=v[:, 1, 1]), out=v[:, 0, 0])
-    return w, v
+    return w, np.cos(t), np.sin(t)
 
 
 def _solve_scores(gram, rhs, prev: np.ndarray | None = None) -> tuple[np.ndarray, int, int]:
@@ -216,13 +207,16 @@ def _solve_scores(gram, rhs, prev: np.ndarray | None = None) -> tuple[np.ndarray
     subjects whose solve kept fewer than M directions, n_kept those the guard
     gave their previous scores.
 
-    The Gram matrices are decomposed together by ``_eigh``. An eigenvalue
-    w_j is kept when it clears the squared floor (w_j > SCORE_SINGULAR_FLOOR^2):
-    the rule "keep a singular value of the value matrix above the floor". The
-    rule depends only on the component values, never on y, so score
-    estimation stays exactly linear and scale-equivariant in the data. Every
-    subject is solved on its own slice, so its scores do not depend on which
-    subjects share the stack.
+    With eigenvalues w_j and eigenvectors V of G, the scores are
+    V diag(1/w_j) V'r over the kept eigenvalues. An eigenvalue is kept when
+    it clears the squared floor (w_j > SCORE_SINGULAR_FLOOR^2): the rule
+    "keep a singular value of the value matrix above the floor". The rule
+    depends only on the component values, never on y, so score estimation
+    stays exactly linear and scale-equivariant in the data. Every subject is
+    solved on its own slice, so its scores do not depend on which subjects
+    share the stack. At M = 1 the eigenvalue is G itself and the eigenvector
+    1; at M = 2 the eigensystem comes from ``_eigh2``; other M call
+    ``np.linalg.eigh``.
 
     With ``prev`` (k, M) given, a subject keeps its previous scores b when
     those fit it at least as well under the current components as the fresh
@@ -231,20 +225,51 @@ def _solve_scores(gram, rhs, prev: np.ndarray | None = None) -> tuple[np.ndarray
     can change between iterations as components rotate, and this guard is
     what keeps the recorded objective trace non-increasing.
     """
-    w, v = _eigh(gram)
-    keep = w > SCORE_SINGULAR_FLOOR**2
-    inv = np.zeros_like(w)
-    np.divide(1.0, w, out=inv, where=keep)
-    vy = np.einsum("km,kmj->kj", rhs, v)
-    sol = np.einsum("kmj,kj->km", v, inv * vy)
+    M = gram.shape[-1]
+    if M == 1:
+        w = gram[:, :, 0]
+    elif M == 2:
+        w, cos, sin = _eigh2(gram)
+    else:
+        w, v = np.linalg.eigh(gram)
+    floor = SCORE_SINGULAR_FLOOR**2
+    keep = w > floor
+    # 1/w_j where kept and 0 elsewhere (a cut eigenvalue divides 0 by the floor)
+    inv = keep / np.fmax(w, floor)
+    # At M <= 2 the products with V here, and with G in the guard, are
+    # written out: each entry is one product or the sum of two, which any
+    # summation order rounds alike. At M > 2 einsum keeps its own order.
+    # Adding 0.0 turns -0.0 into +0.0, as einsum's sums from +0.0 do.
+    if M == 1:
+        sol = inv * rhs
+    elif M == 2:
+        r0, r1 = rhs[:, 0], rhs[:, 1]
+        x0 = inv[:, 0] * (r1 * cos - r0 * sin)
+        x1 = inv[:, 1] * (r0 * cos + r1 * sin)
+        sol = np.empty(rhs.shape)
+        np.subtract(cos * x1, sin * x0, out=sol[:, 0])
+        np.add(cos * x0, sin * x1, out=sol[:, 1])
+    else:
+        sol = np.einsum("kmj,kj->km", v, inv * np.einsum("km,kmj->kj", rhs, v))
+    sol += 0.0
     # eigenvalues ascend, so a subject is truncated exactly when its smallest is cut
-    n_truncated = int(np.count_nonzero(~keep[:, :1]))
+    n_truncated = keep[:, :1].size - int(np.count_nonzero(keep[:, :1]))
     if prev is None:
         return sol, n_truncated, 0
-    grow = np.einsum("kmj,kj->km", gram, sol + prev) - 2.0 * rhs
-    worse = np.einsum("km,km->k", sol - prev, grow) > 0
-    sol[worse] = prev[worse]
-    return sol, n_truncated, int(np.count_nonzero(worse))
+    if M == 1:
+        worse = ((sol - prev) * (w * (sol + prev) - 2.0 * rhs))[:, 0] > 0
+    elif M == 2:
+        x0, x1 = sol[:, 0] + prev[:, 0], sol[:, 1] + prev[:, 1]
+        grow = np.empty(rhs.shape)
+        np.add(gram[:, 0, 0] * x0, gram[:, 0, 1] * x1, out=grow[:, 0])
+        np.add(gram[:, 1, 0] * x0, gram[:, 1, 1] * x1, out=grow[:, 1])
+        grow -= 2.0 * rhs
+        step = (sol - prev) * grow
+        worse = step[:, 0] + step[:, 1] > 0
+    else:
+        grow = np.einsum("kmj,kj->km", gram, sol + prev) - 2.0 * rhs
+        worse = np.einsum("km,km->k", sol - prev, grow) > 0
+    return np.where(worse[:, None], prev, sol), n_truncated, int(np.count_nonzero(worse))
 
 
 def _score_system(ws: _Workspace, coef: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -260,10 +285,18 @@ def _score_system(ws: _Workspace, coef: np.ndarray) -> tuple[np.ndarray, np.ndar
     return SC, gram, T @ coef
 
 
-def _row_base(ws: _Workspace, P: np.ndarray, scores) -> float:
-    """Residual part of the objective, on the rows, from the component
-    values P = B C (N, M) at the observation times."""
-    resid = ws.y - np.einsum("nm,nm->n", np.repeat(scores, ws.sizes, axis=0), P)
+def _row_base(ws: _Workspace, R: np.ndarray, P: np.ndarray) -> float:
+    """Residual part of the objective, on the rows, from the scores R (N, M)
+    repeated to every row of their subject and the component values
+    P = B C (N, M) at the observation times."""
+    if P.shape[1] in (1, 2):
+        # one product or the sum of two per row, as einsum forms them
+        fit = R[:, 0] * P[:, 0]
+        if P.shape[1] == 2:
+            fit += R[:, 1] * P[:, 1]
+    else:
+        fit = np.einsum("nm,nm->n", R, P)
+    resid = ws.y - fit
     return float(ws.w2 @ (resid * resid))
 
 
@@ -273,7 +306,7 @@ def _penalty(ws: _Workspace, c: np.ndarray, gamma) -> float:
 
 def _loss(ws: _Workspace, coef, scores, gammas) -> tuple[float, float]:
     """Full objective and its residual part for the current state."""
-    base = _row_base(ws, ws.B @ coef, scores)
+    base = _row_base(ws, np.repeat(scores, ws.sizes, axis=0), ws.B @ coef)
     return base + sum(_penalty(ws, coef[:, k], gammas[k]) for k in range(coef.shape[1])), base
 
 
@@ -321,13 +354,18 @@ def _update_system(ws: _Workspace, SC, scores, m: int) -> tuple[np.ndarray, np.n
     entry m set to zero.
     """
     S, T = ws.stats
-    n, L, _ = S.shape
+    n, L, M = SC.shape
     alpha = scores[:, m]
     wa = ws.w * alpha
     ata = ((wa * alpha) @ S.reshape(n, L * L)).reshape(L, L)
-    others = scores.copy()
-    others[:, m] = 0.0
-    resid = T - np.matmul(SC, others[..., None])[..., 0]
+    if M <= 2:
+        # with at most one other column, S_i C a~_i is one product per entry:
+        # the batched product with entry m zeroed gives the same bits
+        resid = T if M == 1 else T - SC[:, :, 1 - m] * scores[:, 1 - m, None]
+    else:
+        others = scores.copy()
+        others[:, m] = 0.0
+        resid = T - np.matmul(SC, others[..., None])[..., 0]
     return (ata + ata.T) / 2.0, wa @ resid
 
 
@@ -389,8 +427,8 @@ def _solve_norm_constrained(H, rhs, gram) -> tuple[np.ndarray, float, bool]:
     There lam = mu_1 and beta = V (d / gap) + sqrt(1 - ||d / gap||^2) v_1,
     with v_1 the lowest eigenvector.
     """
-    rhs_norm = float(np.linalg.norm(rhs))
-    if rhs_norm == 0.0:
+    # ||rhs||^2 as np.linalg.norm forms it, so underflow counts as zero too
+    if float(rhs @ rhs) == 0.0:
         raise SingularStepError("zero right-hand side in norm-constrained component step")
     mu, V = _generalized_eigh(H, gram)
     d = V.T @ rhs
@@ -398,8 +436,8 @@ def _solve_norm_constrained(H, rhs, gram) -> tuple[np.ndarray, float, bool]:
     # directions with zero rhs component contribute nothing, even at a pole
     nz = d != 0.0
     d, gap, V = d[nz], (mu - mu[0])[nz], V[:, nz]
-    lo = float(np.max(np.abs(d) - gap, initial=0.0))
-    hi = float(np.linalg.norm(d))
+    lo = float((np.abs(d) - gap).max(initial=0.0))
+    hi = math.sqrt(float(d @ d))
     # lo == 0 leaves no nonzero d_j on the lowest eigenspace, so gap > 0
     pole_free = float(np.sum((d / gap) ** 2)) if lo == 0.0 else math.inf
     if pole_free <= 1.0:
@@ -407,7 +445,8 @@ def _solve_norm_constrained(H, rhs, gram) -> tuple[np.ndarray, float, bool]:
         return beta / math.sqrt(float(beta @ gram @ beta)), float(mu[0]), True
     delta = lo
     for _ in range(_SECULAR_MAX_ITERS):
-        z = d / (gap + delta)
+        shifted = gap + delta
+        z = d / shifted
         nrm = math.sqrt(float(z @ z))
         f = 1.0 / nrm - 1.0
         if abs(f) <= 2.0 * _EPS:
@@ -416,7 +455,7 @@ def _solve_norm_constrained(H, rhs, gram) -> tuple[np.ndarray, float, bool]:
             lo = delta
         else:
             hi = delta
-        step = delta - f * nrm**3 / float(z @ (z / (gap + delta)))
+        step = delta - f * nrm**3 / float(z @ (z / shifted))
         if not lo <= step <= hi:
             step = 0.5 * (lo + hi)
         if step == delta:
@@ -481,7 +520,8 @@ def _psi_update(ws: _Workspace, SC, scores, m: int, gamma: float, reduction):
     """
     # relative, not exact zero: a column left only with rounding noise of
     # the score kernel has nothing to fit
-    if np.max(np.abs(scores[:, m])) <= 64 * _EPS * np.max(np.abs(scores)):
+    magnitude = np.abs(scores)
+    if magnitude[:, m].max() <= 64 * _EPS * magnitude.max():
         raise SingularStepError(f"all scores for component {m + 1} are zero")
     ata, rhs = _update_system(ws, SC, scores, m)
     Z, gram_r, penalty_r = reduction
@@ -591,15 +631,29 @@ def _alternate(ws, coef, scores, active, gammas, trace, cap):
     the previous cycle's end (for the first cycle, of the objective ``trace``
     ends with on entry, if any); it stops unconverged after ``cap`` cycles.
 
-    Both steps work on the workspace statistics, and the score step hands
-    its S_i C to the update that follows it. The objective stays exact
-    and on the rows: the component values P = B C and the per-component
-    penalties are kept across the loop, and an update evaluates only its
-    new column. Returns (coef, scores, converged, cycle_ends, n_fallbacks,
+    Both steps work on the workspace statistics. The score step forms S_i C,
+    C'S_iC and C'T_i in three matrix products, solves every subject's scores
+    and repeats them to the rows (R); the update that follows reuses its
+    S_i C. The objective stays exact and on the rows, from R and the
+    component values P = B C, which are kept across the loop with the
+    per-component penalties. An update writes only its column of R, P, the
+    penalties and, once accepted, ``coef`` and the scores, in place; a
+    rejected one puts P and its penalty back. The caller's ``coef`` is not
+    modified. Returns (coef, scores, converged, cycle_ends, n_fallbacks,
     n_guard_kept), where ``cycle_ends`` holds the objective at the end of
     every cycle and ``n_guard_kept`` counts the (score step, subject) pairs
     in which the guard kept the previous scores.
     """
+    # The shortcuts in this loop and its helpers give every fit the bits of
+    # the plain batched forms, under three conditions the code does not show:
+    # - every product keeps its shape: a matrix-vector product S @ c or
+    #   B @ c rounds differently from the same column of S @ C or B @ C;
+    # - the penalties are summed as base + (pen_1 + ... + pen_M), each from
+    #   the strided column coef[:, k] or the fresh update: a contiguous copy
+    #   of a column rounds differently in c @ P @ c;
+    # - each component update runs the public ``psi_step_penalized``, so the
+    #   fit takes the step that callers and tests take.
+    coef = coef.copy()
     P = ws.B @ coef
     pens = [_penalty(ws, coef[:, k], gammas[k]) for k in range(coef.shape[1])]
     # with one active component the others never change, so one null-space
@@ -614,7 +668,8 @@ def _alternate(ws, coef, scores, active, gammas, trace, cap):
             SC, gram, rhs = _score_system(ws, coef)
             scores, _, kept = _solve_scores(gram, rhs, prev=scores)
             n_kept += kept
-            current = _row_base(ws, P, scores) + sum(pens)
+            R = np.repeat(scores, ws.sizes, axis=0)
+            current = _row_base(ws, R, P) + sum(pens)
             trace.append(current)
             try:
                 reduction = held if held is not None else _reduction(ws.basis, coef, m, gammas[m])
@@ -622,19 +677,20 @@ def _alternate(ws, coef, scores, active, gammas, trace, cap):
             except SingularStepError as exc:
                 raise SingularStepError(f"component {m + 1}, iteration {it + 1}: {exc}") from exc
             n_fb += int(fallback)
-            new_coef = coef.copy()
-            new_coef[:, m] = beta
-            new_scores = scores.copy()
-            new_scores[:, m] = scores[:, m] * s
-            new_P = P.copy()
-            new_P[:, m] = ws.B @ beta
-            new_pens = pens.copy()
-            new_pens[m] = _penalty(ws, beta, gammas[m])
-            full = _row_base(ws, new_P, new_scores) + sum(new_pens)
+            # the next score step forms R again, so only P and the penalty
+            # need putting back if the update is rejected
+            kept_p, kept_pen = P[:, m].copy(), pens[m]
+            R[:, m] *= s
+            P[:, m] = ws.B @ beta
+            pens[m] = _penalty(ws, beta, gammas[m])
+            full = _row_base(ws, R, P) + sum(pens)
             if full <= current + _UPHILL_TOL * max(1.0, current):
-                coef, scores, P, pens = new_coef, new_scores, new_P, new_pens
+                coef[:, m] = beta
+                scores[:, m] *= s
                 trace.append(full)
                 accepted = True
+            else:
+                P[:, m], pens[m] = kept_p, kept_pen
         end = trace[-1]
         ends.append(end)
         if not accepted or (prev is not None and abs(prev - end) <= _REL_TOL * max(1.0, abs(prev))):

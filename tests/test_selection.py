@@ -192,6 +192,35 @@ class TestLocoCv:
         assert res1.cv_errors == res2.cv_errors
         assert res1.chosen == res2.chosen
 
+    def test_one_fold_workspace_per_held_out_subject(self, monkeypatch):
+        """Folds run outside and candidates inside: each held-out subject's
+        fold workspace is built once. A candidate whose fold fit fails is inf
+        and runs none of its later folds; the others sum every fold."""
+        ds = small_dataset(6, n=8)
+        basis = make_bspline_basis((0.0, 1.0), 6, 4)
+        grid = [0.0, 1e-2, 1e2]
+        plain = loco_cv_gamma(ds, basis, 1, None, grid)
+        built, calls = [], []
+        drop, fold_error = solver._Workspace.drop_subject, selection._cv_fold_error
+
+        def counted_drop(ws, i):
+            built.append(i)
+            return drop(ws, i)
+
+        def failing(parent, fold, i, fixed, scores, gamma):
+            calls.append((gamma, i))
+            if (gamma, i) == (1e-2, 3):
+                raise SingularStepError("forced")
+            return fold_error(parent, fold, i, fixed, scores, gamma)
+
+        monkeypatch.setattr(solver._Workspace, "drop_subject", counted_drop)
+        monkeypatch.setattr(selection, "_cv_fold_error", failing)
+        res = loco_cv_gamma(ds, basis, 1, None, grid)
+        assert built == list(range(8))
+        for gamma, folds in zip(grid, (range(8), range(4), range(8))):
+            assert [i for g, i in calls if g == gamma] == list(folds)
+        assert res.cv_errors == (plain.cv_errors[0], math.inf, plain.cv_errors[2])
+
     # Pinned CV errors (float hex) of a fixed small case. The fold fits run
     # the solver's start set and alternation, so a change to either shows
     # here. Like DEFAULT_TRACES in test_solver.py, the values are bitwise for
@@ -304,7 +333,7 @@ class TestLocoCv:
                 alpha = solver._solve_scores(*solver._subject_systems(B, y, [len(y)], coef))[0][0]
                 resid = y - B @ coef @ alpha
                 expected = float(resid @ resid) / len(y)
-                assert selection._cv_fold_error(parent, i, fixed, scores, gamma) == expected
+                assert selection._cv_fold_error(parent, fold, i, fixed, scores, gamma) == expected
 
     def test_fit_m_grid_extracts_only_the_selection_fits(self, tmp_path, monkeypatch):
         ds = small_dataset(10, n=15)

@@ -211,14 +211,15 @@ class TestScoreKernel:
         np.testing.assert_array_equal(got[-1], np.zeros(m))
 
     def test_closed_form_eigensystem(self, rng):
-        """At M = 2 the kernel's eigensystem matches ``np.linalg.eigh`` to
+        """At M = 2 the kernel's eigensystem, the eigenvalues and the vectors
+        (-sin t, cos t) and (cos t, sin t), matches ``np.linalg.eigh`` to
         8 eps max|G| per matrix, on random Gram matrices of every size and
-        scale and on the mixed stack's special shapes; at other M it is
-        ``np.linalg.eigh``'s, bitwise."""
+        scale and on the mixed stack's special shapes."""
         psis = self.mixed_stack(2, rng)[0]
         psis += [rng.normal(size=(n_i, 2)) * 10.0**e for n_i in (1, 2, 3, 6) for e in range(-4, 5)]
         gram = np.stack([p.T @ p for p in psis])
-        w, v = solver._eigh(gram)
+        w, cos, sin = solver._eigh2(gram)
+        v = np.stack([np.stack([-sin, cos], axis=1), np.stack([cos, sin], axis=1)], axis=1)
         tol = 8 * np.finfo(float).eps * np.abs(gram).max(axis=(1, 2))
         assert np.all(np.diff(w, axis=1) >= 0)
         assert np.all(np.abs(w - np.linalg.eigh(gram)[0]) <= tol[:, None])
@@ -226,12 +227,36 @@ class TestScoreKernel:
         assert np.all(np.abs(rebuilt - gram) <= tol[:, None, None])
         gap = np.einsum("kji,kjl->kil", v, v) - np.eye(2)
         assert np.abs(gap).max() <= 8 * np.finfo(float).eps
-        for m in (1, 3):
-            psis = self.mixed_stack(m, rng)[0]
-            gram = np.stack([p.T @ p for p in psis])
-            for got, ref in zip(solver._eigh(gram), np.linalg.eigh(gram)):
-                np.testing.assert_array_equal(got, ref)
 
+
+    @pytest.mark.parametrize("m", [1, 2])
+    def test_written_out_products_match_einsum(self, m, rng):
+        """At M <= 2 the kernel writes out its products with V and with G;
+        they give the bits of the einsum forms used at M > 2, signed zeros
+        included, with and without the guard."""
+        psis, ys = self.mixed_stack(m, rng)
+        gram = np.stack([p.T @ p for p in psis])
+        rhs = np.stack([p.T @ y for p, y in zip(psis, ys)])
+        rhs[:-3:3] *= -0.0  # zero right-hand sides of both signs
+        rhs[1:-3:3] = np.where(rhs[1:-3:3] > 0, 0.0, rhs[1:-3:3])
+        if m == 1:
+            w, v = gram[:, :, 0], np.ones_like(gram)
+        else:
+            w, cos, sin = solver._eigh2(gram)
+            v = np.stack([np.stack([-sin, cos], axis=1), np.stack([cos, sin], axis=1)], axis=1)
+        inv = np.zeros_like(w)
+        np.divide(1.0, w, out=inv, where=w > SCORE_SINGULAR_FLOOR**2)
+        ref = np.einsum("kmj,kj->km", v, inv * np.einsum("km,kmj->kj", rhs, v))
+        assert _solve_scores(gram, rhs)[0].tobytes() == ref.tobytes()
+        prev = rng.normal(size=ref.shape) * 3.0
+        prev[::4] = ref[::4]  # ties keep the fresh scores
+        # untruncated, the subject with singular value 0.19 fits better
+        prev[-2] = np.linalg.pinv(gram[-2]) @ rhs[-2]
+        grow = np.einsum("kmj,kj->km", gram, ref + prev) - 2.0 * rhs
+        worse = np.einsum("km,km->k", ref - prev, grow) > 0
+        ref[worse] = prev[worse]
+        got, _, n_kept = _solve_scores(gram, rhs, prev)
+        assert got.tobytes() == ref.tobytes() and n_kept == np.count_nonzero(worse) > 0
 
 def row_score_system(ws, coef):
     """Score-step Gram matrices and right-hand sides formed from the rows."""
@@ -298,6 +323,25 @@ class TestStatistics:
             ata_ref, nrhs_ref = row_update_system(ws, scores, coef, k)
             assert_rel_close(ata, ata_ref, 1e-12)
             assert_rel_close(nrhs, nrhs_ref, 1e-12)
+
+    @pytest.mark.parametrize("m", [1, 2])
+    def test_written_out_sums_match_batched_forms(self, m, rng):
+        """At M <= 2 the row objective and the update's right-hand side write
+        out their one or two products per entry; they give the bits of the
+        einsum and batched-matmul forms used at M > 2."""
+        ws = self.mixed_workspace(rng)
+        coef = rng.normal(size=(ws.basis.size, m))
+        scores = rng.normal(size=(ws.n, m)) * 2.0
+        scores[::5] = 0.0
+        R, P = np.repeat(scores, ws.sizes, axis=0), ws.B @ coef
+        resid = ws.y - np.einsum("nm,nm->n", R, P)
+        assert solver._row_base(ws, R, P) == float(ws.w2 @ (resid * resid))
+        SC = solver._score_system(ws, coef)[0]
+        for k in range(m):
+            others = scores.copy()
+            others[:, k] = 0.0
+            ref = (ws.w * scores[:, k]) @ (ws.stats[1] - np.matmul(SC, others[..., None])[..., 0])
+            assert solver._update_system(ws, SC, scores, k)[1].tobytes() == ref.tobytes()
 
     @pytest.mark.parametrize("m", [None, 1, 2, 3])
     def test_subject_systems_alone_equal_mixed_stack(self, m, rng):
@@ -725,6 +769,34 @@ class TestFitSoap:
         trace = np.array(report.loss_trace)
         got = (len(trace), report.converged, report.n_sweeps, hashlib.sha256(trace.tobytes()).hexdigest())
         assert got == self.DEFAULT_TRACES[gamma], f"final objective {trace[-1].hex()}"
+
+    # the same simulation with one component, the path of every first stage
+    # and LOCO-CV fold: (trace length, converged, stage_cycles, sha256 of the
+    # trace, sha256 of the scores' bytes, which tells +0.0 from -0.0)
+    ONE_COMPONENT_FITS = {
+        0.0: (
+            50, True, (25,),
+            "ffd7563916bb0d37d0198135ca06fda383873dfe6da13d39a7585271dc8b6cde",
+            "5c6535a3ad022a6b5dc10fc476844e8b225cd7002f1d87f48ce0feccd17a362b",
+        ),
+        1e-3: (
+            58, True, (29,),
+            "25a0504683713d831ea20d49e133fbce26c1d4aed80654296083fe48e274aa32",
+            "1da7f77848ab130c8a6acc2145d2b505d0735acdd69ffff0fdc4833718286fe6",
+        ),
+    }
+
+    @pytest.mark.parametrize("gamma", [0.0, 1e-3])
+    def test_one_component_fit_bitwise(self, gamma):
+        cfg = SimulationConfig(seed=3)
+        ds, _, _ = gen_sparse_dataset(cfg)
+        model = fit_soap(ds, make_bspline_basis(cfg.domain, 20, 4), 1, gamma)
+        trace = np.array(model.report.loss_trace)
+        got = (
+            len(trace), model.report.converged, model.report.stage_cycles,
+            hashlib.sha256(trace.tobytes()).hexdigest(), hashlib.sha256(model.scores.tobytes()).hexdigest(),
+        )
+        assert got == self.ONE_COMPONENT_FITS[gamma], f"final objective {trace[-1].hex()}"
 
     # L = 20 cubic basis, M = 3, gamma = 1e-3: (trace length, converged,
     # sweeps, stage_cycles, sha256 of the trace); the stage reduction with two
