@@ -170,7 +170,8 @@ def eval_basis_matrix(basis: BasisSystem, times) -> np.ndarray:
     dense spline with identity coefficients; rows sum to 1."""
     times = np.atleast_1d(np.asarray(times, dtype=float))
     lo, hi = basis.domain
-    if times.size and (times.min() < lo or times.max() > hi):
-        raise ValueError(f"evaluation times outside domain [{lo}, {hi}]")
+    # written so that a NaN minimum or maximum fails it
+    if times.size and not (lo <= times.min() and times.max() <= hi):
+        raise ValueError(f"evaluation times must be finite, none outside domain [{lo}, {hi}]")
     return basis._spline(times)
 

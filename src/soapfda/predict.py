@@ -10,7 +10,8 @@ from typing import Sequence
 import numpy as np
 
 from .core import FecModel, LongitudinalDataset, Subject
-from .solver import _solve_scores, _stack, _subject_systems
+from .basis import eval_basis_matrix
+from .solver import _rows, _solve_scores, _subject_systems
 
 
 @dataclass(frozen=True)
@@ -46,19 +47,29 @@ class MspeReport:
 def _project(subjects: Sequence[Subject], model: FecModel, stacklevel: int = 3) -> np.ndarray:
     """Scores of every subject, (len(subjects), M).
 
-    The rows come from ``_stack``, as the fit's do, and the systems from
+    The rows come from ``_rows``, as the fit's do, and the systems from
     ``_subject_systems``, as the fit's final refit does, so a subject's
-    scores do not depend on which subjects share the call. ``stacklevel``
-    is that of the vanishing-subject warning: 3 points at the caller of a
-    public function that calls this one directly.
+    scores do not depend on which subjects share the call. A subject with a
+    non-finite time or value is rejected by name. ``stacklevel`` is that of
+    the vanishing-subject warning: 3 points at the caller of a public
+    function that calls this one directly.
     """
-    gram, rhs = _subject_systems(*_stack(subjects, model.basis), model.coef)
-    for i in np.flatnonzero(~gram.any(axis=(1, 2))):
-        warnings.warn(
-            f"subject {subjects[i].id}: all components vanish at its observation times; "
-            "returning zero scores",
-            stacklevel=stacklevel,
-        )
+    t, y, sizes = _rows(subjects)
+    # a NaN or an infinity in t or y makes t'y non-finite; when finite data
+    # overflow it, the scan below finds no subject to reject
+    if not np.isfinite(t @ y):
+        for s in subjects:
+            if not (np.isfinite(s.t).all() and np.isfinite(s.y).all()):
+                raise ValueError(f"subject {s.id}: times and values must be finite")
+    gram, rhs = _subject_systems(eval_basis_matrix(model.basis, t), y, sizes, model.coef)
+    # a vanishing subject's Gram matrix is zero, so only a zero entry calls for the scan
+    if not gram.all():
+        for i in np.flatnonzero(~gram.any(axis=(1, 2))):
+            warnings.warn(
+                f"subject {subjects[i].id}: all components vanish at its observation times; "
+                "returning zero scores",
+                stacklevel=stacklevel,
+            )
     return _solve_scores(gram, rhs)[0]
 
 

@@ -72,11 +72,15 @@ class PenalizedStepResult(NamedTuple):
 # ---------------------------------------------------------------------------
 
 
-def _stack(subjects: Sequence[Subject], basis: BasisSystem) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The basis at every observation time B (N, L), the values y (N,) and
-    the subject sizes, rows stored one subject after another."""
-    B = eval_basis_matrix(basis, np.concatenate([s.t for s in subjects]))
-    return B, np.concatenate([s.y for s in subjects]), np.array([s.n_obs for s in subjects])
+def _rows(subjects: Sequence[Subject]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Every observation time t (N,), the values y (N,) and the subject
+    sizes, rows stored one subject after another; one subject's rows are
+    its own arrays."""
+    if len(subjects) == 1:
+        (s,) = subjects
+        return s.t, s.y, np.array([s.n_obs])
+    t = np.concatenate([s.t for s in subjects])
+    return t, np.concatenate([s.y for s in subjects]), np.array([s.n_obs for s in subjects])
 
 
 class _Workspace:
@@ -99,7 +103,8 @@ class _Workspace:
         for s in dataset.subjects:
             if s.n_obs == 0:
                 raise ValueError(f"subject {s.id} has no observations")
-        return cls(basis, *_stack(dataset.subjects, basis))
+        t, y, sizes = _rows(dataset.subjects)
+        return cls(basis, eval_basis_matrix(basis, t), y, sizes)
 
     @property
     def n(self) -> int:
@@ -157,20 +162,30 @@ def _subject_systems(X, y, sizes, coef=None) -> tuple[np.ndarray, np.ndarray]:
     with the given ``sizes``; D_i is X_i, or X_i C with ``coef`` C (p, q).
     Subjects of equal size are stacked, so each size group costs one
     (k, n_i, q) product and a subject's systems do not depend on which
-    subjects share the call. The fit's statistics S_i, T_i and every
-    row-formed score solve come from here.
+    subjects share the call. When every subject has the same size (one
+    subject, a balanced design, equal-length dense curves) the rows already
+    form that stack, and ``X`` is reshaped to it without grouping or
+    gathering; the stack's bytes, and so the products, are the same. The
+    fit's statistics S_i, T_i and every row-formed score solve come from here.
     """
     sizes = np.asarray(sizes)
+
+    def systems(D, ys):
+        if coef is not None:
+            D = D @ coef
+        Dt = D.transpose(0, 2, 1)
+        return np.matmul(Dt, D), np.matmul(Dt, ys[..., None])[..., 0]
+
+    k = len(sizes)
+    if k and (k == 1 or (sizes == sizes[0]).all()):
+        return systems(X.reshape(k, sizes[0], X.shape[1]), y.reshape(k, sizes[0]))
     q = X.shape[1] if coef is None else coef.shape[1]
-    gram, rhs = np.empty((len(sizes), q, q)), np.empty((len(sizes), q))
+    gram, rhs = np.empty((k, q, q)), np.empty((k, q))
     starts = np.cumsum(sizes) - sizes
     for size in np.unique(sizes):
         idx = np.flatnonzero(sizes == size)
         rows = starts[idx, None] + np.arange(size)
-        D = X[rows] if coef is None else X[rows] @ coef
-        Dt = D.transpose(0, 2, 1)
-        gram[idx] = np.matmul(Dt, D)
-        rhs[idx] = np.matmul(Dt, y[rows][..., None])[..., 0]
+        gram[idx], rhs[idx] = systems(X[rows], y[rows])
     return gram, rhs
 
 

@@ -116,6 +116,12 @@ class TestEvaluation:
         with pytest.raises(ValueError, match="outside domain"):
             eval_basis_matrix(basis, [1.5])
 
+    @pytest.mark.parametrize("times", [[np.nan], [np.nan, 0.5], [0.2, np.nan, 0.7], [0.5, np.nan]])
+    def test_nan_times_rejected(self, times):
+        basis = make_bspline_basis((0.0, 1.0), 6, 4)
+        with pytest.raises(ValueError, match="must be finite"):
+            eval_basis_matrix(basis, times)
+
     @pytest.mark.parametrize(
         "size, order, domain",
         [(20, 4, (0.0, 1.0)), (10, 4, (0.0, 1.0)), (7, 3, (-1.0, 2.5)), (12, 5, (0.25, 2.5)), (5, 2, (0.0, 3.0))],

@@ -103,6 +103,30 @@ class TestProjectScores:
             predict_trajectory(subject, model, grid)
         assert record[0].filename == __file__
 
+    @pytest.mark.parametrize(
+        "t, y",
+        [([0.2, np.nan], [1.0, 2.0]), ([0.2, 0.4], [1.0, np.nan]), ([0.2, 0.4], [np.inf, 2.0]), ([-np.inf, 0.4], [1.0, 2.0])],
+    )
+    def test_non_finite_subject_rejected_by_name(self, cubic_basis, rng, t, y):
+        model, _ = make_model(cubic_basis, rng)
+        bad = Subject(id="x", t=np.array(t), y=np.array(y))
+        good = Subject(id="ok", t=np.array([0.3, 0.6]), y=np.array([1.0, 2.0]))
+        grid = np.linspace(0, 1, 11)
+        for call in (
+            lambda: project_scores(bad, model),
+            lambda: predict_trajectory(bad, model, grid),
+            lambda: predict_trajectories([good, bad, good], model, grid),
+        ):
+            with pytest.raises(ValueError, match="subject x: times and values must be finite"):
+                call()
+
+    def test_finite_data_overflowing_the_check_pass(self, cubic_basis, rng):
+        # t'y overflows, but every time and value is finite
+        model, _ = make_model(cubic_basis, rng)
+        subject = Subject(id="big", t=np.array([0.9, 1.0]), y=np.array([1.7e308, 1.7e308]))
+        with np.errstate(all="ignore"):
+            project_scores(subject, model)
+
 
 class TestBatchedProjection:
     def test_alone_equals_row_of_mixed_size_batch(self, cubic_basis, rng):
@@ -197,6 +221,25 @@ class TestRepeatedGrid:
             predict_trajectory(Subject(id=f"s{i}", t=t, y=rng.normal(size=3)), model, grid)
         assert len(built) <= 1
 
+    def test_one_subject_makes_no_size_groups(self, cubic_basis, rng, monkeypatch):
+        # one subject's rows are its system's stack: no np.unique grouping;
+        # the first call builds the basis's spline, which may use it
+        model, _ = make_model(cubic_basis, rng)
+        grid = np.linspace(0, 1, 101)
+        t = np.array([0.2, 0.5, 0.7])
+        predict_trajectory(Subject(id="first", t=t, y=rng.normal(size=3)), model, grid)
+        calls = []
+        unique = np.unique
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return unique(*args, **kwargs)
+
+        monkeypatch.setattr(np, "unique", counting)
+        for i in range(50):
+            predict_trajectory(Subject(id=f"s{i}", t=t, y=rng.normal(size=3)), model, grid)
+        assert calls == []
+
     def test_every_grid_change_is_evaluated_again(self, cubic_basis, rng):
         model_a, _ = make_model(cubic_basis, rng)
         model_b, _ = make_model(cubic_basis, rng)
@@ -259,6 +302,15 @@ class TestReconstruct:
         model, _ = make_model(cubic_basis, rng)
         with pytest.raises(ValueError, match="outside domain"):
             model.component_values([0.5, 1.5]) @ np.zeros(2)
+
+    @pytest.mark.parametrize("grid", [[np.nan], [0.1, np.nan, 0.9]])
+    def test_nan_grid_rejected(self, cubic_basis, rng, grid):
+        model, _ = make_model(cubic_basis, rng)
+        subject = Subject(id="s", t=np.array([0.3, 0.6]), y=np.array([1.0, 2.0]))
+        with pytest.raises(ValueError, match="must be finite"):
+            model.component_values(grid)
+        with pytest.raises(ValueError, match="must be finite"):
+            predict_trajectory(subject, model, grid)
 
     def test_projection_idempotent(self, cubic_basis, rng):
         model, _ = make_model(cubic_basis, rng)

@@ -365,6 +365,47 @@ class TestStatistics:
         assert_rel_close(rhs, np.stack([d.T @ y for d, y in zip(designs, ys)]), 1e-12)
         assert not gram[5].any() and not rhs[5].any()
 
+    @staticmethod
+    def grouped_systems(X, y, sizes, coef):
+        """The size-group gather: each size's rows fancy-indexed into a
+        (k, n_i, p) stack. A reference for the equal-size reshape."""
+        q = X.shape[1] if coef is None else coef.shape[1]
+        gram, rhs = np.empty((len(sizes), q, q)), np.empty((len(sizes), q))
+        starts = np.cumsum(sizes) - sizes
+        for size in np.unique(sizes):
+            idx = np.flatnonzero(sizes == size)
+            rows = starts[idx, None] + np.arange(size)
+            D = X[rows] if coef is None else X[rows] @ coef
+            Dt = D.transpose(0, 2, 1)
+            gram[idx] = np.matmul(Dt, D)
+            rhs[idx] = np.matmul(Dt, y[rows][..., None])[..., 0]
+        return gram, rhs
+
+    @pytest.mark.parametrize("m", [None, 1, 2, 3])
+    @pytest.mark.parametrize("k, n_i", [(300, 1), (6, 401), (4, 0), (0, 3)])
+    def test_subject_systems_equal_size_stack(self, m, k, n_i, rng):
+        """Subjects of one size (every n_i = 1, every n_i = 401, every subject
+        empty, no subjects) get the bits of their one-subject calls and of
+        the size-group gather, with and without coef."""
+        basis = make_bspline_basis((0.0, 1.0), 8, 4)
+        X = eval_basis_matrix(basis, rng.uniform(0.0, 1.0, k * n_i))
+        y = rng.normal(size=k * n_i) * 3.0
+        sizes = np.full(k, n_i)
+        coef = None if m is None else rng.normal(size=(basis.size, m))
+        q = basis.size if m is None else m
+        gram, rhs = _subject_systems(X, y, sizes, coef)
+        assert gram.shape == (k, q, q) and rhs.shape == (k, q)
+        ref_gram, ref_rhs = self.grouped_systems(X, y, sizes, coef)
+        np.testing.assert_array_equal(gram, ref_gram)
+        np.testing.assert_array_equal(rhs, ref_rhs)
+        for i in range(k):
+            rows = slice(i * n_i, (i + 1) * n_i)
+            alone = _subject_systems(X[rows], y[rows], [n_i], coef)
+            np.testing.assert_array_equal(alone[0][0], gram[i])
+            np.testing.assert_array_equal(alone[1][0], rhs[i])
+        if n_i == 0:
+            assert not gram.any() and not rhs.any()
+
     def test_drop_subject_matches_fresh_workspace(self, rng):
         """A fold equals, bitwise, the workspace built afresh from the dataset
         without the subject: rows, sizes, weights and statistics."""
@@ -815,6 +856,35 @@ class TestFitSoap:
             hashlib.sha256(trace.tobytes()).hexdigest(),
         )
         assert got == self.THREE_COMPONENT_TRACE, f"final objective {trace[-1].hex()}"
+
+    # the balanced design SimulationConfig(seed=3, ni_range=(3, 3)), L = 20,
+    # M = 2, whose statistics and final refit form every subject's system in
+    # one equal-size stack: sha256 of the coef, the scores and the loss
+    # trace, recorded with numpy 2.4 on OpenBLAS 0.3.31 (x86-64)
+    BALANCED_FITS = {
+        0.0: (
+            "e7caee1591728f9e0208c633b61158d8ace4b8a795db5ff94a14b66b20f81e2e",
+            "22242449f17a98cdbadabb8b328422e7bcfa97880b0cf44021c4c73a09eaf002",
+            "0fa2bc6c456536cd0d6ad80ddb88e6970e9e66cadb8178d4933cb031b7e79eaf",
+        ),
+        1e-3: (
+            "521ab3f9458e260ad423567f2c98abe4545c541264dbbc248e157f00c75f15be",
+            "8d832d66537090b4f10ff1ef041655d62baf37cf0f94c42239d489e91c8cf5d6",
+            "c41e6e0be6ed245bc10b70d411721f9daa3f91bed2561f59531d73cef654bf32",
+        ),
+    }
+
+    @pytest.mark.parametrize("gamma", [0.0, 1e-3])
+    def test_balanced_design_fit_bitwise(self, gamma):
+        cfg = SimulationConfig(seed=3, ni_range=(3, 3))
+        ds, _, _ = gen_sparse_dataset(cfg)
+        assert {s.n_obs for s in ds.subjects} == {3}
+        model = fit_soap(ds, make_bspline_basis(cfg.domain, 20, 4), 2, gamma)
+        got = tuple(
+            hashlib.sha256(np.asarray(a, dtype=float).tobytes()).hexdigest()
+            for a in (model.coef, model.scores, model.report.loss_trace)
+        )
+        assert got == self.BALANCED_FITS[gamma]
 
     def test_capped_loops_reported(self):
         cfg = SimulationConfig(seed=3)
