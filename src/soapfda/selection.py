@@ -11,7 +11,7 @@ import numpy as np
 from .basis import BasisSystem
 from .core import _MAX_ORTHONORMALITY_ERROR, FecModel, LongitudinalDataset
 from .solver import SingularStepError, _check_component_count, _check_gamma, _extract_stage, _loss
-from .solver import _solve_scores, _subject_systems, _Workspace, fit_soap
+from .solver import _solve_scores, _StagePath, _subject_systems, _Workspace
 
 DEFAULT_GAMMA_GRID = (0.0, 1e-2, 1.0, 1e2, 1e4, 1e8)
 
@@ -104,7 +104,7 @@ def _cv_fold_error(parent: _Workspace, fold: _Workspace, i: int, fixed, scores, 
     fold's stage starts, as the fit's do, from the residuals under ``fixed``,
     scored by the parent's fixed-component ``scores`` less row i."""
     gammas = np.concatenate([np.zeros(fixed.shape[1]), [gamma]])
-    coef = _extract_stage(fold, fixed, np.delete(scores, i, axis=0), gammas)[0]
+    coef = _extract_stage(fold, fixed, np.delete(scores, i, axis=0), gammas).coef
     rows = parent.rows(i)
     B, y = parent.B[rows], parent.y[rows]
     alpha = _solve_scores(*_subject_systems(B, y, [len(y)], coef))[0][0]
@@ -207,16 +207,20 @@ def select_gammas_sequential(
 ) -> tuple[list[float], list[CvResult], list[FecModel]]:
     """Pick gamma for each component in turn, fixing earlier components.
 
-    Every stage runs exact LOCO-CV. Once gamma_m is chosen, ``fit_soap``
-    fits m components with gamma_1..gamma_m, and component m + 1's CV holds
-    that model's components fixed. Returns the selected gammas, the
-    per-component CV tables and the fitted models (m components in models[m - 1]).
+    Every stage runs exact LOCO-CV. Once gamma_m is chosen, the fit's stage
+    path extracts component m with it, once, from the state after stage
+    m - 1, and finishes the m-component model: bitwise ``fit_soap`` with
+    gamma_1..gamma_m. Component m + 1's CV holds that model's components
+    fixed. Returns the selected gammas, the per-component CV tables and the
+    fitted models (m components in models[m - 1]).
     """
     _check_component_count(n_components, basis.size)
+    path = _StagePath(_Workspace.from_dataset(dataset, basis))
     chosen, tables, models = [], [], []
     for m in range(1, n_components + 1):
         result = loco_cv_gamma(dataset, basis, m, models[-1].coef if models else None, candidates)
         chosen.append(result.chosen)
         tables.append(result)
-        models.append(fit_soap(dataset, basis, m, chosen))
+        path.extend(result.chosen)
+        models.append(path.finish())
     return chosen, tables, models

@@ -598,53 +598,64 @@ def _stage_inits(ws: _Workspace, fixed: np.ndarray, scores: np.ndarray) -> list[
     return inits
 
 
-def _extract_stage(ws: _Workspace, coef, scores, gammas):
+class _Run(NamedTuple):
+    """One ``_alternate`` run: its final ``coef`` and ``scores``, whether it
+    converged, the objectives it recorded (``trace``) and those at the end
+    of each cycle (``ends``), its hard-case steps (``n_fallbacks``) and the
+    (score step, subject) pairs in which the guard kept the previous scores
+    (``n_guard_kept``)."""
+
+    coef: np.ndarray
+    scores: np.ndarray
+    converged: bool
+    trace: list[float]
+    ends: list[float]
+    n_fallbacks: int
+    n_guard_kept: int
+
+
+def _extract_stage(ws: _Workspace, coef, scores, gammas) -> _Run:
     """Append and fit one more component from each start of ``_stage_inits``.
 
     ``coef`` holds the already-fitted components (kept fixed as constraints
     during this stage); the run with the lowest final objective wins.
-    Returns (coef, scores, converged, cycles, n_fallbacks, n_guard_kept,
-    trace_segment).
     """
     m = coef.shape[1]
     best = None
     last_error: SingularStepError | None = None
     for beta0 in _stage_inits(ws, coef, scores):
-        segment: list[float] = []
         try:
-            result = _alternate(
+            run = _alternate(
                 ws,
                 np.column_stack([coef, beta0]),
                 np.column_stack([scores, np.zeros(ws.n)]),
                 [m],
                 gammas,
-                segment,
                 _MAX_INNER_ITERS,
             )
         except SingularStepError as exc:
             last_error = exc
             continue
-        final = segment[-1]  # _alternate appends before it can return
-        if best is None or final < best[0]:
-            best = (final, result, segment)
+        # _alternate records at least one objective before it can return
+        if best is None or run.trace[-1] < best.trace[-1]:
+            best = run
     if best is None:  # _stage_inits returns at least one start, so every one failed
         raise last_error
-    _, (coef, scores, conv, ends, fb, kept), segment = best
-    return coef, scores, conv, len(ends), fb, kept, segment
+    return best
 
 
-def _alternate(ws, coef, scores, active, gammas, trace, cap):
+def _alternate(ws, coef, scores, active, gammas, cap, prev=None) -> _Run:
     """Alternate guarded score steps with updates of the components in ``active``.
 
     A cycle runs, for each m in ``active``, a joint score step (its objective
-    is appended to ``trace``) and then an update of component m with its
+    is recorded in the trace) and then an update of component m with its
     score column rescaled. An update is accepted unless it raises the
     objective by more than floating-point noise (_UPHILL_TOL relative); an
-    accepted update's objective is appended too, a rejected one leaves the
+    accepted update's objective is recorded too, a rejected one leaves the
     state unchanged. The loop has converged when a cycle accepts no update
     (a stall at the numerical floor) or ends within _REL_TOL relative of
-    the previous cycle's end (for the first cycle, of the objective ``trace``
-    ends with on entry, if any); it stops unconverged after ``cap`` cycles.
+    the previous cycle's end (for the first cycle, of ``prev``, if given);
+    it stops unconverged after ``cap`` cycles.
 
     Both steps work on the workspace statistics. The score step forms S_i C,
     C'S_iC and C'T_i in three matrix products, solves every subject's scores
@@ -653,11 +664,8 @@ def _alternate(ws, coef, scores, active, gammas, trace, cap):
     component values P = B C, which are kept across the loop with the
     per-component penalties. An update writes only its column of R, P, the
     penalties and, once accepted, ``coef`` and the scores, in place; a
-    rejected one puts P and its penalty back. The caller's ``coef`` is not
-    modified. Returns (coef, scores, converged, cycle_ends, n_fallbacks,
-    n_guard_kept), where ``cycle_ends`` holds the objective at the end of
-    every cycle and ``n_guard_kept`` counts the (score step, subject) pairs
-    in which the guard kept the previous scores.
+    rejected one puts P and its penalty back. Neither the caller's ``coef``
+    nor its ``scores`` is modified.
     """
     # The shortcuts in this loop and its helpers give every fit the bits of
     # the plain batched forms, under three conditions the code does not show:
@@ -674,7 +682,7 @@ def _alternate(ws, coef, scores, active, gammas, trace, cap):
     # with one active component the others never change, so one null-space
     # reduction serves every update (an extraction stage)
     held = _reduction(ws.basis, coef, active[0], gammas[active[0]]) if len(active) == 1 else None
-    prev = trace[-1] if trace else None
+    trace: list[float] = []
     ends: list[float] = []
     n_fb = n_kept = 0
     for it in range(cap):
@@ -709,9 +717,9 @@ def _alternate(ws, coef, scores, active, gammas, trace, cap):
         end = trace[-1]
         ends.append(end)
         if not accepted or (prev is not None and abs(prev - end) <= _REL_TOL * max(1.0, abs(prev))):
-            return coef, scores, True, ends, n_fb, n_kept
+            return _Run(coef, scores, True, trace, ends, n_fb, n_kept)
         prev = end
-    return coef, scores, False, ends, n_fb, n_kept
+    return _Run(coef, scores, False, trace, ends, n_fb, n_kept)
 
 
 def _fix_signs(ws: _Workspace, coef: np.ndarray) -> np.ndarray:
@@ -727,6 +735,93 @@ def _fix_signs(ws: _Workspace, coef: np.ndarray) -> np.ndarray:
     return out
 
 
+class _StagePath:
+    """The fit's extraction stages on one workspace, each run once.
+
+    ``extend`` extracts the next component from the state after the stages
+    so far. ``finish`` returns the model of the components extracted so far,
+    bitwise ``fit_soap`` with their gammas, and leaves the path as it was, so
+    the models of a grid of component counts share their stages.
+    """
+
+    def __init__(self, ws: _Workspace):
+        self.ws = ws
+        self.coef = np.zeros((ws.basis.size, 0))
+        self.scores = np.zeros((ws.n, 0))
+        self.gammas = np.zeros(0)
+        self.stages: list[_Run] = []
+        self.trace: list[float] = []
+        self.offsets: list[int] = []
+
+    def extend(self, gamma) -> None:
+        """Extract the next component, with roughness weight ``gamma``."""
+        self.gammas = np.append(self.gammas, gamma)
+        run = _extract_stage(self.ws, self.coef, self.scores, self.gammas)
+        self.coef, self.scores = run.coef, run.scores
+        self.stages.append(run)
+        self.offsets.append(len(self.trace))
+        self.trace = self.trace + run.trace
+
+    def finish(self) -> FecModel:
+        """Sweeps (M >= 2) from the stage state, ``_fix_signs``, the final
+        refit and the report; the sweeps copy what they change."""
+        ws, gam, stages = self.ws, self.gammas, self.stages
+        coef, trace, runs, sweeps = self.coef, self.trace, stages, None
+        if len(gam) > 1:
+            sweeps = _alternate(ws, coef, self.scores, range(len(gam)), gam, _MAX_OUTER_SWEEPS, trace[-1])
+            coef, trace, runs = sweeps.coef, trace + sweeps.trace, stages + [sweeps]
+        sweep_ends = tuple(sweeps.ends) if sweeps else ()
+        # Finalize with pure projections: the returned scores are the unguarded
+        # output of the score kernel that `predict.project_scores` also uses, not
+        # the guarded iterates, so fitting and prediction agree bitwise on
+        # training data.
+        coef = _fix_signs(ws, coef)
+        scores, n_truncated, _ = _solve_scores(*_subject_systems(ws.B, ws.y, ws.sizes, coef))
+        full, base = _loss(ws, coef, scores, gam)
+        report = FitReport(
+            loss_trace=tuple(trace),
+            converged=all(run.converged for run in runs),
+            n_sweeps=len(sweep_ends),
+            stage_cycles=tuple(len(run.ends) for run in stages),
+            sweep_objectives=sweep_ends,
+            stage_offsets=tuple(self.offsets),
+            n_fallbacks=sum(run.n_fallbacks for run in runs),
+            n_truncated=n_truncated,
+            n_guard_kept=sum(run.n_guard_kept for run in runs),
+            final_objective=full,
+            stage_capped=tuple(not run.converged for run in stages),
+            sweeps_capped=sweeps is not None and not sweeps.converged,
+        )
+        return FecModel(basis=ws.basis, coef=coef, scores=scores, gammas=gam, noise_var=base, report=report)
+
+
+def _fit_models(
+    dataset: LongitudinalDataset, basis: BasisSystem, counts: Sequence[int], gammas
+) -> list[FecModel]:
+    """``fit_soap(dataset, basis, m, gammas[:m])`` for each m in the
+    ascending ``counts``, bitwise, from one ``_StagePath``: each stage is
+    extracted once, and the m-component model finishes the path after its
+    stage m. ``gammas`` is a scalar or one weight per component up to the
+    largest count."""
+    n_components = counts[-1]
+    _check_component_count(n_components, basis.size)
+    gam = np.asarray(gammas, dtype=float)
+    if gam.ndim == 0:
+        gam = np.full(n_components, float(gam))
+    if gam.shape != (n_components,):
+        raise ValueError(f"expected {n_components} gamma values, got shape {gam.shape}")
+    for g in gam:
+        _check_gamma(g)
+
+    path = _StagePath(_Workspace.from_dataset(dataset, basis))
+    models = []
+    for m in range(1, n_components + 1):
+        path.extend(gam[m - 1])
+        if m in counts:
+            models.append(path.finish())
+    return models
+
+
 def fit_soap(
     dataset: LongitudinalDataset,
     basis: BasisSystem,
@@ -735,12 +830,15 @@ def fit_soap(
 ) -> FecModel:
     """Fit M orthonormal components and per-subject scores to sparse curves.
 
-    Components are extracted sequentially: component m is alternated to
-    convergence with components 1..m-1 fixed (and is constrained orthogonal
-    to them), from the two deterministic starts of ``_stage_inits`` (a
-    moment direction and a basis function), keeping the better run. With M >= 2,
-    refinement sweeps then re-optimize each component in turn against all
-    the others. Stages and sweeps run the same alternation: a joint score
+    Components are extracted sequentially, each stage once: component m is
+    alternated to convergence with components 1..m-1 fixed (and is
+    constrained orthogonal to them), from the two deterministic starts of
+    ``_stage_inits`` (a moment direction and a basis function), keeping the
+    better run. With M >= 2, refinement sweeps then re-optimize each
+    component in turn against all the others. So the first m stages of an
+    M-component fit are the m-component fit's, and the CLI's AIC grid and
+    ``select_gammas_sequential`` finish their models from one run of stages.
+    Stages and sweeps run the same alternation: a joint score
     refit before every component update. Each stops when a cycle (a sweep)
     changes the objective by at most 1e-7 relative or accepts no update, or
     at its cap of 200 cycles per stage and 20 sweeps; ``report.converged``
@@ -754,72 +852,4 @@ def fit_soap(
     sign convention of nonnegative component integrals, scores from a final
     joint refit, and ``noise_var`` set to the mean squared residual.
     """
-    _check_component_count(n_components, basis.size)
-    gam = np.asarray(gammas, dtype=float)
-    if gam.ndim == 0:
-        gam = np.full(n_components, float(gam))
-    if gam.shape != (n_components,):
-        raise ValueError(f"expected {n_components} gamma values, got shape {gam.shape}")
-    for g in gam:
-        _check_gamma(g)
-
-    ws = _Workspace.from_dataset(dataset, basis)
-    coef = np.zeros((basis.size, 0))
-    scores = np.zeros((ws.n, 0))
-    trace: list[float] = []
-    stage_offsets: list[int] = []
-    stage_cycles: list[int] = []
-    stage_capped: list[bool] = []
-    n_fb = n_kept = 0
-
-    for m in range(n_components):
-        stage_offsets.append(len(trace))
-        coef, scores, conv, cycles, fb, kept, segment = _extract_stage(
-            ws, coef, scores, gam[: m + 1]
-        )
-        trace.extend(segment)
-        stage_capped.append(not conv)
-        stage_cycles.append(cycles)
-        n_fb += fb
-        n_kept += kept
-
-    sweep_objectives: list[float] = []
-    sweeps_capped = False
-    if n_components > 1:
-        coef, scores, refined, sweep_objectives, fb, kept = _alternate(
-            ws, coef, scores, range(n_components), gam, trace, _MAX_OUTER_SWEEPS
-        )
-        sweeps_capped = not refined
-        n_fb += fb
-        n_kept += kept
-
-    # Finalize with pure projections: the returned scores are the unguarded
-    # output of the score kernel that `predict.project_scores` also uses, not
-    # the guarded iterates, so fitting and prediction agree bitwise on
-    # training data.
-    coef = _fix_signs(ws, coef)
-    scores, n_truncated, _ = _solve_scores(*_subject_systems(ws.B, ws.y, ws.sizes, coef))
-    full, base = _loss(ws, coef, scores, gam)
-
-    report = FitReport(
-        loss_trace=tuple(trace),
-        converged=not (any(stage_capped) or sweeps_capped),
-        n_sweeps=len(sweep_objectives),
-        stage_cycles=tuple(stage_cycles),
-        sweep_objectives=tuple(sweep_objectives),
-        stage_offsets=tuple(stage_offsets),
-        n_fallbacks=n_fb,
-        n_truncated=n_truncated,
-        n_guard_kept=n_kept,
-        final_objective=full,
-        stage_capped=tuple(stage_capped),
-        sweeps_capped=sweeps_capped,
-    )
-    return FecModel(
-        basis=basis,
-        coef=coef,
-        scores=scores,
-        gammas=gam,
-        noise_var=base,
-        report=report,
-    )
+    return _fit_models(dataset, basis, [n_components], gammas)[0]

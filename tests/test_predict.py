@@ -6,6 +6,7 @@ import pytest
 import soapfda.basis
 from soapfda import (
     FecModel,
+    LongitudinalDataset,
     Subject,
     fit_soap,
     holdout_last_mspe_model,
@@ -344,6 +345,17 @@ class TestHoldoutLast:
         assert report.n_excluded == 1
         assert report.n_eligible == 1
         assert report.per_subject[0][0] == "full"
+
+    @pytest.mark.parametrize(
+        "t, y", [([0.1, 0.5], [1.0, np.nan]), ([0.1, np.nan], [1.0, 2.0])], ids=["nan-value", "nan-time"]
+    )
+    def test_non_finite_held_out_observation_rejected_by_name(self, cubic_basis, rng, t, y):
+        model, _ = make_model(cubic_basis, rng)
+        bad = Subject(id="a", t=np.array(t), y=np.array(y))
+        good = Subject(id="b", t=np.array([0.2, 0.4, 0.6]), y=np.array([1.0, 2.0, 0.5]))
+        ds = LongitudinalDataset((0.0, 1.0), (good, bad))
+        with pytest.raises(ValueError, match="subject a: times and values must be finite"):
+            holdout_last_mspe_model(model, ds)
 
     def test_all_single_observation_errors(self, cubic_basis, rng):
         model, _ = make_model(cubic_basis, rng)

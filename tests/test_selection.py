@@ -306,14 +306,19 @@ class TestLocoCv:
         monkeypatch.setattr(selection, "loco_cv_gamma", recorded)
         gammas, _, models = select_gammas_sequential(ds, basis, 3, candidates=[0.0, 1e-2])
         assert received[0] is None and len(received) == len(models) == 3
-        for m, model in enumerate(models, start=1):
-            fresh = fit_soap(ds, basis, m, gammas[:m])
-            assert model.coef.tobytes() == fresh.coef.tobytes()
-            assert model.scores.tobytes() == fresh.scores.tobytes()
-            assert model.gammas.tobytes() == fresh.gammas.tobytes()
-            assert (model.noise_var, model.report) == (fresh.noise_var, fresh.report)
-            if m < 3:  # component m + 1's CV holds this fit's components fixed
-                assert np.asarray(received[m]).tobytes() == fresh.coef.tobytes()
+        # a plain M grid (fit --m-grid 1..4) finishes its models from one stage path too
+        grid_gammas = [1e-2] * 4
+        grid = solver._fit_models(ds, basis, [1, 2, 3, 4], 1e-2)
+        for path_models, path_gammas in ((models, gammas), (grid, grid_gammas)):
+            for m, model in enumerate(path_models, start=1):
+                fresh = fit_soap(ds, basis, m, path_gammas[:m])
+                assert model.coef.tobytes() == fresh.coef.tobytes()
+                assert model.scores.tobytes() == fresh.scores.tobytes()
+                assert model.gammas.tobytes() == fresh.gammas.tobytes()
+                assert (model.noise_var, model.report) == (fresh.noise_var, fresh.report)
+        for m, model in enumerate(models[:2], start=1):
+            # component m + 1's CV holds this fit's components fixed
+            assert np.asarray(received[m]).tobytes() == model.coef.tobytes()
 
     def test_fold_stage_starts_from_the_fixed_components_residuals(self):
         ds = small_dataset(11, n=20)
@@ -335,25 +340,42 @@ class TestLocoCv:
                 expected = float(resid @ resid) / len(y)
                 assert selection._cv_fold_error(parent, fold, i, fixed, scores, gamma) == expected
 
-    def test_fit_m_grid_extracts_only_the_selection_fits(self, tmp_path, monkeypatch):
+    @pytest.mark.parametrize(
+        "flags, n_finished",
+        [
+            ("--m-grid 1..3 --gamma-grid 1e-2", 3),
+            ("--m-grid 1..3 --gamma 1e-2", 3),
+            ("--m 3 --gamma 1e-2", 1),
+            ("--m-grid 2..3 --gamma 1e-2", 2),
+        ],
+        ids=["m-grid-gamma-grid", "m-grid", "m", "m-grid-from-2"],
+    )
+    def test_fit_m_grid_extracts_only_the_selection_fits(self, flags, n_finished, tmp_path, monkeypatch):
         ds = small_dataset(10, n=15)
         path = tmp_path / "data.csv"
         write_long_csv(path, dataset_to_rows(ds))
         full_data_stages = []
-        extract = solver._extract_stage
+        finished = []
+        extract, fix_signs = solver._extract_stage, solver._fix_signs
 
         def counted(ws, coef, scores, gammas):
             if ws.n == ds.n_subjects:  # a CV fold holds one subject fewer
                 full_data_stages.append(coef.shape[1] + 1)
             return extract(ws, coef, scores, gammas)
 
+        def finishing(ws, coef):
+            finished.append(coef.shape[1])
+            return fix_signs(ws, coef)
+
         monkeypatch.setattr(solver, "_extract_stage", counted)
         monkeypatch.setattr(selection, "_extract_stage", counted)
+        monkeypatch.setattr(solver, "_fix_signs", finishing)
         argv = ["fit", "--input", str(path), "--output-dir", str(tmp_path / "out"), "--domain", "0,1"]
-        argv += ["--basis-size", "6", "--m-grid", "1..3", "--gamma-grid", "1e-2"]
+        argv += ["--basis-size", "6", *flags.split()]
         assert main(argv) == 0
-        # fit_soap for M = 1, 2 and 3, each run once, inside the selection
-        assert full_data_stages == [1, 1, 2, 1, 2, 3]
+        # each stage is extracted once, and only the reported models are finished
+        assert full_data_stages == [1, 2, 3]
+        assert finished == [1, 2, 3][3 - n_finished :]
 
     def test_default_grid_is_superset_of_paper_grid(self):
         assert {0.0, 1e2, 1e4, 1e8} <= set(DEFAULT_GAMMA_GRID)
