@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import json
 import math
 import os
 import sys
@@ -21,6 +20,7 @@ from . import selection
 from .basis import default_basis_size, make_bspline_basis, quantile_interior_knots
 from .core import (
     DataValidationError,
+    _write_json,
     dataset_from_columns,
     dataset_to_rows,
     load_model,
@@ -53,15 +53,6 @@ class _ArgumentParser(argparse.ArgumentParser):
 
 def _log(message: str) -> None:
     print(message, file=sys.stderr)
-
-
-def _write_json(payload: dict, path=None) -> None:
-    text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
-    if path is None:
-        sys.stdout.write(text)
-    else:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
 
 
 def _parse_domain(text: str) -> tuple[float, float]:
@@ -152,12 +143,7 @@ def cmd_fit(args) -> int:
     else:
         gammas = [args.gamma] * max_m
         _log(f"fitting component counts {candidate_m}, gamma {args.gamma!r}")
-        # the grid's models share one run of stages; one M calls the public
-        # fit_soap, the function perfbench's tracer times as a fit
-        if m_grid:
-            fits = _fit_models(dataset, basis, candidate_m, args.gamma)
-        else:
-            fits = [fit_soap(dataset, basis, max_m, args.gamma)]
+        fits = _fit_models(dataset, basis, candidate_m, args.gamma)
     report["gammas"] = list(map(float, gammas))
 
     model = fits[-1]

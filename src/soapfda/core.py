@@ -6,6 +6,7 @@ import csv
 import json
 import math
 import numbers
+import sys
 from dataclasses import MISSING, asdict, dataclass, field, fields
 from typing import Iterable, get_args, get_origin, get_type_hints
 
@@ -132,10 +133,14 @@ class FecModel:
             raise ValueError(f"need 1 <= M <= L, got coef shape {self.coef.shape}")
         if L != self.basis.size:
             raise ValueError("coefficient rows do not match basis size")
-        if self.scores.shape[1] != M or len(self.gammas) != M:
+        if self.scores.ndim != 2:
+            raise ValueError(f"scores must be an (n, M) matrix, got shape {self.scores.shape}")
+        if self.scores.shape[1] != M or self.gammas.shape != (M,):
             raise ValueError("scores/gammas do not match the number of components")
-        if self.noise_var < 0:
-            raise ValueError("noise_var must be >= 0")
+        if not (np.isfinite(self.gammas).all() and (self.gammas >= 0).all()):
+            raise ValueError(f"gammas must be finite and >= 0, got {self.gammas.tolist()}")
+        if not self.noise_var >= 0:  # not `<`: NaN fails every comparison
+            raise ValueError(f"noise_var must be >= 0, got {float(self.noise_var)!r}")
         _freeze(self, "coef", "scores", "gammas")
 
     @property
@@ -329,11 +334,7 @@ def write_long_csv(path, rows: Iterable[tuple[str, float, float]]) -> None:
 
 
 def dataset_to_rows(dataset: LongitudinalDataset) -> list[tuple[str, float, float]]:
-    rows = []
-    for s in dataset.subjects:
-        for t, y in zip(s.t, s.y):
-            rows.append((s.id, float(t), float(y)))
-    return rows
+    return [(s.id, float(t), float(y)) for s in dataset.subjects for t, y in zip(s.t, s.y)]
 
 
 # ---------------------------------------------------------------------------
@@ -461,14 +462,14 @@ def model_from_dict(doc: dict) -> FecModel:
     ValueError that names the key: a missing key, a value of the wrong type
     (a bool field takes only a JSON boolean, an int only an integral number
     and a float only a number, in a list as alone; a string never passes),
-    a non-finite ``coef``, ``scores``, ``gammas`` or ``noise_var``, a ``coef``
-    or ``scores`` whose shape does not match ``l`` and ``m``, and a ``coef``
-    whose columns are not G-orthonormal to 1e-8; so does a basis that
-    ``make_bspline_basis`` would reject, and a ``schema_version`` other than
-    1 (a file without one is read as version 1). The report's fields are
-    those of ``FitReport``: one missing from an older file loads as the
-    field's default, and a key that is no field (such as
-    ``tolerance_used``) is ignored.
+    a non-finite or negative ``gammas`` or ``noise_var``, a non-finite
+    ``coef`` or ``scores``, a ``coef`` or ``scores`` whose shape does not
+    match ``l`` and ``m``, and a ``coef`` whose columns are not
+    G-orthonormal to 1e-8; so does a basis that ``make_bspline_basis``
+    would reject, and a ``schema_version`` other than 1 (a file without one
+    is read as version 1). The report's fields are those of ``FitReport``:
+    one missing from an older file loads as the field's default, and a key
+    that is no field (such as ``tolerance_used``) is ignored.
     """
     b = _field(doc, "basis")
     version = doc.get("schema_version", _SCHEMA_VERSION)
@@ -530,10 +531,19 @@ def model_from_dict(doc: dict) -> FecModel:
     return model
 
 
+def _write_json(doc, path=None) -> None:
+    """Write ``doc`` as every JSON file of the program is written (indent 2,
+    sorted keys, final newline), to ``path`` or, without one, to stdout."""
+    text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    if path is None:
+        sys.stdout.write(text)
+    else:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+
+
 def save_model(model: FecModel, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(model_to_dict(model), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_json(model_to_dict(model), path)
 
 
 def load_model(path) -> FecModel:

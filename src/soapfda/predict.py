@@ -3,7 +3,6 @@ held-out-last-observation evaluation protocol."""
 
 from __future__ import annotations
 
-import math
 import warnings
 from dataclasses import dataclass
 from typing import Sequence
@@ -45,23 +44,31 @@ class MspeReport:
         }
 
 
-def _project(subjects: Sequence[Subject], model: FecModel, stacklevel: int = 3) -> np.ndarray:
-    """Scores of every subject, (len(subjects), M).
-
-    The rows come from ``_rows``, as the fit's do, and the systems from
-    ``_subject_systems``, as the fit's final refit does, so a subject's
-    scores do not depend on which subjects share the call. A subject with a
-    non-finite time or value is rejected by name. ``stacklevel`` is that of
-    the vanishing-subject warning: 3 points at the caller of a public
-    function that calls this one directly.
-    """
-    t, y, sizes = _rows(subjects)
+def _check_finite(subjects: Sequence[Subject], t: np.ndarray, y: np.ndarray) -> None:
+    """Reject by name the first subject with a non-finite time or value in its rows ``t``, ``y``."""
     # a NaN or an infinity in t or y makes t'y non-finite; when finite data
     # overflow it, the scan below finds no subject to reject
     if not np.isfinite(t @ y):
         for s in subjects:
             if not (np.isfinite(s.t).all() and np.isfinite(s.y).all()):
                 raise ValueError(f"subject {s.id}: times and values must be finite")
+
+
+def _project(subjects: Sequence[Subject], model: FecModel, stacklevel: int = 3, rows=None) -> np.ndarray:
+    """Scores of every subject, (len(subjects), M).
+
+    The rows come from ``_rows``, as the fit's do, and the systems from
+    ``_subject_systems``, as the fit's final refit does, so a subject's
+    scores do not depend on which subjects share the call. A subject with a
+    non-finite time or value is rejected by name. ``rows`` (t, y, sizes),
+    when given, stand in for ``_rows(subjects)`` and the caller has checked
+    them. ``stacklevel`` is that of the vanishing-subject warning: 3 points
+    at the caller of a public function that calls this one directly.
+    """
+    if rows is None:
+        rows = _rows(subjects)
+        _check_finite(subjects, *rows[:2])
+    t, y, sizes = rows
     gram, rhs = _subject_systems(eval_basis_matrix(model.basis, t), y, sizes, model.coef)
     # a vanishing subject's Gram matrix is zero, so only a zero entry calls for the scan
     if not gram.all():
@@ -153,15 +160,12 @@ def holdout_last_mspe_model(model: FecModel, test: LongitudinalDataset) -> MspeR
     n_excluded = test.n_subjects - len(eligible)
     if not eligible:
         raise ValueError("no eligible test subjects (all have a single observation)")
-    last_t = np.array([s.t[-1] for s in eligible])
-    last_y = np.array([s.y[-1] for s in eligible])
-    # _project checks the kept rows; the held-out ones are checked here, by the same rule
-    if not np.isfinite(last_t @ last_y):
-        for s in eligible:
-            if not (math.isfinite(s.t[-1]) and math.isfinite(s.y[-1])):
-                raise ValueError(f"subject {s.id}: times and values must be finite")
-    kept = [Subject(id=s.id, t=s.t[:-1], y=s.y[:-1]) for s in eligible]
-    scores = _project(kept, model)
+    t, y, sizes = _rows(eligible)
+    # every row, held-out ones included, by _project's rule
+    _check_finite(eligible, t, y)
+    last = np.cumsum(sizes) - 1
+    last_t, last_y = t[last], y[last]
+    scores = _project(eligible, model, rows=(np.delete(t, last), np.delete(y, last), sizes - 1))
     pred = np.einsum("im,im->i", model.component_values(last_t), scores)
     sq = (pred - last_y) ** 2
     errors = [(s.id, float(e)) for s, e in zip(eligible, sq)]

@@ -11,7 +11,7 @@ import numpy as np
 from .basis import BasisSystem
 from .core import _MAX_ORTHONORMALITY_ERROR, FecModel, LongitudinalDataset
 from .solver import SingularStepError, _check_component_count, _check_gamma, _extract_stage, _loss
-from .solver import _solve_scores, _StagePath, _subject_systems, _Workspace
+from .solver import _solve_scores, _stage_inits, _StagePath, _subject_systems, _Workspace
 
 DEFAULT_GAMMA_GRID = (0.0, 1e-2, 1.0, 1e2, 1e4, 1e8)
 
@@ -98,20 +98,6 @@ def aic(dataset: LongitudinalDataset, fits: Sequence[FecModel]) -> AicResult:
     )
 
 
-def _cv_fold_error(parent: _Workspace, fold: _Workspace, i: int, fixed, scores, gamma) -> float:
-    """Prediction error for held-out subject i, (1/n_i) sum_j (yhat - y)^2,
-    of the component fitted on ``fold``, the parent without subject i. The
-    fold's stage starts, as the fit's do, from the residuals under ``fixed``,
-    scored by the parent's fixed-component ``scores`` less row i."""
-    gammas = np.concatenate([np.zeros(fixed.shape[1]), [gamma]])
-    coef = _extract_stage(fold, fixed, np.delete(scores, i, axis=0), gammas).coef
-    rows = parent.rows(i)
-    B, y = parent.B[rows], parent.y[rows]
-    alpha = _solve_scores(*_subject_systems(B, y, [len(y)], coef))[0][0]
-    resid = y - B @ coef @ alpha
-    return float(resid @ resid) / len(y)
-
-
 def loco_cv_gamma(
     dataset: LongitudinalDataset,
     basis: BasisSystem,
@@ -125,7 +111,8 @@ def loco_cv_gamma(
 
     For each candidate gamma and each held-out subject, component
     ``component`` is refit on the remaining subjects (earlier components
-    fixed, the stage started from the residuals under them), the held-out
+    fixed; every candidate extracts it from the fold's one set of stage
+    starts, formed from the residuals under them), the held-out
     subject's scores are recovered by per-curve least squares on all
     ``component`` functions, and the squared prediction errors accumulate
     into CV(gamma). A fold whose training fit fails marks that candidate
@@ -169,29 +156,39 @@ def loco_cv_gamma(
         rng = np.random.default_rng(fold_seed)
         folds = sorted(rng.choice(len(folds), size=max_folds, replace=False).tolist())
 
-    # folds outside, candidates inside: each fold workspace is built once and
-    # dropped before the next is built. Each candidate still sums its errors
-    # in fold order, and one whose fold fit fails (None) runs no later fold.
-    sums: list[float | None] = [0.0] * len(candidates)
+    # folds outside, candidates inside: each fold's workspace, held-out rows,
+    # fixed scores (the parent's less row i) and stage starts are formed once,
+    # and the workspace is dropped before the next is built. Each candidate
+    # still sums its errors in fold order, and one whose fold fit fails (inf)
+    # runs no later fold; starts that fail fail every candidate.
+    errors = [0.0] * len(candidates)
     for i in folds:
-        fold = parent.drop_subject(i)
+        fold, rows = parent.drop_subject(i), parent.rows(i)
+        B, y, rest = parent.B[rows], parent.y[rows], np.delete(scores, i, axis=0)
+        try:
+            starts = _stage_inits(fold, fixed, rest)
+        except SingularStepError:
+            errors = [math.inf] * len(candidates)
+            break
         for k, gamma in enumerate(candidates):
-            if sums[k] is not None:
-                try:
-                    sums[k] += _cv_fold_error(parent, fold, i, fixed, scores, gamma)
-                except SingularStepError:
-                    sums[k] = None
+            if math.isinf(errors[k]):
+                continue
+            gammas = np.concatenate([np.zeros(fixed.shape[1]), [gamma]])
+            try:
+                coef = _extract_stage(fold, fixed, rest, gammas, starts).coef
+            except SingularStepError:
+                errors[k] = math.inf
+                continue
+            # (1/n_i) sum_j (yhat - y)^2 of held-out subject i
+            alpha = _solve_scores(*_subject_systems(B, y, [len(y)], coef))[0][0]
+            resid = y - B @ coef @ alpha
+            errors[k] += float(resid @ resid) / len(y)
         del fold
-    errors = [math.inf if e is None else e for e in sums]
 
     if all(math.isinf(e) for e in errors):
         raise SingularStepError("every candidate gamma failed during cross-validation")
-    best = 0
-    for k in range(1, len(candidates)):
-        if errors[k] < errors[best] or (
-            errors[k] == errors[best] and candidates[k] > candidates[best]
-        ):
-            best = k
+    # the least error; a tie goes to the larger gamma, then to the earlier candidate
+    best = min(range(len(candidates)), key=lambda k: (errors[k], -candidates[k]))
     return CvResult(
         candidate_gammas=tuple(float(g) for g in candidates),
         cv_errors=tuple(errors),

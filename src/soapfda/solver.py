@@ -614,16 +614,16 @@ class _Run(NamedTuple):
     n_guard_kept: int
 
 
-def _extract_stage(ws: _Workspace, coef, scores, gammas) -> _Run:
-    """Append and fit one more component from each start of ``_stage_inits``.
+def _extract_stage(ws: _Workspace, coef, scores, gammas, starts) -> _Run:
+    """Append one more component and fit it from each of ``starts`` (at least one).
 
     ``coef`` holds the already-fitted components (kept fixed as constraints
-    during this stage); the run with the lowest final objective wins.
+    during this stage); the run with the lowest final objective wins. If
+    every start fails, the last start's error is raised.
     """
     m = coef.shape[1]
-    best = None
-    last_error: SingularStepError | None = None
-    for beta0 in _stage_inits(ws, coef, scores):
+    best = last_error = None
+    for beta0 in starts:
         try:
             run = _alternate(
                 ws,
@@ -639,7 +639,7 @@ def _extract_stage(ws: _Workspace, coef, scores, gammas) -> _Run:
         # _alternate records at least one objective before it can return
         if best is None or run.trace[-1] < best.trace[-1]:
             best = run
-    if best is None:  # _stage_inits returns at least one start, so every one failed
+    if best is None:
         raise last_error
     return best
 
@@ -756,7 +756,8 @@ class _StagePath:
     def extend(self, gamma) -> None:
         """Extract the next component, with roughness weight ``gamma``."""
         self.gammas = np.append(self.gammas, gamma)
-        run = _extract_stage(self.ws, self.coef, self.scores, self.gammas)
+        starts = _stage_inits(self.ws, self.coef, self.scores)
+        run = _extract_stage(self.ws, self.coef, self.scores, self.gammas, starts)
         self.coef, self.scores = run.coef, run.scores
         self.stages.append(run)
         self.offsets.append(len(self.trace))

@@ -87,6 +87,34 @@ class TestConstruction:
         assert default_basis_size(1) == 5
         assert default_basis_size(1, order=6) == 6
 
+    @pytest.mark.parametrize(
+        "domain, size, order, match",
+        [
+            ((1.0, 1.0), 6, 4, r"invalid domain \(1.0, 1.0\)"),
+            ((0.0, math.inf), 6, 4, r"invalid domain \(0.0, inf\)"),
+            ((0.0, 1.0), 6, 1, "order must be >= 2, got 1"),
+            ((0.0, 1.0), 3, 4, "basis size 3 is smaller than order 4"),
+        ],
+        ids=["empty-domain", "infinite-domain", "order-1", "size-below-order"],
+    )
+    def test_bad_construction_rejected(self, domain, size, order, match):
+        with pytest.raises(ValueError, match=match):
+            make_bspline_basis(domain, size, order)
+
+    def test_wrong_interior_knot_count_rejected(self):
+        with pytest.raises(ValueError, match=r"expected 2 interior knots, got \(3,\)"):
+            make_bspline_basis((0.0, 1.0), 6, 4, interior_knots=[0.25, 0.5, 0.75])
+
+    def test_quantile_knots_zero_count(self):
+        knots = quantile_interior_knots([0.1, 0.5, 0.9], 0, (0.0, 1.0))
+        assert knots.shape == (0,)
+        assert make_bspline_basis((0.0, 1.0), 4, 4, interior_knots=knots).size == 4
+
+    def test_quantile_knots_from_tied_times_rejected(self):
+        # every time at 0.5: the quantiles coincide
+        with pytest.raises(ValueError, match="non-increasing or boundary knots"):
+            quantile_interior_knots(np.full(20, 0.5), 3, (0.0, 1.0))
+
     def test_quantile_knots(self):
         rng = np.random.default_rng(0)
         times = rng.uniform(0, 1, size=500)

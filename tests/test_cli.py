@@ -217,6 +217,39 @@ class TestFit:
         err = json.loads(capsys.readouterr().out)
         assert "not found" in err["error"]["message"]
 
+    @pytest.mark.parametrize(
+        "grid, expected",
+        [
+            ("3", "--m-grid expects 'a..b', got '3'"),
+            ("1..x", "--m-grid expects integers"),
+            ("0..2", "--m-grid range '0..2' is empty or invalid"),
+        ],
+    )
+    def test_bad_m_grid_gives_error_json(self, sparse_fixture, tmp_path, capsys, grid, expected):
+        status = run_cli(
+            "fit", "--input", sparse_fixture, "--output-dir", str(tmp_path / "o"), "--domain", "0,1",
+            "--m-grid", grid,
+        )
+        assert status == 2
+        assert expected in json.loads(capsys.readouterr().out)["error"]["message"]
+
+    @pytest.mark.parametrize(
+        "argv, expected",
+        [
+            (["predict", "--input", "DATA", "--model", "MISSING", "--output-dir", "OUT"], "model file not found"),
+            (["simulate", "--config", "MISSING", "--output-dir", "OUT"], "config file not found"),
+            (["oracle-check", "--input", "MISSING", "--output-dir", "OUT"], "input file not found"),
+        ],
+        ids=["predict-model", "simulate-config", "oracle-check-input"],
+    )
+    def test_missing_file_gives_error_json(self, sparse_fixture, tmp_path, capsys, argv, expected):
+        missing, out = tmp_path / "nope", tmp_path / "o"
+        argv = [{"DATA": sparse_fixture, "MISSING": str(missing), "OUT": str(out)}.get(a, a) for a in argv]
+        assert run_cli(*argv) == 2
+        message = json.loads(capsys.readouterr().out)["error"]["message"]
+        assert message == f"{expected}: {missing}"
+        assert not out.exists()
+
     def test_quantile_knots_accepted(self, sparse_fixture, tmp_path):
         out = tmp_path / "q"
         status = run_cli(
@@ -237,9 +270,9 @@ class TestFit:
 
     def test_grid_size_below_one_rejected_before_fitting(self, sparse_fixture, tmp_path, capsys, monkeypatch):
         def no_fit(*args, **kwargs):
-            raise AssertionError("fit_soap ran")
+            raise AssertionError("a fit ran")
 
-        monkeypatch.setattr(cli, "fit_soap", no_fit)
+        monkeypatch.setattr(cli, "_fit_models", no_fit)
         status = run_cli(
             "fit", "--input", sparse_fixture, "--output-dir", str(tmp_path / "o"),
             "--domain", "0,1", "--grid-size", "0",
@@ -427,6 +460,18 @@ class TestSimulate:
         assert set(summary["impe"]) == {"mean", "sd", "median", "min", "max"}
         lines = (out / "replications.csv").read_text().strip().splitlines()
         assert len(lines) == 3  # header + 2 reps
+
+    def test_seed_flag_overrides_the_config_seed(self, tmp_path):
+        cfg = tmp_path / "sim.cfg"
+        cfg.write_text("n_train = 10\nn_test = 10\nseed = 5\n")
+        seeded = tmp_path / "seeded.cfg"
+        seeded.write_text("n_train = 10\nn_test = 10\nseed = 9\n")
+        runs = {"flag": (cfg, "--seed", "9"), "file": (seeded,), "config": (cfg,)}
+        for tag, (path, *flag) in runs.items():
+            args = ["simulate", "--config", str(path), "--output-dir", str(tmp_path / tag)]
+            assert run_cli(*args, "--reps", "1", "--basis-size", "6", *flag) == 0
+        summary = {tag: (tmp_path / tag / "summary.json").read_bytes() for tag in runs}
+        assert summary["flag"] == summary["file"] != summary["config"]
 
     def test_dump_data_round_trips(self, tmp_path):
         cfg = tmp_path / "sim.cfg"

@@ -1,5 +1,6 @@
 import csv
 import gc
+import json
 import math
 
 import numpy as np
@@ -16,9 +17,11 @@ from soapfda import (
 )
 from soapfda.core import (
     dataset_to_rows,
+    load_model,
     model_from_dict,
     model_to_dict,
     read_long_csv,
+    save_model,
     write_long_csv,
 )
 
@@ -431,6 +434,24 @@ class TestFecModel:
             np.testing.assert_array_equal(stored, given)
 
 
+    @pytest.mark.parametrize(
+        "name, value, match",
+        [
+            ("scores", np.zeros(3), r"scores must be an \(n, M\) matrix, got shape \(3,\)"),
+            ("noise_var", math.nan, "noise_var must be >= 0, got nan"),
+            ("gammas", np.array([-1.0]), r"gammas must be finite and >= 0, got \[-1.0\]"),
+            ("gammas", np.array([math.nan]), r"gammas must be finite and >= 0, got \[nan\]"),
+        ],
+        ids=["1-D-scores", "nan-noise-var", "negative-gamma", "nan-gamma"],
+    )
+    def test_invalid_field_rejected_by_name(self, name, value, match):
+        basis = make_bspline_basis((0.0, 1.0), 6, 4)
+        given = dict(coef=np.eye(6)[:, :1], scores=np.zeros((3, 1)), gammas=np.zeros(1), noise_var=0.0)
+        given[name] = value
+        with pytest.raises(ValueError, match=match):
+            FecModel(basis=basis, **given)
+
+
 class TestModelRoundTrip:
     def make_model(self, rng, with_report=True):
         basis = make_bspline_basis((0.0, 1.0), 6, 4)
@@ -471,6 +492,29 @@ class TestModelRoundTrip:
         assert back.report == model.report
         np.testing.assert_array_equal(back.basis.gram, model.basis.gram)
         np.testing.assert_array_equal(back.basis.penalty, model.basis.penalty)
+
+    @pytest.mark.parametrize(
+        "gammas, match",
+        [
+            ([-1.0, 0.0], "gammas must be finite and >= 0"),
+            # a number where a list belongs raised TypeError from len()
+            (0.0, "scores/gammas do not match the number of components"),
+        ],
+        ids=["negative", "scalar"],
+    )
+    def test_bad_gammas_in_file_rejected(self, rng, tmp_path, gammas, match):
+        doc = model_to_dict(self.make_model(rng))
+        doc["gammas"] = gammas
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ValueError, match=match):
+            load_model(path)
+
+    def test_saved_file_is_indented_sorted_json_with_a_final_newline(self, rng, tmp_path):
+        model = self.make_model(rng)
+        save_model(model, tmp_path / "model.json")
+        expected = json.dumps(model_to_dict(model), indent=2, sort_keys=True) + "\n"
+        assert (tmp_path / "model.json").read_text(encoding="utf-8") == expected
 
     def test_report_without_truncation_count_loads_as_zero(self, rng):
         doc = model_to_dict(self.make_model(rng))

@@ -47,6 +47,20 @@ class TestDenseCurveSet:
             DenseCurveSet(grid=np.array([0.0, 0.5, 0.6]), curves=np.zeros((1, 3)))
         with pytest.raises(ValueError, match="increasing"):
             DenseCurveSet(grid=np.array([0.0, 0.0, 0.1]), curves=np.zeros((1, 3)))
+        with pytest.raises(ValueError, match="grid must be 1-D with at least two points"):
+            DenseCurveSet(grid=np.array([0.5]), curves=np.zeros((1, 1)))
+
+    def test_curve_shape_validation(self):
+        grid = np.linspace(0.0, 1.0, 3)
+        for curves in (np.zeros((2, 4)), np.zeros(3)):
+            with pytest.raises(ValueError, match=r"curves must be \(n, 3\), got"):
+                DenseCurveSet(grid=grid, curves=curves)
+
+    def test_sign_aligned_imse_shape_mismatch_rejected(self):
+        grid = np.linspace(0.0, 1.0, 5)
+        for f_hat, f_ref in ((np.zeros(4), np.zeros(5)), (np.zeros(4), np.zeros(4))):
+            with pytest.raises(ValueError, match="functions and grid must share one shape"):
+                sign_aligned_imse(f_hat, f_ref, grid)
 
     def test_caller_arrays_stay_writeable(self):
         grid, curves = np.linspace(0.0, 1.0, 3), np.ones((2, 3))

@@ -84,6 +84,13 @@ class TestSigma2Hat:
         assert abs(sigma2_hat(ds, model) - expected) <= 1e-12 * max(1.0, expected)
 
 
+    def test_subject_count_mismatch_rejected(self, cubic_basis):
+        ds = small_dataset(n=10)
+        model = FecModel(cubic_basis, np.eye(8)[:, :1], np.zeros((9, 1)), np.zeros(1), 0.0)
+        with pytest.raises(ValueError, match="model scores do not match the dataset's subject count"):
+            sigma2_hat(ds, model)
+
+
 class TestAic:
     def test_published_row_selects_three(self):
         assert select_component_count((1, 2, 3, 4, 5, 6), PUBLISHED_AIC_ROW) == 3
@@ -118,6 +125,10 @@ class TestAic:
 
     def test_tie_prefers_smaller_m(self):
         assert select_component_count([3, 1, 2], [5.0, 5.0, 5.0]) == 1
+
+    def test_no_fits_rejected(self):
+        with pytest.raises(ValueError, match="need at least one fitted model"):
+            aic(small_dataset(n=10), [])
 
     def test_aic_on_fits(self):
         ds = small_dataset(4, n=40)
@@ -201,20 +212,21 @@ class TestLocoCv:
         grid = [0.0, 1e-2, 1e2]
         plain = loco_cv_gamma(ds, basis, 1, None, grid)
         built, calls = [], []
-        drop, fold_error = solver._Workspace.drop_subject, selection._cv_fold_error
+        drop, extract = solver._Workspace.drop_subject, selection._extract_stage
 
         def counted_drop(ws, i):
             built.append(i)
             return drop(ws, i)
 
-        def failing(parent, fold, i, fixed, scores, gamma):
+        def failing(fold, fixed, scores, gammas, starts):
+            gamma, i = gammas[-1], built[-1]  # the fold is the last one built
             calls.append((gamma, i))
             if (gamma, i) == (1e-2, 3):
                 raise SingularStepError("forced")
-            return fold_error(parent, fold, i, fixed, scores, gamma)
+            return extract(fold, fixed, scores, gammas, starts)
 
         monkeypatch.setattr(solver._Workspace, "drop_subject", counted_drop)
-        monkeypatch.setattr(selection, "_cv_fold_error", failing)
+        monkeypatch.setattr(selection, "_extract_stage", failing)
         res = loco_cv_gamma(ds, basis, 1, None, grid)
         assert built == list(range(8))
         for gamma, folds in zip(grid, (range(8), range(4), range(8))):
@@ -274,7 +286,7 @@ class TestLocoCv:
         ds = small_dataset(n=25)
         basis = make_bspline_basis((0.0, 1.0), 8, 4)
         # a fold that ran would raise TypeError, not ValueError
-        monkeypatch.setattr(selection, "_cv_fold_error", None)
+        monkeypatch.setattr(selection, "_stage_inits", None)
         with pytest.raises(ValueError, match=match):
             loco_cv_gamma(ds, basis, component, fixed, [0.0, 1e2])
 
@@ -320,25 +332,66 @@ class TestLocoCv:
             # component m + 1's CV holds this fit's components fixed
             assert np.asarray(received[m]).tobytes() == model.coef.tobytes()
 
-    def test_fold_stage_starts_from_the_fixed_components_residuals(self):
+    def test_fold_stage_starts_from_the_fixed_components_residuals(self, monkeypatch):
         ds = small_dataset(11, n=20)
         basis = make_bspline_basis((0.0, 1.0), 6, 4)
         fixed = fit_soap(ds, basis, 1, 1e-2).coef
         parent = solver._Workspace.from_dataset(ds, basis)
         scores = solver._solve_scores(*solver._subject_systems(parent.B, parent.y, parent.sizes, fixed))[0]
-        for i in (0, 7, 19):
+        grid = (0.0, 1e2)
+        drop, extract, built, runs = solver._Workspace.drop_subject, selection._extract_stage, [], []
+
+        def counted_drop(ws, i):
+            built.append(i)
+            return drop(ws, i)
+
+        def recorded(fold, fixed, scores, gammas, starts):
+            runs.append((scores, starts))
+            return extract(fold, fixed, scores, gammas, starts)
+
+        monkeypatch.setattr(solver._Workspace, "drop_subject", counted_drop)
+        monkeypatch.setattr(selection, "_extract_stage", recorded)
+        res = loco_cv_gamma(ds, basis, 2, fixed, grid, max_folds=3)
+        monkeypatch.undo()
+        assert len(built) == 3
+        expected = [0.0] * len(grid)
+        for f, i in enumerate(built):
             fold = parent.drop_subject(i)
             start = np.delete(scores, i, axis=0)
             # the kernel is batch-independent: these are the fold's own scores
             own = solver._solve_scores(*solver._subject_systems(fold.B, fold.y, fold.sizes, fixed))[0]
             assert start.tobytes() == own.tobytes()
-            for gamma in (0.0, 1e2):
-                coef = solver._extract_stage(fold, fixed, start, np.array([0.0, gamma]))[0]
+            inits = solver._stage_inits(fold, fixed, start)
+            for k, gamma in enumerate(grid):
+                # folds outside, candidates inside: every candidate of fold i
+                # starts from its fixed scores and one set of starts
+                passed, starts = runs[len(grid) * f + k]
+                assert passed.tobytes() == start.tobytes()
+                assert [u.tobytes() for u in starts] == [u.tobytes() for u in inits]
+                coef = solver._extract_stage(fold, fixed, start, np.array([0.0, gamma]), inits)[0]
                 B, y = parent.B[parent.rows(i)], parent.y[parent.rows(i)]
                 alpha = solver._solve_scores(*solver._subject_systems(B, y, [len(y)], coef))[0][0]
                 resid = y - B @ coef @ alpha
-                expected = float(resid @ resid) / len(y)
-                assert selection._cv_fold_error(parent, fold, i, fixed, scores, gamma) == expected
+                expected[k] += float(resid @ resid) / len(y)
+        assert res.cv_errors == tuple(expected)
+
+    def test_fold_starts_are_formed_once_per_fold(self, monkeypatch):
+        """Every candidate gamma of a fold extracts from the same starts, so
+        5 folds over 3 candidates form them 5 times, not 15; the pinned CV
+        errors do not move."""
+        cfg = SimulationConfig(seed=3)
+        ds, _, _ = gen_sparse_dataset(cfg, 40)
+        inits, calls = solver._stage_inits, []
+
+        def counted(ws, fixed, scores):
+            calls.append(ws.n)
+            return inits(ws, fixed, scores)
+
+        monkeypatch.setattr(solver, "_stage_inits", counted)
+        monkeypatch.setattr(selection, "_stage_inits", counted, raising=False)
+        res = loco_cv_gamma(ds, make_bspline_basis(cfg.domain, 8, 4), 1, None, (0.0, 1e-2, 1e2), max_folds=5)
+        assert calls == [39] * 5
+        assert tuple(e.hex() for e in res.cv_errors) == self.PINNED_CV_ERRORS
 
     @pytest.mark.parametrize(
         "flags, n_finished",
@@ -358,10 +411,10 @@ class TestLocoCv:
         finished = []
         extract, fix_signs = solver._extract_stage, solver._fix_signs
 
-        def counted(ws, coef, scores, gammas):
+        def counted(ws, coef, scores, gammas, starts):
             if ws.n == ds.n_subjects:  # a CV fold holds one subject fewer
                 full_data_stages.append(coef.shape[1] + 1)
-            return extract(ws, coef, scores, gammas)
+            return extract(ws, coef, scores, gammas, starts)
 
         def finishing(ws, coef):
             finished.append(coef.shape[1])

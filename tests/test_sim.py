@@ -111,6 +111,10 @@ class TestMetrics:
         with pytest.raises(ValueError, match="mismatch"):
             impe(np.zeros((3, 5)), np.zeros((4, 5)), grid)
 
+    def test_impe_grid_length_mismatch(self):
+        with pytest.raises(ValueError, match="curves do not match the grid length"):
+            impe(np.zeros((3, 5)), np.zeros((3, 5)), np.linspace(0, 1, 4))
+
     def test_imse_zero_and_sign_aligned(self):
         grid = np.linspace(0, 1, 101)
         f = np.sin(2 * np.pi * grid)
@@ -181,6 +185,10 @@ class TestReplicationStudy:
             assert set(block) == {"mean", "sd", "median", "min", "max"}
         assert summary.n_reps == 2 and summary.n_failed == 0
 
+    def test_zero_replications_rejected(self):
+        with pytest.raises(ValueError, match="need at least one replication"):
+            run_replication_study(SimulationConfig(), n_reps=0)
+
     def test_all_failed_study_names_the_first_failure(self):
         cfg = SimulationConfig(seed=43, n_train=10, n_test=10)
         with pytest.raises(RuntimeError, match="all 2 replications failed.*must be finite"):
@@ -214,6 +222,12 @@ class TestConfigFile:
         assert cfg.ni_range == (2, 6)
         assert cfg.domain == (0.0, 2.0)
         assert cfg.seed == 99
+
+    def test_line_without_equals_rejected(self, tmp_path):
+        path = tmp_path / "sim.cfg"
+        path.write_text("seed = 1\n# a comment\nn_train 40\n")
+        with pytest.raises(ValueError, match=r"sim\.cfg:3: expected key=value, got 'n_train 40'"):
+            parse_config_file(path)
 
     def test_unknown_key_rejected(self, tmp_path):
         path = tmp_path / "sim.cfg"

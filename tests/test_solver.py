@@ -98,6 +98,12 @@ class TestObjective:
         )
         assert abs(objective(ds, model) - naive_objective(ds, model)) < 1e-10
 
+    def test_subject_count_mismatch_rejected(self):
+        ds, basis = sparse_instance(12)
+        model = FecModel(basis, np.eye(basis.size)[:, :1], np.zeros((ds.n_subjects - 1, 1)), np.zeros(1), 0.0)
+        with pytest.raises(ValueError, match="model scores do not match the dataset's subject count"):
+            objective(ds, model)
+
 
 class TestScoreStep:
     def test_projection_onto_first_coordinate(self):
@@ -135,6 +141,16 @@ class TestScoreStep:
         ds = validate_dataset([("a", 0.5, 2.0), ("b", 0.5, 2.0)], (0.0, 1.0))
         with pytest.raises(ValueError, match="inconsistent"):
             score_step(ds, [np.ones((1, 2)), np.ones((1, 3))])
+
+    def test_one_value_matrix_per_subject_required(self):
+        ds = validate_dataset([("a", 0.5, 2.0), ("b", 0.5, 2.0)], (0.0, 1.0))
+        with pytest.raises(ValueError, match="need one value matrix per subject"):
+            score_step(ds, [np.ones((1, 2))])
+
+    def test_row_count_mismatch_rejected(self):
+        ds = validate_dataset([("a", 0.2, 1.0), ("a", 0.5, 2.0), ("b", 0.5, 2.0)], (0.0, 1.0))
+        with pytest.raises(ValueError, match="subject a: 1 rows for 2 observations"):
+            score_step(ds, [np.ones((1, 2)), np.ones((1, 2))])
 
     def test_zero_columns_rejected(self):
         ds = validate_dataset([("a", 0.5, 2.0), ("a", 0.7, 1.0), ("b", 0.5, 2.0)], (0.0, 1.0))
