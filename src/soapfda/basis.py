@@ -141,15 +141,16 @@ def make_bspline_basis(
     )
 
 
-def _gram_and_penalty(knots, order, lo, hi, interior, size):
-    breaks = np.concatenate([[lo], interior, [hi]])
-    nodes, weights = np.polynomial.legendre.leggauss(order)
-    # map reference nodes to every span
+def _panel_rule(breaks, n_nodes: int) -> tuple[np.ndarray, np.ndarray]:
+    """Composite Gauss-Legendre nodes and weights, ``n_nodes`` per panel between ``breaks``."""
+    nodes, weights = np.polynomial.legendre.leggauss(n_nodes)
     half = np.diff(breaks) / 2.0
     mid = (breaks[:-1] + breaks[1:]) / 2.0
-    x = (mid[:, None] + half[:, None] * nodes[None, :]).ravel()
-    w = (half[:, None] * weights[None, :]).ravel()
+    return (mid[:, None] + half[:, None] * nodes[None, :]).ravel(), (half[:, None] * weights[None, :]).ravel()
 
+
+def _gram_and_penalty(knots, order, lo, hi, interior, size):
+    x, w = _panel_rule(np.concatenate([[lo], interior, [hi]]), order)
     spline = BSpline(knots, np.eye(size), order - 1)
     values = spline(x)
     gram = values.T @ (w[:, None] * values)

@@ -315,8 +315,7 @@ def build_parser() -> argparse.ArgumentParser:
     simulate.add_argument("--reps", type=int, default=5)
     simulate.add_argument("--m", type=int, default=2)
     simulate.add_argument("--gamma", type=float, default=1e-3)
-    simulate.add_argument("--basis-size", type=int, default=None)
-    simulate.add_argument("--order", type=int, default=4)
+    _add_common(simulate, with_domain=False)
     simulate.add_argument("--grid-size", type=int, default=101)
     simulate.add_argument("--seed", type=int, default=None, help="overrides the config seed")
     simulate.add_argument("--dump-data", action="store_true")

@@ -128,6 +128,8 @@ class FecModel:
     report: FitReport | None = field(default=None, compare=False)
 
     def __post_init__(self):
+        if self.coef.ndim != 2:
+            raise ValueError(f"coef must be an (L, M) matrix, got shape {self.coef.shape}")
         L, M = self.coef.shape
         if M < 1 or L < M:
             raise ValueError(f"need 1 <= M <= L, got coef shape {self.coef.shape}")
@@ -153,8 +155,12 @@ class FecModel:
 
     def orthonormality_error(self) -> float:
         """max |coef_m' G coef_l - delta_ml| over all component pairs."""
-        gram = self.coef.T @ self.basis.gram @ self.coef
-        return float(np.max(np.abs(gram - np.eye(self.n_components))))
+        return _orthonormality_error(self.coef, self.basis.gram)
+
+
+def _orthonormality_error(coef: np.ndarray, gram: np.ndarray) -> float:
+    """max |C'GC - I| over the columns of ``coef`` C; 0 for no columns."""
+    return float(np.abs(coef.T @ gram @ coef - np.eye(coef.shape[1])).max(initial=0.0))
 
 
 def validate_dataset(

@@ -9,8 +9,8 @@ from typing import Sequence
 import numpy as np
 
 from .basis import BasisSystem
-from .core import _MAX_ORTHONORMALITY_ERROR, FecModel, LongitudinalDataset
-from .solver import SingularStepError, _check_component_count, _check_gamma, _extract_stage, _loss
+from .core import _MAX_ORTHONORMALITY_ERROR, FecModel, LongitudinalDataset, _orthonormality_error
+from .solver import SingularStepError, _check_component_count, _check_gamma, _extract_stage, _model_loss
 from .solver import _solve_scores, _stage_inits, _StagePath, _subject_systems, _Workspace
 
 DEFAULT_GAMMA_GRID = (0.0, 1e-2, 1.0, 1e2, 1e4, 1e8)
@@ -48,10 +48,7 @@ class AicResult:
 
 def sigma2_hat(dataset: LongitudinalDataset, model: FecModel) -> float:
     """Average squared residual: (1/n) sum_i (1/n_i) ||y_i - yhat_i||^2."""
-    if model.scores.shape[0] != dataset.n_subjects:
-        raise ValueError("model scores do not match the dataset's subject count")
-    ws = _Workspace.from_dataset(dataset, model.basis)
-    return _loss(ws, model.coef, model.scores, np.zeros(model.n_components))[1]
+    return _model_loss(dataset, model)[1]
 
 
 def aic_values(n_obs_total: int, n_subjects: int, candidate_m, sigma2s) -> list[float]:
@@ -66,16 +63,11 @@ def aic_values(n_obs_total: int, n_subjects: int, candidate_m, sigma2s) -> list[
 
 
 def select_component_count(candidate_m, aic: Sequence[float]) -> int:
-    """Argmin of the AIC table, skipping nan entries; ties prefer smaller M."""
-    best_m, best_val = None, math.inf
-    for m, val in zip(candidate_m, aic, strict=True):
-        if math.isnan(val):
-            continue
-        if val < best_val or (val == best_val and best_m is not None and m < best_m):
-            best_m, best_val = m, val
-    if best_m is None:
+    """Argmin of the AIC table, skipping nan and +inf entries; ties prefer smaller M."""
+    kept = [(val, m) for m, val in zip(candidate_m, aic, strict=True) if val < math.inf]
+    if not kept:
         raise ValueError("every candidate was excluded (zero residual variance)")
-    return best_m
+    return min(kept)[1]
 
 
 def aic(dataset: LongitudinalDataset, fits: Sequence[FecModel]) -> AicResult:
@@ -115,8 +107,8 @@ def loco_cv_gamma(
     starts, formed from the residuals under them), the held-out
     subject's scores are recovered by per-curve least squares on all
     ``component`` functions, and the squared prediction errors accumulate
-    into CV(gamma). A fold whose training fit fails marks that candidate
-    invalid (inf); if every candidate fails, raises.
+    into CV(gamma). The starts always exist; a fold whose training fit fails
+    marks that candidate invalid (inf); if every candidate fails, raises.
 
     ``max_folds`` optionally evaluates only a seeded random subset of at
     least one fold (useful for large n; the default is the exact procedure).
@@ -141,7 +133,7 @@ def loco_cv_gamma(
         raise ValueError(f"fixed_coefs has shape {fixed.shape}, expected ({basis.size}, {component - 1})")
     if not np.all(np.isfinite(fixed)):
         raise ValueError("fixed_coefs has non-finite entries")
-    err = np.abs(fixed.T @ basis.gram @ fixed - np.eye(component - 1)).max(initial=0.0)
+    err = _orthonormality_error(fixed, basis.gram)
     if err > _MAX_ORTHONORMALITY_ERROR:
         raise ValueError(
             f"fixed_coefs is not G-orthonormal: error {err:.3g} exceeds {_MAX_ORTHONORMALITY_ERROR:g}"
@@ -156,20 +148,15 @@ def loco_cv_gamma(
         rng = np.random.default_rng(fold_seed)
         folds = sorted(rng.choice(len(folds), size=max_folds, replace=False).tolist())
 
-    # folds outside, candidates inside: each fold's workspace, held-out rows,
-    # fixed scores (the parent's less row i) and stage starts are formed once,
-    # and the workspace is dropped before the next is built. Each candidate
-    # still sums its errors in fold order, and one whose fold fit fails (inf)
-    # runs no later fold; starts that fail fail every candidate.
+    # folds outside, candidates inside: each fold's workspace, held-out rows, fixed
+    # scores (the parent's less row i) and stage starts are formed once, and the
+    # workspace is dropped before the next is built. Each candidate sums its
+    # errors in fold order; one whose fold fit fails (inf) runs no later fold.
     errors = [0.0] * len(candidates)
     for i in folds:
         fold, rows = parent.drop_subject(i), parent.rows(i)
         B, y, rest = parent.B[rows], parent.y[rows], np.delete(scores, i, axis=0)
-        try:
-            starts = _stage_inits(fold, fixed, rest)
-        except SingularStepError:
-            errors = [math.inf] * len(candidates)
-            break
+        starts = _stage_inits(fold, fixed, rest)
         for k, gamma in enumerate(candidates):
             if math.isinf(errors[k]):
                 continue

@@ -14,9 +14,9 @@ from typing import Callable
 
 import numpy as np
 
-from .basis import default_basis_size, make_bspline_basis
+from .basis import _panel_rule, default_basis_size, make_bspline_basis
 from .core import LongitudinalDataset, dataset_from_columns
-from .oracle import sign_aligned_imse
+from .oracle import compare_to_soap
 from .predict import default_grid, predict_trajectories
 from .solver import fit_soap
 
@@ -45,12 +45,7 @@ def check_orthonormal(f1, f2, domain, tol: float = 1e-10) -> None:
     polynomials (spline-representable pairs) to well below the tolerance.
     """
     lo, hi = domain
-    x, w = np.polynomial.legendre.leggauss(12)
-    edges = np.linspace(lo, hi, 257)
-    half = np.diff(edges) / 2.0
-    mid = (edges[:-1] + edges[1:]) / 2.0
-    pts = (mid[:, None] + half[:, None] * x[None, :]).ravel()
-    wts = (half[:, None] * w[None, :]).ravel()
+    pts, wts = _panel_rule(np.linspace(lo, hi, 257), 12)
     v1 = np.asarray(f1(pts), dtype=float)
     v2 = np.asarray(f2(pts), dtype=float)
     worst = max(
@@ -274,8 +269,7 @@ def run_replication_study(
         raise ValueError("need at least one replication")
     grid = default_grid(config.domain, grid_size)
     f1, f2 = config.component_pair()
-    true_values = [f1(grid), f2(grid)]
-    n_cmp_tracked = min(n_components, 2)
+    true_values = np.column_stack([f1(grid), f2(grid)])
 
     def one_rep(rep: int) -> dict:
         train, test, truth_test = draw_replication(config, rep)
@@ -284,13 +278,9 @@ def run_replication_study(
         model = fit_soap(train, basis, n_components, gammas)
         predicted = np.vstack([t.values for t in predict_trajectories(test.subjects, model, grid)])
         truth = truth_test.curves_matrix(grid)
-        fitted = model.component_values(grid)
-        record = {
-            "rep": rep,
-            "impe": impe(predicted, truth, grid),
-        }
-        for m in range(n_cmp_tracked):
-            record[f"imse_{m + 1}"] = sign_aligned_imse(fitted[:, m], true_values[m], grid)
+        record = {"rep": rep, "impe": impe(predicted, truth, grid)}
+        for m, imse in enumerate(compare_to_soap(model, true_values, grid)):
+            record[f"imse_{m + 1}"] = float(imse)
         return record
 
     per_rep, failed, first_error = [], [], None
@@ -310,7 +300,7 @@ def run_replication_study(
         impe=MetricStats.from_values([r["impe"] for r in per_rep]),
         imse_components=tuple(
             MetricStats.from_values([r[f"imse_{m + 1}"] for r in per_rep])
-            for m in range(n_cmp_tracked)
+            for m in range(min(n_components, 2))
         ),
         per_rep=tuple(per_rep),
     )

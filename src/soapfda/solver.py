@@ -330,13 +330,17 @@ def _loss(ws: _Workspace, coef, scores, gammas) -> tuple[float, float]:
 # ---------------------------------------------------------------------------
 
 
-def objective(dataset: LongitudinalDataset, model: FecModel) -> float:
-    """Observed loss of the model on the dataset, including roughness penalties."""
+def _model_loss(dataset: LongitudinalDataset, model: FecModel) -> tuple[float, float]:
+    """``_loss`` of the model's components, scores and gammas on the dataset's rows."""
     ws = _Workspace.from_dataset(dataset, model.basis)
     if model.scores.shape[0] != ws.n:
         raise ValueError("model scores do not match the dataset's subject count")
-    full, _ = _loss(ws, model.coef, model.scores, model.gammas)
-    return full
+    return _loss(ws, model.coef, model.scores, model.gammas)
+
+
+def objective(dataset: LongitudinalDataset, model: FecModel) -> float:
+    """Observed loss of the model on the dataset, including roughness penalties."""
+    return _model_loss(dataset, model)[0]
 
 
 def score_step(dataset: LongitudinalDataset, fec_values: Sequence[np.ndarray]) -> np.ndarray:
@@ -357,8 +361,7 @@ def score_step(dataset: LongitudinalDataset, fec_values: Sequence[np.ndarray]) -
     for vals, subject in zip(values, dataset.subjects):
         if vals.shape[0] != subject.n_obs:
             raise ValueError(f"subject {subject.id}: {vals.shape[0]} rows for {subject.n_obs} observations")
-    y = np.concatenate([s.y for s in dataset.subjects])
-    sizes = [s.n_obs for s in dataset.subjects]
+    _, y, sizes = _rows(dataset.subjects)
     return _solve_scores(*_subject_systems(np.concatenate(values), y, sizes))[0]
 
 
@@ -577,6 +580,9 @@ def _stage_inits(ws: _Workspace, fixed: np.ndarray, scores: np.ndarray) -> list[
     b(t_ij) b(t_ik)', v_i = 1/(n_i (n_i - 1)) (0 for n_i = 1), with r the
     residuals under the fixed components and their ``scores``: the raw
     covariance of Yao, Mueller & Wang (2005) without its noisy diagonal.
+    Some moment direction is always usable: projecting the m - 1 < L fixed
+    G-orthonormal columns out of all L directions leaves squared G-norms
+    summing to L - m + 1 >= 1.
     """
     gram = ws.basis.gram
     r = ws.y - np.einsum("nm,nm->n", np.repeat(scores, ws.sizes, axis=0), ws.B @ fixed)
@@ -593,8 +599,6 @@ def _stage_inits(ws: _Workspace, fixed: np.ndarray, scores: np.ndarray) -> list[
             if not any(abs(float(u @ gram @ w)) > 1.0 - 1e-8 for w in inits):
                 inits.append(u)
             break
-    if not inits:
-        raise SingularStepError("no usable initial direction orthogonal to fixed components")
     return inits
 
 

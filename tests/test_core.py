@@ -441,8 +441,13 @@ class TestFecModel:
             ("noise_var", math.nan, "noise_var must be >= 0, got nan"),
             ("gammas", np.array([-1.0]), r"gammas must be finite and >= 0, got \[-1.0\]"),
             ("gammas", np.array([math.nan]), r"gammas must be finite and >= 0, got \[nan\]"),
+            ("coef", np.zeros(6), r"coef must be an \(L, M\) matrix, got shape \(6,\)"),
+            ("coef", np.zeros((6, 1, 1)), r"coef must be an \(L, M\) matrix, got shape \(6, 1, 1\)"),
+            ("coef", np.eye(7)[:, :1], "coefficient rows do not match basis size"),
         ],
-        ids=["1-D-scores", "nan-noise-var", "negative-gamma", "nan-gamma"],
+        ids=[
+            "1-D-scores", "nan-noise-var", "negative-gamma", "nan-gamma", "1-D-coef", "3-D-coef", "coef-rows",
+        ],
     )
     def test_invalid_field_rejected_by_name(self, name, value, match):
         basis = make_bspline_basis((0.0, 1.0), 6, 4)

@@ -123,6 +123,11 @@ class TestAic:
         with pytest.raises(ValueError, match="excluded"):
             select_component_count([1], [math.nan])
 
+    def test_infinite_entry_excluded(self):
+        assert select_component_count([1, 2, 3], [math.inf, 7.0, math.nan]) == 2
+        with pytest.raises(ValueError, match="excluded"):
+            select_component_count([1, 2], [math.inf, math.nan])
+
     def test_tie_prefers_smaller_m(self):
         assert select_component_count([3, 1, 2], [5.0, 5.0, 5.0]) == 1
 
@@ -374,6 +379,13 @@ class TestLocoCv:
                 resid = y - B @ coef @ alpha
                 expected[k] += float(resid @ resid) / len(y)
         assert res.cv_errors == tuple(expected)
+
+    def test_one_fixed_column_as_a_vector(self):
+        ds = small_dataset(11, n=20)
+        basis = make_bspline_basis((0.0, 1.0), 6, 4)
+        fixed = fit_soap(ds, basis, 1, 1e-2).coef
+        as_vector = loco_cv_gamma(ds, basis, 2, fixed[:, 0], (0.0, 1e2), max_folds=3)
+        assert as_vector == loco_cv_gamma(ds, basis, 2, fixed, (0.0, 1e2), max_folds=3)
 
     def test_fold_starts_are_formed_once_per_fold(self, monkeypatch):
         """Every candidate gamma of a fold extracts from the same starts, so

@@ -579,6 +579,18 @@ class TestPsiStepPenalized:
             assert res.score_scale == 1.0
             assert abs(res.beta @ cubic_basis.gram @ res.beta - 1.0) <= 1e-12
 
+    @pytest.mark.parametrize(
+        "gamma, match",
+        [
+            (0.0, "component update is identically zero"),
+            (1e-3, "zero right-hand side in norm-constrained component step"),
+        ],
+    )
+    def test_zero_rhs_rejected(self, cubic_basis, rng, gamma, match):
+        ata, _ = self.normal_system(cubic_basis, rng)
+        with pytest.raises(SingularStepError, match=match):
+            psi_step_penalized(ata, np.zeros(cubic_basis.size), cubic_basis.gram, cubic_basis.penalty, gamma)
+
     def test_hard_case_falls_back_with_flag(self):
         H = np.diag([1.0, 2.0, 3.0])
         rhs = np.array([0.0, 0.1, 0.1])  # constraint function stays below 1
@@ -758,6 +770,22 @@ class TestStageInits:
             got = solver._stage_inits(ws, fixed, scores)[0]
             sign = 1.0 if got @ G @ ref > 0 else -1.0
             np.testing.assert_allclose(got, sign * ref, rtol=0, atol=1e-12)
+
+    def test_starts_exist_when_the_leading_direction_is_fixed(self):
+        """With the leading moment direction v_1 fixed (zero scores leave the
+        residuals, and so the moment directions, unchanged), v_1 has no
+        G-norm left and the next direction starts the stage."""
+        cfg = SimulationConfig(seed=7)
+        ds, _, _ = gen_sparse_dataset(cfg, 25)
+        basis = make_bspline_basis(cfg.domain, 8, 4)
+        ws = solver._Workspace.from_dataset(ds, basis)
+        G = basis.gram
+        fixed = solver._stage_inits(ws, np.zeros((8, 0)), np.zeros((25, 0)))[0][:, None]
+        starts = solver._stage_inits(ws, fixed, np.zeros((25, 1)))
+        assert starts
+        for u in starts:
+            assert abs(float(fixed[:, 0] @ G @ u)) <= 1e-12
+            assert abs(float(u @ G @ u) - 1.0) <= 1e-12
 
     @pytest.mark.parametrize("rep", [18, 24])
     def test_default_design_gamma_zero_basin(self, rep):
