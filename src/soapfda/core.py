@@ -128,6 +128,9 @@ class FecModel:
     report: FitReport | None = field(default=None, compare=False)
 
     def __post_init__(self):
+        for name in ("coef", "scores", "gammas"):
+            if not isinstance(getattr(self, name), np.ndarray):
+                raise ValueError(f"{name} must be a numpy array, got {type(getattr(self, name)).__name__}")
         if self.coef.ndim != 2:
             raise ValueError(f"coef must be an (L, M) matrix, got shape {self.coef.shape}")
         L, M = self.coef.shape

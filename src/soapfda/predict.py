@@ -10,7 +10,6 @@ from typing import Sequence
 import numpy as np
 
 from .core import FecModel, LongitudinalDataset, Subject
-from .basis import eval_basis_matrix
 from .solver import _rows, _solve_scores, _subject_systems
 
 
@@ -44,32 +43,20 @@ class MspeReport:
         }
 
 
-def _check_finite(subjects: Sequence[Subject], t: np.ndarray, y: np.ndarray) -> None:
-    """Reject by name the first subject with a non-finite time or value in its rows ``t``, ``y``."""
-    # a NaN or an infinity in t or y makes t'y non-finite; when finite data
-    # overflow it, the scan below finds no subject to reject
-    if not np.isfinite(t @ y):
-        for s in subjects:
-            if not (np.isfinite(s.t).all() and np.isfinite(s.y).all()):
-                raise ValueError(f"subject {s.id}: times and values must be finite")
-
-
 def _project(subjects: Sequence[Subject], model: FecModel, stacklevel: int = 3, rows=None) -> np.ndarray:
     """Scores of every subject, (len(subjects), M).
 
-    The rows come from ``_rows``, as the fit's do, and the systems from
-    ``_subject_systems``, as the fit's final refit does, so a subject's
-    scores do not depend on which subjects share the call. A subject with a
-    non-finite time or value is rejected by name. ``rows`` (t, y, sizes),
-    when given, stand in for ``_rows(subjects)`` and the caller has checked
-    them. ``stacklevel`` is that of the vanishing-subject warning: 3 points
-    at the caller of a public function that calls this one directly.
+    The rows come from ``_rows``, checked as the fit's are, and the systems
+    from ``_subject_systems``, as the fit's final refit does, so a subject's
+    scores do not depend on which subjects share the call. ``rows`` (B, y,
+    sizes), basis values at checked times, stand in for the subjects' own.
+    ``stacklevel`` is that of the vanishing-subject warning: 3 points at the
+    caller of a public function that calls this one directly.
     """
     if rows is None:
-        rows = _rows(subjects)
-        _check_finite(subjects, *rows[:2])
-    t, y, sizes = rows
-    gram, rhs = _subject_systems(eval_basis_matrix(model.basis, t), y, sizes, model.coef)
+        t, y, sizes = _rows(subjects, model.basis)
+        rows = model.basis._spline(t), y, sizes
+    gram, rhs = _subject_systems(*rows, model.coef)
     # a vanishing subject's Gram matrix is zero, so only a zero entry calls for the scan
     if not gram.all():
         for i in np.flatnonzero(~gram.any(axis=(1, 2))):
@@ -87,7 +74,9 @@ def project_scores(subject: Subject, model: FecModel) -> np.ndarray:
     Uses the fitting score step's truncated minimum-norm kernel, so
     projecting a training subject reproduces its fitted scores exactly. If
     every component is zero at all of the subject's times there is nothing
-    to project onto: the scores are zero and a warning is issued.
+    to project onto: the scores are zero and a warning is issued. A
+    non-finite time or value, or a time outside the basis domain, raises a
+    ValueError that names the subject.
     """
     return _project([subject], model)[0]
 
@@ -160,14 +149,13 @@ def holdout_last_mspe_model(model: FecModel, test: LongitudinalDataset) -> MspeR
     n_excluded = test.n_subjects - len(eligible)
     if not eligible:
         raise ValueError("no eligible test subjects (all have a single observation)")
-    t, y, sizes = _rows(eligible)
-    # every row, held-out ones included, by _project's rule
-    _check_finite(eligible, t, y)
-    last = np.cumsum(sizes) - 1
-    last_t, last_y = t[last], y[last]
-    scores = _project(eligible, model, rows=(np.delete(t, last), np.delete(y, last), sizes - 1))
-    pred = np.einsum("im,im->i", model.component_values(last_t), scores)
-    sq = (pred - last_y) ** 2
+    t, y, sizes = _rows(eligible, model.basis)
+    last, kept = np.cumsum(sizes) - 1, len(y) - len(sizes)
+    # one basis evaluation, kept rows first, so both parts are views of it
+    B = model.basis._spline(np.concatenate([np.delete(t, last), t[last]]))
+    scores = _project(eligible, model, rows=(B[:kept], np.delete(y, last), sizes - 1))
+    pred = np.einsum("im,im->i", B[kept:] @ model.coef, scores)
+    sq = (pred - y[last]) ** 2
     errors = [(s.id, float(e)) for s, e in zip(eligible, sq)]
     return MspeReport(
         mspe_mean=float(sq.mean()),

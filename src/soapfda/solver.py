@@ -17,12 +17,13 @@ from __future__ import annotations
 
 import math
 from functools import cache, cached_property
+from itertools import accumulate
 from typing import NamedTuple, Sequence
 
 import numpy as np
 from scipy import linalg as sla
 
-from .basis import BasisSystem, eval_basis_matrix
+from .basis import BasisSystem
 from .core import FecModel, FitReport, LongitudinalDataset, Subject
 
 # absolute singular-value floor for per-subject score designs: components are
@@ -72,15 +73,25 @@ class PenalizedStepResult(NamedTuple):
 # ---------------------------------------------------------------------------
 
 
-def _rows(subjects: Sequence[Subject]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _rows(subjects: Sequence[Subject], basis: BasisSystem | None = None) -> tuple[np.ndarray, ...]:
     """Every observation time t (N,), the values y (N,) and the subject
     sizes, rows stored one subject after another; one subject's rows are
-    its own arrays."""
+    its own arrays. The one row check rejects by name the first subject with
+    a non-finite time or value, or with a time outside ``basis``'s domain."""
+    sizes = np.array([s.n_obs for s in subjects])
     if len(subjects) == 1:
-        (s,) = subjects
-        return s.t, s.y, np.array([s.n_obs])
-    t = np.concatenate([s.t for s in subjects])
-    return t, np.concatenate([s.y for s in subjects]), np.array([s.n_obs for s in subjects])
+        t, y = subjects[0].t, subjects[0].y
+    else:
+        t, y = np.concatenate([s.t for s in subjects]), np.concatenate([s.y for s in subjects])
+    lo, hi = basis.domain if basis is not None else (-math.inf, math.inf)
+    # a NaN or an infinity makes t'y non-finite; finite data that overflow it pass the scan
+    if not (np.isfinite(t @ y) and (not t.size or lo <= t.min() and t.max() <= hi)):
+        for s in subjects:
+            if not (np.isfinite(s.t).all() and np.isfinite(s.y).all()):
+                raise ValueError(f"subject {s.id}: times and values must be finite")
+            if not ((lo <= s.t) & (s.t <= hi)).all():
+                raise ValueError(f"subject {s.id}: a time lies outside domain [{lo}, {hi}]")
+    return t, y, sizes
 
 
 class _Workspace:
@@ -97,14 +108,12 @@ class _Workspace:
     @classmethod
     def from_dataset(cls, dataset: LongitudinalDataset, basis: BasisSystem) -> "_Workspace":
         if tuple(dataset.domain) != tuple(basis.domain):
-            raise ValueError(
-                f"basis domain {basis.domain} does not match dataset domain {dataset.domain}"
-            )
+            raise ValueError(f"basis domain {basis.domain} does not match dataset domain {dataset.domain}")
         for s in dataset.subjects:
             if s.n_obs == 0:
                 raise ValueError(f"subject {s.id} has no observations")
-        t, y, sizes = _rows(dataset.subjects)
-        return cls(basis, eval_basis_matrix(basis, t), y, sizes)
+        t, y, sizes = _rows(dataset.subjects, basis)
+        return cls(basis, basis._spline(t), y, sizes)
 
     @property
     def n(self) -> int:
@@ -729,7 +738,7 @@ def _alternate(ws, coef, scores, active, gammas, cap, prev=None) -> _Run:
 def _fix_signs(ws: _Workspace, coef: np.ndarray) -> np.ndarray:
     """Flip each component so its integral (or midpoint value) is nonnegative."""
     q = ws.basis.gram @ np.ones(ws.basis.size)
-    mid = eval_basis_matrix(ws.basis, [(ws.basis.domain[0] + ws.basis.domain[1]) / 2.0])[0]
+    mid = ws.basis._spline([(ws.basis.domain[0] + ws.basis.domain[1]) / 2.0])[0]
     out = coef.copy()
     for m in range(coef.shape[1]):
         integral = float(coef[:, m] @ q)
@@ -750,30 +759,23 @@ class _StagePath:
 
     def __init__(self, ws: _Workspace):
         self.ws = ws
-        self.coef = np.zeros((ws.basis.size, 0))
-        self.scores = np.zeros((ws.n, 0))
         self.gammas = np.zeros(0)
         self.stages: list[_Run] = []
-        self.trace: list[float] = []
-        self.offsets: list[int] = []
 
     def extend(self, gamma) -> None:
         """Extract the next component, with roughness weight ``gamma``."""
-        self.gammas = np.append(self.gammas, gamma)
-        starts = _stage_inits(self.ws, self.coef, self.scores)
-        run = _extract_stage(self.ws, self.coef, self.scores, self.gammas, starts)
-        self.coef, self.scores = run.coef, run.scores
-        self.stages.append(run)
-        self.offsets.append(len(self.trace))
-        self.trace = self.trace + run.trace
+        ws, self.gammas = self.ws, np.append(self.gammas, gamma)
+        coef, scores = self.stages[-1][:2] if self.stages else (np.zeros((ws.basis.size, 0)), np.zeros((ws.n, 0)))
+        self.stages.append(_extract_stage(ws, coef, scores, self.gammas, _stage_inits(ws, coef, scores)))
 
     def finish(self) -> FecModel:
         """Sweeps (M >= 2) from the stage state, ``_fix_signs``, the final
         refit and the report; the sweeps copy what they change."""
         ws, gam, stages = self.ws, self.gammas, self.stages
-        coef, trace, runs, sweeps = self.coef, self.trace, stages, None
+        trace = [f for run in stages for f in run.trace]
+        coef, runs, sweeps = stages[-1].coef, stages, None
         if len(gam) > 1:
-            sweeps = _alternate(ws, coef, self.scores, range(len(gam)), gam, _MAX_OUTER_SWEEPS, trace[-1])
+            sweeps = _alternate(ws, coef, stages[-1].scores, range(len(gam)), gam, _MAX_OUTER_SWEEPS, trace[-1])
             coef, trace, runs = sweeps.coef, trace + sweeps.trace, stages + [sweeps]
         sweep_ends = tuple(sweeps.ends) if sweeps else ()
         # Finalize with pure projections: the returned scores are the unguarded
@@ -789,7 +791,7 @@ class _StagePath:
             n_sweeps=len(sweep_ends),
             stage_cycles=tuple(len(run.ends) for run in stages),
             sweep_objectives=sweep_ends,
-            stage_offsets=tuple(self.offsets),
+            stage_offsets=tuple(accumulate((len(run.trace) for run in stages[:-1]), initial=0)),
             n_fallbacks=sum(run.n_fallbacks for run in runs),
             n_truncated=n_truncated,
             n_guard_kept=sum(run.n_guard_kept for run in runs),
@@ -853,8 +855,10 @@ def fit_soap(
     the objective of the returned model.
 
     ``gammas`` is a scalar or a length-M sequence of roughness penalty
-    weights, each finite and >= 0. The returned model has G-orthonormal coefficient columns, a
-    sign convention of nonnegative component integrals, scores from a final
-    joint refit, and ``noise_var`` set to the mean squared residual.
+    weights, each finite and >= 0. The returned model has G-orthonormal
+    coefficient columns, a sign convention of nonnegative component
+    integrals, scores from a final joint refit, and ``noise_var`` set to the
+    mean squared residual. Before any step, a ValueError names a subject with no
+    observations, a non-finite time or value, or a time outside the domain.
     """
     return _fit_models(dataset, basis, [n_components], gammas)[0]

@@ -444,9 +444,13 @@ class TestFecModel:
             ("coef", np.zeros(6), r"coef must be an \(L, M\) matrix, got shape \(6,\)"),
             ("coef", np.zeros((6, 1, 1)), r"coef must be an \(L, M\) matrix, got shape \(6, 1, 1\)"),
             ("coef", np.eye(7)[:, :1], "coefficient rows do not match basis size"),
+            ("coef", np.eye(6)[:, :1].tolist(), "coef must be a numpy array, got list"),
+            ("scores", np.zeros((3, 1)).tolist(), "scores must be a numpy array, got list"),
+            ("gammas", [0.0], "gammas must be a numpy array, got list"),
         ],
         ids=[
             "1-D-scores", "nan-noise-var", "negative-gamma", "nan-gamma", "1-D-coef", "3-D-coef", "coef-rows",
+            "list-coef", "list-scores", "list-gammas",
         ],
     )
     def test_invalid_field_rejected_by_name(self, name, value, match):

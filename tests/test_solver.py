@@ -11,9 +11,13 @@ from soapfda import (
     SingularStepError,
     Subject,
     fit_soap,
+    holdout_last_mspe_model,
     loco_cv_gamma,
     make_bspline_basis,
     objective,
+    predict_trajectories,
+    predict_trajectory,
+    project_scores,
     psi_step_penalized,
     score_step,
     select_gammas_sequential,
@@ -1043,6 +1047,41 @@ class TestFitSoap:
 
 
 
+def with_subject(subject):
+    """A sparse instance with ``subject`` inserted at index 4, and a
+    one-component model with a score per subject."""
+    ds, basis = sparse_instance(60, n=10)
+    ds = LongitudinalDataset(ds.domain, ds.subjects[:4] + (subject,) + ds.subjects[4:])
+    model = FecModel(basis, np.eye(basis.size)[:, :1], np.zeros((ds.n_subjects, 1)), np.zeros(1), 0.0)
+    return ds, basis, model
+
+
+# every entry point that takes observation rows, called as (dataset, basis,
+# model); the fit side first, which also rejects a subject without rows
+FIT_CALLS = {
+    "fit_soap": lambda ds, basis, model: fit_soap(ds, basis, 1, 0.0),
+    "objective": lambda ds, basis, model: objective(ds, model),
+    "sigma2_hat": lambda ds, basis, model: sigma2_hat(ds, model),
+    "loco_cv_gamma": lambda ds, basis, model: loco_cv_gamma(ds, basis, 1, None, [0.0]),
+    "select_gammas_sequential": lambda ds, basis, model: select_gammas_sequential(ds, basis, 1, [0.0]),
+}
+ROW_CALLS = {
+    **FIT_CALLS,
+    "score_step": lambda ds, basis, model: score_step(ds, [np.ones((s.n_obs, 1)) for s in ds.subjects]),
+    "project_scores": lambda ds, basis, model: project_scores(ds.subjects[4], model),
+    "predict_trajectory": lambda ds, basis, model: predict_trajectory(ds.subjects[4], model, default_grid(ds.domain)),
+    "predict_trajectories": lambda ds, basis, model: predict_trajectories(ds.subjects, model, default_grid(ds.domain)),
+    "holdout_last_mspe_model": lambda ds, basis, model: holdout_last_mspe_model(model, ds),
+}
+# (t, y, the error) of a three-observation subject with one bad row, on the domain [0, 1]
+BAD_ROWS = {
+    "nan-value": ([0.2, 0.5, 0.8], [1.0, np.nan, 0.5], "times and values must be finite"),
+    "inf-value": ([0.2, 0.5, 0.8], [1.0, np.inf, 0.5], "times and values must be finite"),
+    "nan-time": ([0.2, np.nan, 0.8], [1.0, 2.0, 0.5], "times and values must be finite"),
+    "time-outside-domain": ([0.2, 0.5, 1.5], [1.0, 2.0, 0.5], r"a time lies outside domain \[0.0, 1.0\]"),
+}
+
+
 class TestDegenerateInputs:
     def test_single_subject_single_observation(self):
         basis = make_bspline_basis((0.0, 1.0), 5, 4)
@@ -1089,23 +1128,24 @@ class TestDegenerateInputs:
         assert model.orthonormality_error() <= 1e-8
         assert np.all(np.isfinite(model.scores))
 
-    @pytest.mark.parametrize(
-        "call",
-        [
-            lambda ds, basis, model: fit_soap(ds, basis, 1, 0.0),
-            lambda ds, basis, model: objective(ds, model),
-            lambda ds, basis, model: sigma2_hat(ds, model),
-            lambda ds, basis, model: loco_cv_gamma(ds, basis, 1, None, [0.0]),
-            lambda ds, basis, model: select_gammas_sequential(ds, basis, 1, [0.0]),
-        ],
-        ids=["fit_soap", "objective", "sigma2_hat", "loco_cv_gamma", "select_gammas_sequential"],
-    )
+    @pytest.mark.parametrize("call", list(FIT_CALLS))
     def test_empty_subject_named(self, call):
         """A hand-built dataset with a subject that has no observations is
         rejected by name before any step divides by its size."""
-        ds, basis = sparse_instance(60, n=10)
-        empty = Subject("zz", np.empty(0), np.empty(0))
-        ds = LongitudinalDataset(ds.domain, ds.subjects[:4] + (empty,) + ds.subjects[4:])
-        model = FecModel(basis, np.eye(basis.size)[:, :1], np.zeros((ds.n_subjects, 1)), np.zeros(1), 0.0)
+        ds, basis, model = with_subject(Subject("zz", np.empty(0), np.empty(0)))
         with pytest.raises(ValueError, match="subject zz has no observations"):
-            call(ds, basis, model)
+            FIT_CALLS[call](ds, basis, model)
+
+    @pytest.mark.parametrize(
+        "call, row", [(c, r) for c in ROW_CALLS for r in BAD_ROWS if c != "score_step" or r.endswith("-value")]
+    )
+    def test_bad_row_named(self, call, row):
+        """A non-finite time or value, or a time outside the domain, is
+        rejected with the subject's name by every entry point, before any
+        step computes with it (an overflow there would raise a
+        RuntimeWarning). ``score_step`` reads no times, so it gets the two
+        value cases."""
+        t, y, message = BAD_ROWS[row]
+        ds, basis, model = with_subject(Subject("zz", np.array(t), np.array(y)))
+        with pytest.raises(ValueError, match=f"subject zz: {message}"):
+            ROW_CALLS[call](ds, basis, model)
