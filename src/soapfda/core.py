@@ -7,6 +7,7 @@ import json
 import math
 import numbers
 import sys
+import warnings
 from dataclasses import MISSING, asdict, dataclass, field, fields
 from typing import Iterable, get_args, get_origin, get_type_hints
 
@@ -264,44 +265,117 @@ def dataset_from_columns(ids, t, y, domain: tuple[float, float] | None = None) -
 
 CSV_HEADER = ("subject_id", "t", "y")
 
+# one record as numpy's C reader parses it: the id as the text it reads, then two floats
+_RECORD = np.dtype([("id", object), ("t", np.float64), ("y", np.float64)])
+# the information separators U+001C-U+001F: numpy strips them from a number
+# as whitespace and float() rejects them, so a file holding one goes to the loop
+_NOT_FLOAT_SPACE = (b"\x1c", b"\x1d", b"\x1e", b"\x1f")
+
 
 def read_long_csv(path) -> tuple[list[str], np.ndarray, np.ndarray]:
     """Read a long-format CSV with the standard header into three columns.
 
     Returns ``(ids, t, y)``: the subject ids as strings and the times and
-    values as float arrays, each converted by ``float()``, one entry per
-    record in file order; blank lines and a UTF-8 byte-order mark (as Excel
-    writes) are skipped. No per-record object is kept, so a large file
-    leaves only the three columns behind. A header with no records gives
-    empty columns, which ``dataset_from_columns`` rejects as empty input.
+    values as float arrays, one entry per record in file order. The grammar
+    is the ``csv`` module's default dialect: fields separated by commas,
+    quoted with ``"`` (a doubled ``""`` inside quotes is one quote, and a
+    quoted field may hold commas and line breaks), records ended by
+    ``\\n``, ``\\r\\n`` or ``\\r``. Blank lines and a leading UTF-8
+    byte-order mark (as Excel writes) are skipped. Times and values are read
+    as ``float()`` reads them, surrounding whitespace, ``inf`` and ``nan``
+    included. No per-record object is kept, so a large file leaves only the
+    three columns behind. A header with no records gives empty columns,
+    which ``dataset_from_columns`` rejects as empty input.
+
+    The records are parsed by one call to numpy's C reader. A file it
+    rejects, or one that holds an information separator (U+001C-U+001F,
+    which numpy strips from a number and ``float()`` does not), is read
+    again from the start by a loop over the ``csv`` module's records, which
+    gives the same columns for every file the C reader reads; the loop alone
+    reads numbers that ``float()`` accepts and numpy does not (``1_0``,
+    non-ASCII digits), and it alone names a bad line.
 
     Raises
     ------
     DataValidationError
-        On a wrong or missing header, and on the first record in file order
-        without three fields or with a field ``float()`` rejects (the time
-        before the value); the message names the line the record starts on.
+        On a file that is not UTF-8 text (naming the physical line of the
+        first byte that does not decode), on a wrong or missing header, and
+        on the first record in file order without three fields or with a
+        field ``float()`` rejects (the time before the value); the message
+        names the line the record starts on.
     """
-    with open(path, newline="", encoding="utf-8-sig") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or tuple(h.strip() for h in header) != CSV_HEADER:
-            raise DataValidationError(
-                f"expected header {','.join(CSV_HEADER)}, got {header!r}"
-            )
-        ids, ts, ys = [], [], []
-        try:
-            for sid, t_text, y_text in filter(None, reader):
-                ids.append(sid)
-                ts.append(t_text)
-                ys.append(y_text)
-            t = np.fromiter(map(float, ts), dtype=float, count=len(ts))
-            y = np.fromiter(map(float, ys), dtype=float, count=len(ys))
-        except ValueError:
-            fh.seek(0)
-            _raise_first_bad_record(csv.reader(fh))
-            raise
+    try:
+        with open(path, newline="", encoding="utf-8-sig") as fh:
+            header = next(csv.reader(fh), None)
+            if header is None or tuple(h.strip() for h in header) != CSV_HEADER:
+                raise DataValidationError(
+                    f"expected header {','.join(CSV_HEADER)}, got {header!r}"
+                )
+            records = _c_records(fh) if _c_readable(path) else None
+            if records is None:
+                fh.seek(0)
+                return _read_records(fh)
+    except UnicodeDecodeError:
+        _raise_not_utf8(path)
+        raise
+    # copies, so no view keeps the record array or its id objects alive
+    return records["id"].tolist(), records["t"].copy(), records["y"].copy()
+
+
+def _c_readable(path) -> bool:
+    """Whether the file holds no byte of ``_NOT_FLOAT_SPACE``."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    return not any(sep in data for sep in _NOT_FLOAT_SPACE)
+
+
+def _c_records(fh) -> np.ndarray | None:
+    """The records after the header of ``fh`` as a ``_RECORD`` array,
+    parsed by numpy's C reader; None for a file that reader rejects."""
+    try:
+        with warnings.catch_warnings():
+            # a header with no records reads as empty columns
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+            return np.loadtxt(fh, delimiter=",", quotechar='"', comments=None, ndmin=1, dtype=_RECORD)
+    except ValueError:
+        return None
+
+
+def _read_records(fh) -> tuple[list[str], np.ndarray, np.ndarray]:
+    """The columns of the records after the header of ``fh``, read from the
+    start, through the ``csv`` module and ``float()``, one record at a time."""
+    reader = csv.reader(fh)
+    next(reader)
+    ids, ts, ys = [], [], []
+    try:
+        for sid, t_text, y_text in filter(None, reader):
+            ids.append(sid)
+            ts.append(t_text)
+            ys.append(y_text)
+        t = np.fromiter(map(float, ts), dtype=float, count=len(ts))
+        y = np.fromiter(map(float, ys), dtype=float, count=len(ys))
+    except ValueError:
+        fh.seek(0)
+        _raise_first_bad_record(csv.reader(fh))
+        raise
     return ids, t, y
+
+
+def _raise_not_utf8(path) -> None:
+    """Raise the error of the first byte of the file that does not decode as
+    UTF-8, naming its physical line (counting ``\\r\\n``, ``\\n`` and
+    ``\\r`` line ends). A decoder reading in chunks counts its position
+    within the chunk, so the whole file is decoded again here."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        # a byte-order mark is valid UTF-8, so this fails where utf-8-sig
+        # does, with a position counted from the file's first byte
+        data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        head = data[: exc.start]
+        line = 1 + head.count(b"\n") + head.count(b"\r") - head.count(b"\r\n")
+        raise DataValidationError(f"line {line}: not UTF-8 text: {exc.reason}") from exc
 
 
 def _raise_first_bad_record(reader) -> None:

@@ -77,7 +77,10 @@ def _rows(subjects: Sequence[Subject], basis: BasisSystem | None = None) -> tupl
     """Every observation time t (N,), the values y (N,) and the subject
     sizes, rows stored one subject after another; one subject's rows are
     its own arrays. The one row check rejects by name the first subject with
-    a non-finite time or value, or with a time outside ``basis``'s domain."""
+    a non-finite time or value, or with a time outside ``basis``'s domain,
+    and an empty subject list."""
+    if not subjects:
+        raise ValueError("dataset has no subjects")
     sizes = np.array([s.n_obs for s in subjects])
     if len(subjects) == 1:
         t, y = subjects[0].t, subjects[0].y
@@ -359,6 +362,7 @@ def score_step(dataset: LongitudinalDataset, fec_values: Sequence[np.ndarray]) -
     i's times. Rank-deficient or underdetermined systems (n_i < M, collinear
     columns) get the minimum-norm solution on the truncated spectrum.
     """
+    _, y, sizes = _rows(dataset.subjects)
     if len(fec_values) != dataset.n_subjects:
         raise ValueError("need one value matrix per subject")
     values = [np.atleast_2d(np.asarray(v, dtype=float)) for v in fec_values]
@@ -370,7 +374,6 @@ def score_step(dataset: LongitudinalDataset, fec_values: Sequence[np.ndarray]) -
     for vals, subject in zip(values, dataset.subjects):
         if vals.shape[0] != subject.n_obs:
             raise ValueError(f"subject {subject.id}: {vals.shape[0]} rows for {subject.n_obs} observations")
-    _, y, sizes = _rows(dataset.subjects)
     return _solve_scores(*_subject_systems(np.concatenate(values), y, sizes))[0]
 
 
@@ -858,7 +861,8 @@ def fit_soap(
     weights, each finite and >= 0. The returned model has G-orthonormal
     coefficient columns, a sign convention of nonnegative component
     integrals, scores from a final joint refit, and ``noise_var`` set to the
-    mean squared residual. Before any step, a ValueError names a subject with no
-    observations, a non-finite time or value, or a time outside the domain.
+    mean squared residual. Before any step, a ValueError names a dataset with
+    no subjects, a subject with no observations, a non-finite time or value,
+    or a time outside the domain.
     """
     return _fit_models(dataset, basis, [n_components], gammas)[0]

@@ -217,6 +217,17 @@ class TestFit:
         err = json.loads(capsys.readouterr().out)
         assert "not found" in err["error"]["message"]
 
+    def test_input_not_utf8_gives_validation_error(self, tmp_path, capsys):
+        path = tmp_path / "latin1.csv"
+        path.write_bytes(b"subject_id,t,y\na\xe9,0.1,1\n")
+        status = run_cli("fit", "--input", str(path), "--output-dir", str(tmp_path / "o"))
+        assert status == 2
+        assert json.loads(capsys.readouterr().out)["error"] == {
+            "type": "validation",
+            "message": "line 2: not UTF-8 text: invalid continuation byte",
+        }
+        assert not (tmp_path / "o").exists()
+
     @pytest.mark.parametrize(
         "grid, expected",
         [

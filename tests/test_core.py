@@ -2,6 +2,7 @@ import csv
 import gc
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from soapfda import (
     make_bspline_basis,
     validate_dataset,
 )
+from soapfda import core
 from soapfda.core import (
     dataset_to_rows,
     load_model,
@@ -111,6 +113,55 @@ def outcome(fn, rows, domain):
     if isinstance(result, tuple):
         return result
     return result.domain, [(s.id, s.t, s.y) for s in result.subjects]
+
+
+# records after the header, by form: numpy's C reader reads the first group
+# itself, the csv-module loop alone reads the second (``float()`` takes those
+# numbers and numpy does not, or the file holds an information separator),
+# and both readers reject the third
+C_READ_RECORDS = {
+    "doubled-quote": '"x""y",0.1,1\n',
+    "stray-quote": 'a"b,0.1,1\n',
+    "text-after-quotes": '"a"b,0.1,1\n',
+    "quoted-newlines": '"q\nr",0.1,1\n"s\r\nt",0.2,2\n',
+    "quoted-comma": '"a,b",0.1,1\n',
+    "quoted-numbers": 'a,"0.1","1"\n',
+    "cr-line-ends": "a,0.1,1\rb,0.2,2\r",
+    "crlf-line-ends": "a,0.1,1\r\nb,0.2,2\r\n",
+    "no-final-newline": "a,0.1,1\nb,0.2,2",
+    "spaces-around-numbers": "a, 0.5 ,1 \nb,\u20030.5,\u00a01\n",
+    "tabs-around-numbers": "a,\t0.5,1\t\n",
+    "signed-exponent": "a,+1E5,1\n",
+    "negative-nan": "a,0.1,-nan\n",
+    "negative-infinity": "a,0.1,-Infinity\n",
+    "empty-id": ",0.1,1\n",
+    "hash-id": "#c,0.1,1\n",
+}
+LOOP_READ_RECORDS = {
+    "digit-groups": "a,1_0,1\n",
+    "arabic-indic-digit": "a,\u0661,1\n",
+    "separator-in-id": "a\x1cb,0.1,1\n",
+}
+REJECTED_RECORDS = {
+    "whitespace-line": "a,0.1,1\n \n",
+    "two-fields": "a,0.1\n",
+    "four-fields": "a,0.1,1,9\n",
+    "empty-field": "a,,1\n",
+    "hex-number": "a,0x10,1\n",
+    "nul-byte": "a,0.1\x00,1\n",
+    # numpy strips U+001C-U+001F around a number as whitespace; float() does not
+    "separator-after-number": "a,2\x1c,1\n",
+    "separator-before-number": "a,0.1,\x1f1\n",
+}
+
+# field forms of the random files below; none breaks a line inside quotes,
+# so the reference's record count is the line number
+ID_FORMS = ["a", "s1", '"a,b"', '"x""y"', 'a"b', '"a"b', " s ", "", "#c", "\tt", "Zoë", "a\x1cb"]
+NUMBER_FORMS = [
+    "0.1", " 0.5 ", "1e5", "+1E5", "-nan", "-Infinity", "iNf", "\t2", '"0.3"', "5.", ".5", "1e400",
+    "3e-320", "\u20031\u2003", "\x0c1", "-0.0", "0.30000000000000004", "1_0", "\u0661",
+]
+BAD_NUMBER_FORMS = ["2\x1c", "", "x", "0x10", "1e", "--1", "1,2"]
 
 
 class TestSubject:
@@ -405,6 +456,77 @@ class TestReadLongCsv:
         assert assert_reads_like_reference(path) == []
         with pytest.raises(DataValidationError, match="^empty input: no observation rows$"):
             dataset_from_columns(*read_long_csv(path))
+
+    @pytest.mark.parametrize("name", [*C_READ_RECORDS, *LOOP_READ_RECORDS, *REJECTED_RECORDS])
+    def test_record_forms_read_like_reference(self, tmp_path, monkeypatch, name):
+        """Each record form reads as the reference reads it, and only the
+        loop-read and rejected forms go to the csv-module loop."""
+        text = {**C_READ_RECORDS, **LOOP_READ_RECORDS, **REJECTED_RECORDS}[name]
+        loop_reads = []
+        read_records = core._read_records
+        monkeypatch.setattr(core, "_read_records", lambda fh: loop_reads.append(fh) or read_records(fh))
+        path = tmp_path / "edge.csv"
+        path.write_bytes(("subject_id,t,y\n" + text).encode())
+        outcome = assert_reads_like_reference(path)
+        assert isinstance(outcome, str) == (name in REJECTED_RECORDS)
+        assert len(loop_reads) == (name not in C_READ_RECORDS)
+
+    def test_random_record_mixes_read_like_reference(self, tmp_path, rng):
+        def number():
+            return rng.choice(BAD_NUMBER_FORMS if rng.random() < 0.05 else NUMBER_FORMS)
+
+        path = tmp_path / "mix.csv"
+        for _ in range(300):
+            records = [
+                "" if rng.random() < 0.1 else ",".join([rng.choice(ID_FORMS), number(), number()])
+                for _ in range(rng.integers(0, 6))
+            ]
+            end = rng.choice(["\n", "\r\n", "\r"])
+            text = end.join(["subject_id,t,y", *records]) + (end if rng.random() < 0.5 else "")
+            path.write_bytes(text.encode())
+            assert_reads_like_reference(path)
+
+    def test_dense_file_reads_like_reference(self, tmp_path, rng):
+        grid = np.linspace(0.0, 1.0, 401)
+        rows = [(f"s{i:02d}", t, v) for i in range(50) for t, v in zip(grid.tolist(), rng.normal(size=401).tolist())]
+        path = tmp_path / "dense.csv"
+        write_long_csv(path, rows)
+        assert assert_reads_like_reference(path) == rows
+        # copies: no view keeps the parser's record array alive
+        _, t, y = read_long_csv(path)
+        assert t.flags.owndata and y.flags.owndata and t.flags.c_contiguous and y.flags.c_contiguous
+
+    @pytest.mark.parametrize("text", ["subject_id,t,y", "subject_id,t,y\n", "subject_id,t,y\n\n\r\n\r"])
+    def test_header_without_records_reads_without_a_warning(self, tmp_path, text):
+        path = tmp_path / "empty.csv"
+        path.write_bytes(text.encode())
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            ids, t, y = read_long_csv(path)
+        assert ids == []
+        assert t.shape == y.shape == (0,) and t.dtype == y.dtype == np.float64
+
+    @pytest.mark.parametrize(
+        "data, message",
+        [
+            (b"subject_id,t,y\na\xe9,0.1,1\n", "line 2: not UTF-8 text: invalid continuation byte"),
+            (b"subject_\xe9id,t,y\n", "line 1: not UTF-8 text: invalid continuation byte"),
+            # the byte-order mark is counted in the position but ends no line
+            (b"\xef\xbb\xbfsubject_id,t,y\n\xe9,0.1,1\n", "line 2: not UTF-8 text: invalid continuation byte"),
+            # \r\n, \r and \n each end one physical line, inside a quoted field too
+            (b"subject_id,t,y\r\nb,0.2,1\r\r\na\xff,0.1,1\n", "line 4: not UTF-8 text: invalid start byte"),
+            (b'subject_id,t,y\n"a\nb\xe9",0.1,1\n', "line 3: not UTF-8 text: invalid continuation byte"),
+            # far past the decoder's first chunk
+            (b"subject_id,t,y\n" + b"a,0.1,1\n" * 20_000 + b"z,\xe9,1\n",
+             "line 20002: not UTF-8 text: invalid continuation byte"),
+        ],
+    )
+    def test_not_utf8_names_the_line(self, tmp_path, data, message):
+        path = tmp_path / "latin1.csv"
+        path.write_bytes(data)
+        with pytest.raises(DataValidationError) as exc:
+            read_long_csv(path)
+        assert str(exc.value) == message
 
     def test_no_per_row_objects_kept(self, tmp_path):
         grid = np.linspace(0.0, 1.0, 401)

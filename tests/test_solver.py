@@ -1136,6 +1136,17 @@ class TestDegenerateInputs:
         with pytest.raises(ValueError, match="subject zz has no observations"):
             FIT_CALLS[call](ds, basis, model)
 
+    @pytest.mark.parametrize("call", [*FIT_CALLS, "score_step"])
+    def test_no_subjects_named(self, call):
+        """A hand-built dataset without subjects is rejected by name where
+        the rows are formed; LOCO-CV names its own minimum first."""
+        basis = make_bspline_basis((0.0, 1.0), 8, 4)
+        ds = LongitudinalDataset((0.0, 1.0), ())
+        model = FecModel(basis, np.eye(basis.size)[:, :1], np.zeros((0, 1)), np.zeros(1), 0.0)
+        message = "needs at least 2 subjects, got 0" if call == "loco_cv_gamma" else "^dataset has no subjects$"
+        with pytest.raises(ValueError, match=message):
+            ROW_CALLS[call](ds, basis, model)
+
     @pytest.mark.parametrize(
         "call, row", [(c, r) for c in ROW_CALLS for r in BAD_ROWS if c != "score_step" or r.endswith("-value")]
     )
