@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import csv
+import io
 import json
 import math
 import numbers
@@ -17,7 +18,8 @@ from .basis import BasisSystem, _freeze, eval_basis_matrix, make_bspline_basis
 
 
 class DataValidationError(ValueError):
-    """Raised when raw input rows violate the dataset contract."""
+    """Raised when raw input rows violate the dataset contract, or an input
+    file is not UTF-8 text."""
 
 
 @dataclass(frozen=True)
@@ -269,7 +271,25 @@ CSV_HEADER = ("subject_id", "t", "y")
 _RECORD = np.dtype([("id", object), ("t", np.float64), ("y", np.float64)])
 # the information separators U+001C-U+001F: numpy strips them from a number
 # as whitespace and float() rejects them, so a file holding one goes to the loop
-_NOT_FLOAT_SPACE = (b"\x1c", b"\x1d", b"\x1e", b"\x1f")
+_NOT_FLOAT_SPACE = ("\x1c", "\x1d", "\x1e", "\x1f")
+
+
+def _read_text(path, where: str = "line ") -> str:
+    """The file at ``path``, read once and whole, decoded as UTF-8.
+
+    A byte that does not decode raises a DataValidationError reading
+    ``<where><line>: not UTF-8 text: <reason>``, the line being the physical
+    line of that byte as file iteration counts lines (``\\r\\n``, ``\\n``
+    and ``\\r`` each end one; a byte-order mark ends none).
+    """
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        head = data[: exc.start]
+        line = 1 + head.count(b"\n") + head.count(b"\r") - head.count(b"\r\n")
+        raise DataValidationError(f"{where}{line}: not UTF-8 text: {exc.reason}") from exc
 
 
 def read_long_csv(path) -> tuple[list[str], np.ndarray, np.ndarray]:
@@ -287,114 +307,70 @@ def read_long_csv(path) -> tuple[list[str], np.ndarray, np.ndarray]:
     three columns behind. A header with no records gives empty columns,
     which ``dataset_from_columns`` rejects as empty input.
 
-    The records are parsed by one call to numpy's C reader. A file it
-    rejects, or one that holds an information separator (U+001C-U+001F,
-    which numpy strips from a number and ``float()`` does not), is read
-    again from the start by a loop over the ``csv`` module's records, which
-    gives the same columns for every file the C reader reads; the loop alone
-    reads numbers that ``float()`` accepts and numpy does not (``1_0``,
-    non-ASCII digits), and it alone names a bad line.
+    The path is opened once and read whole, so a pipe or FIFO reads like a
+    file, and the text is decoded once. Its records are parsed by one call
+    to numpy's C reader. A file that reader rejects, or one that holds an
+    information separator (U+001C-U+001F, which numpy strips from a number
+    and ``float()`` does not), is parsed instead by a loop over the ``csv``
+    module's records, which gives the same columns for every file the C
+    reader reads; the loop alone reads numbers that ``float()`` accepts and
+    numpy does not (``1_0``, non-ASCII digits), and it alone names a bad line.
 
     Raises
     ------
     DataValidationError
         On a file that is not UTF-8 text (naming the physical line of the
         first byte that does not decode), on a wrong or missing header, and
-        on the first record in file order without three fields or with a
-        field ``float()`` rejects (the time before the value); the message
-        names the line the record starts on.
+        on the first record in file order without three fields, with a
+        field ``float()`` rejects (the time before the value) or with a
+        field over the ``csv`` module's size limit; the message names the
+        line the record starts on.
     """
+    text = _read_text(path).removeprefix("\ufeff")
+    buf = io.StringIO(text, newline="")
     try:
-        with open(path, newline="", encoding="utf-8-sig") as fh:
-            header = next(csv.reader(fh), None)
-            if header is None or tuple(h.strip() for h in header) != CSV_HEADER:
-                raise DataValidationError(
-                    f"expected header {','.join(CSV_HEADER)}, got {header!r}"
-                )
-            records = _c_records(fh) if _c_readable(path) else None
-            if records is None:
-                fh.seek(0)
-                return _read_records(fh)
-    except UnicodeDecodeError:
-        _raise_not_utf8(path)
-        raise
-    # copies, so no view keeps the record array or its id objects alive
-    return records["id"].tolist(), records["t"].copy(), records["y"].copy()
-
-
-def _c_readable(path) -> bool:
-    """Whether the file holds no byte of ``_NOT_FLOAT_SPACE``."""
-    with open(path, "rb") as fh:
-        data = fh.read()
-    return not any(sep in data for sep in _NOT_FLOAT_SPACE)
-
-
-def _c_records(fh) -> np.ndarray | None:
-    """The records after the header of ``fh`` as a ``_RECORD`` array,
-    parsed by numpy's C reader; None for a file that reader rejects."""
-    try:
-        with warnings.catch_warnings():
-            # a header with no records reads as empty columns
-            warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
-            return np.loadtxt(fh, delimiter=",", quotechar='"', comments=None, ndmin=1, dtype=_RECORD)
-    except ValueError:
-        return None
-
-
-def _read_records(fh) -> tuple[list[str], np.ndarray, np.ndarray]:
-    """The columns of the records after the header of ``fh``, read from the
-    start, through the ``csv`` module and ``float()``, one record at a time."""
-    reader = csv.reader(fh)
-    next(reader)
-    ids, ts, ys = [], [], []
-    try:
-        for sid, t_text, y_text in filter(None, reader):
-            ids.append(sid)
-            ts.append(t_text)
-            ys.append(y_text)
-        t = np.fromiter(map(float, ts), dtype=float, count=len(ts))
-        y = np.fromiter(map(float, ys), dtype=float, count=len(ys))
-    except ValueError:
-        fh.seek(0)
-        _raise_first_bad_record(csv.reader(fh))
-        raise
-    return ids, t, y
-
-
-def _raise_not_utf8(path) -> None:
-    """Raise the error of the first byte of the file that does not decode as
-    UTF-8, naming its physical line (counting ``\\r\\n``, ``\\n`` and
-    ``\\r`` line ends). A decoder reading in chunks counts its position
-    within the chunk, so the whole file is decoded again here."""
-    with open(path, "rb") as fh:
-        data = fh.read()
-    try:
-        # a byte-order mark is valid UTF-8, so this fails where utf-8-sig
-        # does, with a position counted from the file's first byte
-        data.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        head = data[: exc.start]
-        line = 1 + head.count(b"\n") + head.count(b"\r") - head.count(b"\r\n")
-        raise DataValidationError(f"line {line}: not UTF-8 text: {exc.reason}") from exc
-
-
-def _raise_first_bad_record(reader) -> None:
-    """Raise the error of the first record, after the header, that has not
-    three fields or a time or value ``float()`` rejects, naming the
-    physical line on which the record starts (a quoted field may span
-    lines, so this is not the record count)."""
-    next(reader)
-    start = reader.line_num + 1
-    for rec in reader:
-        lineno, start = start, reader.line_num + 1
-        if not rec:
-            continue
-        if len(rec) != 3:
-            raise DataValidationError(f"line {lineno}: expected 3 fields, got {len(rec)}")
+        header = next(csv.reader(buf), None)
+    except csv.Error as exc:
+        raise DataValidationError(f"line 1: {exc}") from exc
+    if header is None or tuple(h.strip() for h in header) != CSV_HEADER:
+        raise DataValidationError(f"expected header {','.join(CSV_HEADER)}, got {header!r}")
+    if not any(sep in text for sep in _NOT_FLOAT_SPACE):
         try:
-            float(rec[1]), float(rec[2])
-        except ValueError as exc:
-            raise DataValidationError(f"line {lineno}: {exc}") from exc
+            with warnings.catch_warnings():
+                # a header with no records reads as empty columns
+                warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+                records = np.loadtxt(buf, delimiter=",", quotechar='"', comments=None, ndmin=1, dtype=_RECORD)
+        except ValueError:
+            pass
+        else:
+            # copies, so no view keeps the record array or its id objects alive
+            return records["id"].tolist(), records["t"].copy(), records["y"].copy()
+    return _read_records(text)
+
+
+def _read_records(text: str) -> tuple[list[str], np.ndarray, np.ndarray]:
+    """The columns of the records after the header of ``text``, read through
+    the ``csv`` module and ``float()`` one record at a time. The first
+    record that has not three fields, a time or value ``float()`` rejects,
+    or a field the ``csv`` module rejects raises an error naming the
+    physical line on which it starts (a quoted field may span lines, so
+    this is not the record count)."""
+    reader = csv.reader(io.StringIO(text, newline=""))
+    next(reader)
+    ids, t, y = [], [], []
+    start = reader.line_num + 1
+    try:
+        for rec in reader:
+            if rec:
+                if len(rec) != 3:
+                    raise ValueError(f"expected 3 fields, got {len(rec)}")
+                t.append(float(rec[1]))
+                y.append(float(rec[2]))
+                ids.append(rec[0])
+            start = reader.line_num + 1
+    except (ValueError, csv.Error) as exc:
+        raise DataValidationError(f"line {start}: {exc}") from exc
+    return ids, np.array(t, dtype=float), np.array(y, dtype=float)
 
 
 def write_csv(path, header, columns) -> None:
@@ -630,5 +606,4 @@ def save_model(model: FecModel, path) -> None:
 
 
 def load_model(path) -> FecModel:
-    with open(path, encoding="utf-8") as fh:
-        return model_from_dict(json.load(fh))
+    return model_from_dict(json.loads(_read_text(path, f"{path}:")))

@@ -8,6 +8,7 @@ random times, Gaussian measurement noise).
 
 from __future__ import annotations
 
+import io
 import math
 from dataclasses import dataclass, field, replace
 from typing import Callable
@@ -15,7 +16,7 @@ from typing import Callable
 import numpy as np
 
 from .basis import _panel_rule, default_basis_size, make_bspline_basis
-from .core import LongitudinalDataset, dataset_from_columns
+from .core import LongitudinalDataset, _read_text, dataset_from_columns
 from .oracle import compare_to_soap
 from .predict import default_grid, predict_trajectories
 from .solver import fit_soap
@@ -343,12 +344,14 @@ def parse_config_file(path) -> SimulationConfig:
 
     Keys not in the file keep their defaults. An unknown or repeated key, a
     value its parser rejects and an invalid setting raise a ValueError that
-    names the file; all but the last also name the line and the key.
+    names the file; all but the last also name the line and the key. A file
+    that is not UTF-8 text raises one naming the file and the line.
     """
     config = SimulationConfig()
     updates: dict[str, object] = {}
     seen: dict[str, int] = {}
-    with open(path, encoding="utf-8") as fh:
+    # universal newlines, so lines are numbered as file iteration numbers them
+    with io.StringIO(_read_text(path, f"{path}:"), newline=None) as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.split("#", 1)[0].strip()
             if not line:

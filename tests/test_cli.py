@@ -217,6 +217,33 @@ class TestFit:
         err = json.loads(capsys.readouterr().out)
         assert "not found" in err["error"]["message"]
 
+    @pytest.mark.parametrize(
+        "text, line",
+        [('subject_id,"{big}",y\n', 1), ('subject_id,t,y\na,0.1,1\n\n"{big}",1_0,1\n', 4)],
+        ids=["header", "loop-read-record"],
+    )
+    def test_oversize_field_gives_validation_error(self, tmp_path, capsys, text, line):
+        path = tmp_path / "big.csv"
+        path.write_text(text.format(big="a" * 200_000))
+        status = run_cli("fit", "--input", str(path), "--output-dir", str(tmp_path / "o"))
+        assert status == 2
+        assert json.loads(capsys.readouterr().out)["error"] == {
+            "type": "validation",
+            "message": f"line {line}: field larger than field limit (131072)",
+        }
+
+    def test_model_not_utf8_names_file_and_line(self, sparse_fixture, tmp_path, capsys):
+        model = tmp_path / "model.json"
+        model.write_bytes(b'{\n  "basis": "caf\xe9"\n}\n')
+        status = run_cli(
+            "predict", "--input", sparse_fixture, "--model", str(model), "--output-dir", str(tmp_path / "o")
+        )
+        assert status == 2
+        assert json.loads(capsys.readouterr().out)["error"] == {
+            "type": "validation",
+            "message": f"{model}:2: not UTF-8 text: invalid continuation byte",
+        }
+
     def test_input_not_utf8_gives_validation_error(self, tmp_path, capsys):
         path = tmp_path / "latin1.csv"
         path.write_bytes(b"subject_id,t,y\na\xe9,0.1,1\n")
@@ -516,6 +543,17 @@ class TestSimulate:
         assert status == 2
         assert expected in json.loads(capsys.readouterr().out)["error"]["message"]
 
+    def test_config_not_utf8_names_file_and_line(self, tmp_path, capsys):
+        cfg = tmp_path / "sim.cfg"
+        # \r\n, \r and \n each end a line, as file iteration counts them
+        cfg.write_bytes(b"seed = 1\r\nn_train = 10\r# caf\xe9\n")
+        status = run_cli("simulate", "--config", str(cfg), "--output-dir", str(tmp_path / "o"), "--reps", "1")
+        assert status == 2
+        assert json.loads(capsys.readouterr().out)["error"] == {
+            "type": "validation",
+            "message": f"{cfg}:3: not UTF-8 text: invalid continuation byte",
+        }
+
     def test_all_failed_study_gives_error_json(self, tmp_path, capsys):
         cfg = tmp_path / "sim.cfg"
         cfg.write_text("n_train = 10\nn_test = 10\n")
@@ -683,18 +721,60 @@ class TestFlagErrors:
         assert capsys.readouterr().out.startswith("usage: soapfda fit")
 
 
+def run_module(*args, stdin=None):
+    """``python -m soapfda.cli`` with ``args`` in a child process, fed
+    ``stdin`` (bytes) through a pipe; the child imports the same soapfda as
+    this process, installed or not."""
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-m", "soapfda.cli", *args], input=stdin, capture_output=True, env=env)
+    return proc.returncode, proc.stdout.decode(), proc.stderr.decode()
+
+
+def chunk_aligned_csv(n_after):
+    """A long-format CSV whose header and 23-byte records, padded with blank
+    lines, fill exactly the first 8 KB (a text reader's first chunk), then
+    ``n_after`` more records; returns (bytes, record count)."""
+    n_head = (8192 - len("subject_id,t,y\n")) // 23
+    tv = np.random.default_rng(5).uniform(size=(n_head + n_after, 2))
+    records = [f"s{k % 400:03d},{t:.6f},{v:.6f}\n" for k, (t, v) in enumerate(tv)]
+    head = "subject_id,t,y\n" + "".join(records[:n_head])
+    return (head + "\n" * (8192 - len(head)) + "".join(records[n_head:])).encode(), len(records)
+
+
 class TestEntryPoint:
     def test_module_invocation(self, sparse_fixture, tmp_path):
         out = tmp_path / "cli"
-        # the child imports the same soapfda as this process, installed or not
-        src = os.path.dirname(os.path.dirname(cli.__file__))
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-        proc = subprocess.run(
-            [sys.executable, "-m", "soapfda.cli", "fit", "--input", sparse_fixture,
-             "--output-dir", str(out), "--domain", "0,1", "--m", "1"],
-            capture_output=True, text=True, env=env,
+        status, stdout, stderr = run_module(
+            "fit", "--input", sparse_fixture, "--output-dir", str(out), "--domain", "0,1", "--m", "1"
         )
-        assert proc.returncode == 0, proc.stderr
+        assert status == 0, stderr
         assert (out / "model.json").exists()
-        assert proc.stdout == ""  # data goes to files, diagnostics to stderr
-        assert "wrote" in proc.stderr
+        assert stdout == ""  # data goes to files, diagnostics to stderr
+        assert "wrote" in stderr
+
+    @pytest.mark.skipif(not os.path.exists("/dev/stdin"), reason="no /dev/stdin on this platform")
+    def test_piped_input_reads_every_record(self, tmp_path):
+        data, count = chunk_aligned_csv(5_000)
+        assert data[8191:8193] == b"\ns"  # the first chunk ends on a record
+        out = tmp_path / "piped"
+        status, _, stderr = run_module(
+            "fit", "--input", "/dev/stdin", "--output-dir", str(out),
+            "--domain", "0,1", "--m", "1", "--basis-size", "6", stdin=data,
+        )
+        assert status == 0, stderr
+        assert json.loads((out / "report.json").read_text())["n_obs_total"] == count
+
+    @pytest.mark.skipif(not os.path.exists("/dev/stdin"), reason="no /dev/stdin on this platform")
+    def test_piped_input_names_a_bad_line(self, tmp_path):
+        data, count = chunk_aligned_csv(3)
+        lines = data.count(b"\n")
+        status, stdout, _ = run_module(
+            "fit", "--input", "/dev/stdin", "--output-dir", str(tmp_path / "o"), "--domain", "0,1",
+            stdin=data + b"s001,0.5,oops\n",
+        )
+        assert status == 2
+        assert json.loads(stdout)["error"] == {
+            "type": "validation",
+            "message": f"line {lines + 1}: could not convert string to float: 'oops'",
+        }

@@ -1,3 +1,4 @@
+import builtins
 import csv
 import gc
 import json
@@ -61,16 +62,18 @@ def reference_validate(rows, domain=None):
 
 
 def reference_read(path):
-    """The per-row reader: one (id, t, y) tuple per record, numbered from
-    the header's line 1 with blank records counted; raises
-    DataValidationError like read_long_csv."""
+    """The per-row reader: one (id, t, y) tuple per record, each numbered by
+    the physical line it starts on (blank lines and the lines of a quoted
+    line break counted); raises DataValidationError like read_long_csv."""
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         if header is None or tuple(h.strip() for h in header) != ("subject_id", "t", "y"):
             raise DataValidationError(f"expected header subject_id,t,y, got {header!r}")
         rows = []
-        for lineno, rec in enumerate(reader, start=2):
+        start = reader.line_num + 1
+        for rec in reader:
+            lineno, start = start, reader.line_num + 1
             if not rec:
                 continue
             if len(rec) != 3:
@@ -154,9 +157,10 @@ REJECTED_RECORDS = {
     "separator-before-number": "a,0.1,\x1f1\n",
 }
 
-# field forms of the random files below; none breaks a line inside quotes,
-# so the reference's record count is the line number
-ID_FORMS = ["a", "s1", '"a,b"', '"x""y"', 'a"b', '"a"b', " s ", "", "#c", "\tt", "Zoë", "a\x1cb"]
+# field forms of the random files below
+ID_FORMS = [
+    "a", "s1", '"a,b"', '"x""y"', 'a"b', '"a"b', " s ", "", "#c", "\tt", "Zoë", "a\x1cb", '"q\nr"', '"s\r\nt"',
+]
 NUMBER_FORMS = [
     "0.1", " 0.5 ", "1e5", "+1E5", "-nan", "-Infinity", "iNf", "\t2", '"0.3"', "5.", ".5", "1e400",
     "3e-320", "\u20031\u2003", "\x0c1", "-0.0", "0.30000000000000004", "1_0", "\u0661",
@@ -464,7 +468,7 @@ class TestReadLongCsv:
         text = {**C_READ_RECORDS, **LOOP_READ_RECORDS, **REJECTED_RECORDS}[name]
         loop_reads = []
         read_records = core._read_records
-        monkeypatch.setattr(core, "_read_records", lambda fh: loop_reads.append(fh) or read_records(fh))
+        monkeypatch.setattr(core, "_read_records", lambda data: loop_reads.append(data) or read_records(data))
         path = tmp_path / "edge.csv"
         path.write_bytes(("subject_id,t,y\n" + text).encode())
         outcome = assert_reads_like_reference(path)
@@ -527,6 +531,19 @@ class TestReadLongCsv:
         with pytest.raises(DataValidationError) as exc:
             read_long_csv(path)
         assert str(exc.value) == message
+
+    @pytest.mark.parametrize(
+        "data",
+        [b"a,0.1,1\n", b"a,1_0,1\n", b"a,0.1,oops\n", b"a\x1cb,0.1,1\n", b"a\xe9,0.1,1\n", b'"a\nb",0.1\n'],
+        ids=["c-read", "loop-read", "bad-record", "separator", "not-utf8", "short-multiline-record"],
+    )
+    def test_path_opened_once(self, tmp_path, monkeypatch, data):
+        path = tmp_path / "data.csv"
+        path.write_bytes(b"subject_id,t,y\n" + data)
+        opened, real_open = [], builtins.open
+        monkeypatch.setattr(builtins, "open", lambda *a, **k: opened.append(a[0]) or real_open(*a, **k))
+        read_outcome(read_long_csv, path)
+        assert opened == [path]
 
     def test_no_per_row_objects_kept(self, tmp_path):
         grid = np.linspace(0.0, 1.0, 401)
