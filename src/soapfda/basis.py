@@ -10,14 +10,15 @@ from scipy.interpolate import BSpline
 
 
 def _freeze(obj, *names) -> None:
-    """Store read-only views of a frozen dataclass's named arrays, so the
-    caller's arrays stay writeable; read-only arrays are kept as they are."""
+    """Store a read-only copy (same memory layout) of each writeable named
+    array of a frozen dataclass, so no later edit of the caller's array
+    reaches it; a read-only array, even a view of writeable memory, is kept."""
     for name in names:
         arr = getattr(obj, name)
         if arr.flags.writeable:
-            view = arr.view()
-            view.setflags(write=False)
-            object.__setattr__(obj, name, view)
+            arr = arr.copy(order="K")
+            arr.setflags(write=False)
+            object.__setattr__(obj, name, arr)
 
 
 @dataclass(frozen=True)
@@ -132,10 +133,10 @@ def make_bspline_basis(
     gram, penalty = _gram_and_penalty(knots, order, lo, hi, interior, size)
     return BasisSystem(
         domain=(lo, hi),
-        order=order,
+        order=int(order),  # Python ints, as the model file holds them
         interior_knots=interior,
         knots=knots,
-        size=size,
+        size=int(size),
         gram=gram,
         penalty=penalty,
     )

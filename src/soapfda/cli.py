@@ -36,11 +36,7 @@ from .solver import SingularStepError, _fit_models, fit_soap
 
 
 class CliError(Exception):
-    """User-facing failure; carries the exit status."""
-
-    def __init__(self, message: str, status: int = 2):
-        super().__init__(message)
-        self.status = status
+    """User-facing failure, reported as error type ``cli``."""
 
 
 class _ArgumentParser(argparse.ArgumentParser):
@@ -337,7 +333,7 @@ def main(argv=None) -> int:
         return args.func(args)
     except CliError as exc:
         _write_json({"error": {"type": "cli", "message": str(exc)}})
-        return exc.status
+        return 2
     except DataValidationError as exc:
         _write_json({"error": {"type": "validation", "message": str(exc)}})
         return 2

@@ -5,11 +5,9 @@ from __future__ import annotations
 import csv
 import io
 import json
-import math
-import numbers
 import sys
 import warnings
-from dataclasses import MISSING, asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields
 from typing import Iterable, get_args, get_origin, get_type_hints
 
 import numpy as np
@@ -18,8 +16,8 @@ from .basis import BasisSystem, _freeze, eval_basis_matrix, make_bspline_basis
 
 
 class DataValidationError(ValueError):
-    """Raised when raw input rows violate the dataset contract, or an input
-    file is not UTF-8 text."""
+    """Raised when raw input rows violate the dataset contract, an input
+    file is not UTF-8 text, or a model file is not JSON."""
 
 
 @dataclass(frozen=True)
@@ -28,6 +26,9 @@ class Subject:
 
     Ties in time are kept in input order; they are legitimate repeated
     measurements and the least-squares steps handle the duplicated rows.
+    ``dataset_from_columns`` sorts each subject it makes. One built by hand
+    is not checked here, but ``holdout_last_mspe_model`` rejects it if its
+    times are not ascending. The record owns its arrays (``basis._freeze``).
     """
 
     id: str
@@ -103,15 +104,15 @@ class FitReport:
     loss_trace: tuple[float, ...]
     converged: bool
     n_sweeps: int
-    stage_cycles: tuple[int, ...] = ()
-    sweep_objectives: tuple[float, ...] = ()
-    stage_offsets: tuple[int, ...] = ()
-    n_fallbacks: int = 0
-    n_truncated: int = 0
-    n_guard_kept: int = 0
-    final_objective: float = math.nan
-    stage_capped: tuple[bool, ...] = ()
-    sweeps_capped: bool = False
+    stage_cycles: tuple[int, ...]
+    sweep_objectives: tuple[float, ...]
+    stage_offsets: tuple[int, ...]
+    n_fallbacks: int
+    n_truncated: int
+    n_guard_kept: int
+    final_objective: float
+    stage_capped: tuple[bool, ...]
+    sweeps_capped: bool
 
 
 @dataclass(frozen=True)
@@ -241,7 +242,7 @@ def dataset_from_columns(ids, t, y, domain: tuple[float, float] | None = None) -
     if domain is None:
         domain = (0.0, t.max())
     lo, hi = float(domain[0]), float(domain[1])
-    if lo >= hi:
+    if not (np.isfinite(lo) and np.isfinite(hi) and lo < hi):
         raise DataValidationError(f"invalid domain ({lo}, {hi})")
     outside = ~((lo <= t) & (t <= hi))
     if np.any(outside):
@@ -255,7 +256,7 @@ def dataset_from_columns(ids, t, y, domain: tuple[float, float] | None = None) -
     order = np.lexsort((t, codes))  # stable: by id, then time, then input order
     ends = np.cumsum(np.bincount(codes))[:-1]
     t, y = t[order], y[order]
-    t.setflags(write=False)  # read-only slices need no views of their own in Subject
+    t.setflags(write=False)  # read-only slices need no copies of their own in Subject
     y.setflags(write=False)
     subjects = tuple(map(Subject, names, np.split(t, ends), np.split(y, ends)))
     return LongitudinalDataset(domain=(lo, hi), subjects=subjects)
@@ -402,7 +403,7 @@ def dataset_to_rows(dataset: LongitudinalDataset) -> list[tuple[str, float, floa
 # ---------------------------------------------------------------------------
 
 
-# the layout of a model document; a file without the key is version 1
+# the layout of a model document
 _SCHEMA_VERSION = 1
 
 
@@ -441,11 +442,9 @@ def _field(doc, key: str, section: str | None = None):
     return doc[key]
 
 
-def _converted(doc, key: str, convert, section: str | None = None, default=MISSING):
+def _converted(doc, key: str, convert, section: str | None = None):
     """``convert(doc[key])``; a wrongly typed value raises a ValueError naming
-    the key; ``default`` fills a missing key."""
-    if default is not MISSING and isinstance(doc, dict) and key not in doc:
-        return default
+    the key."""
     value = _field(doc, key, section)
     try:
         return convert(value)
@@ -454,8 +453,9 @@ def _converted(doc, key: str, convert, section: str | None = None, default=MISSI
 
 
 def _number(value):
-    """``value`` if it is a number; a string, a boolean or null raises."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+    """``value`` if it is an int or a float, as JSON numbers are; anything
+    else, a boolean or a numpy integer included, raises."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ValueError(f"expected a number, got {value!r}")
     return value
 
@@ -471,9 +471,9 @@ def _as_float(value) -> float:
 
 
 def _as_bool(value) -> bool:
-    if not isinstance(value, (bool, np.bool_)):
+    if not isinstance(value, bool):
         raise ValueError(f"expected true or false, got {value!r}")
-    return bool(value)
+    return value
 
 
 def _as_floats(value) -> np.ndarray:
@@ -522,16 +522,16 @@ def model_from_dict(doc: dict) -> FecModel:
     (a bool field takes only a JSON boolean, an int only an integral number
     and a float only a number, in a list as alone; a string never passes),
     a non-finite or negative ``gammas`` or ``noise_var``, a non-finite
-    ``coef`` or ``scores``, a ``coef`` or ``scores`` whose shape does not
-    match ``l`` and ``m``, and a ``coef`` whose columns are not
-    G-orthonormal to 1e-8; so does a basis that ``make_bspline_basis``
-    would reject, and a ``schema_version`` other than 1 (a file without one
-    is read as version 1). The report's fields are those of ``FitReport``:
-    one missing from an older file loads as the field's default, and a key
-    that is no field (such as ``tolerance_used``) is ignored.
+    ``coef`` or ``scores``, an ``m`` outside [1, ``l``], a ``coef`` or
+    ``scores`` whose shape does not match ``l`` and ``m``, and a ``coef``
+    whose columns are not G-orthonormal to 1e-8; so does a basis that
+    ``make_bspline_basis`` would reject, and a ``schema_version`` other
+    than 1. Every key that ``model_to_dict`` writes is required, each field
+    of ``FitReport`` included when the document has a report; a key that it
+    does not write is ignored.
     """
     b = _field(doc, "basis")
-    version = doc.get("schema_version", _SCHEMA_VERSION)
+    version = _field(doc, "schema_version")
     if type(version) is not int or version != _SCHEMA_VERSION:
         raise ValueError(
             f"model key 'schema_version' is {version!r}; only version {_SCHEMA_VERSION} can be read"
@@ -548,6 +548,8 @@ def model_from_dict(doc: dict) -> FecModel:
         raise ValueError(f"model key 'basis.order' is {order}, expected >= 2")
     if L < order:
         raise ValueError(f"model key 'l' is {L}, below basis.order {order}")
+    if not 1 <= M <= L:
+        raise ValueError(f"model key 'm' is {M}, outside [1, l={L}]")
     knots = _finite(b, "interior_knots", "basis")
     if knots.shape != (L - order,):
         raise ValueError(
@@ -569,10 +571,7 @@ def model_from_dict(doc: dict) -> FecModel:
     if "report" in doc:
         r, hints = doc["report"], get_type_hints(FitReport)
         report = FitReport(
-            **{
-                f.name: _converted(r, f.name, _converter(hints[f.name]), "report", f.default)
-                for f in fields(FitReport)
-            }
+            **{f.name: _converted(r, f.name, _converter(hints[f.name]), "report") for f in fields(FitReport)}
         )
     model = FecModel(
         basis=basis,
@@ -606,4 +605,11 @@ def save_model(model: FecModel, path) -> None:
 
 
 def load_model(path) -> FecModel:
-    return model_from_dict(json.loads(_read_text(path, f"{path}:")))
+    """The model in the file at ``path`` (see ``model_from_dict``). A file
+    that is not UTF-8 text or not JSON raises a DataValidationError reading
+    ``<path>:<line>: ...``."""
+    try:
+        doc = json.loads(_read_text(path, f"{path}:"))
+    except json.JSONDecodeError as exc:
+        raise DataValidationError(f"{path}:{exc.lineno}: not JSON: {exc.msg}") from exc
+    return model_from_dict(doc)

@@ -88,11 +88,10 @@ def _grid_values(model: FecModel, grid: np.ndarray) -> np.ndarray:
     The model keeps its last grid's key and values as one tuple in its
     ``__dict__``, so a reader never pairs one grid's key with another's
     values. The key is the float64 grid's shape and bytes, not its
-    identity, so a grid edited in place is evaluated again; it holds the
-    coefficients' bytes too, since the model's ``coef`` is a read-only view
-    of an array its caller may still edit.
+    identity, so a grid edited in place is evaluated again. The model owns
+    its coefficients (see ``basis._freeze``), so they need no key.
     """
-    key = (grid.shape, grid.tobytes(), model.coef.tobytes())
+    key = (grid.shape, grid.tobytes())
     memo = model.__dict__.get("_grid_values")
     if memo is None or memo[0] != key:
         memo = (key, model.component_values(grid))
@@ -140,10 +139,12 @@ def holdout_last_mspe_model(model: FecModel, test: LongitudinalDataset) -> MspeR
     """Apply the held-out-last protocol to test subjects under a fitted model.
 
     For each subject with at least two observations, the final observation
-    (largest time; exact ties resolve to the later input row) is removed,
-    scores are projected from the remainder, and the squared error of the
-    prediction at the dropped time is recorded. Single-observation subjects
-    are excluded and counted.
+    (its last row, which is its largest time; exact ties resolve to the
+    later input row) is removed, scores are projected from the remainder,
+    and the squared error of the prediction at the dropped time is
+    recorded. Single-observation subjects are excluded and counted. An
+    eligible subject whose times are not ascending, which only a subject
+    built by hand can be, raises a ValueError that names it.
     """
     eligible = [s for s in test.subjects if s.n_obs >= 2]
     n_excluded = test.n_subjects - len(eligible)
@@ -151,6 +152,11 @@ def holdout_last_mspe_model(model: FecModel, test: LongitudinalDataset) -> MspeR
         raise ValueError("no eligible test subjects (all have a single observation)")
     t, y, sizes = _rows(eligible, model.basis)
     last, kept = np.cumsum(sizes) - 1, len(y) - len(sizes)
+    falls = np.diff(t) < 0
+    falls[last[:-1]] = False  # the step from one subject's last row to the next one's first
+    if falls.any():
+        i = np.searchsorted(last, np.argmax(falls))
+        raise ValueError(f"subject {eligible[i].id}: times must be in ascending order for held-out-last")
     # one basis evaluation, kept rows first, so both parts are views of it
     B = model.basis._spline(np.concatenate([np.delete(t, last), t[last]]))
     scores = _project(eligible, model, rows=(B[:kept], np.delete(y, last), sizes - 1))

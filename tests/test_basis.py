@@ -80,6 +80,11 @@ class TestConstruction:
         assert knots.flags.writeable
         assert not basis.interior_knots.flags.writeable
         np.testing.assert_array_equal(basis.interior_knots, knots)
+        gram = basis.gram.copy()
+        own = BasisSystem(basis.domain, 4, knots, basis.knots, 6, gram, basis.penalty)
+        knots[0], gram[:] = 0.5, 0.0  # both bases own copies
+        assert basis.interior_knots.tolist() == own.interior_knots.tolist() == [0.3, 0.6]
+        np.testing.assert_array_equal(own.gram, basis.gram)
 
     def test_default_size_rule(self):
         assert default_basis_size(1700) == 20

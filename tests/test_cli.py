@@ -449,6 +449,10 @@ class TestPredict:
             ({**good, "basis": {**good["basis"], "interior_knots": knots[:-1]}}, "'basis.interior_knots' has shape"),
             ({**good, "basis": {**good["basis"], "order": 1}}, "'basis.order'"),
             ({**good, "l": 3}, "'l' is 3, below basis.order 4"),
+            ({**good, "m": 0, "coef": [], "gammas": [], "scores": [[] for _ in good["scores"]]},
+             "model key 'm' is 0, outside [1, l=8]"),
+            ({**good, "m": 9, "coef": good["coef"] * 9, "gammas": good["gammas"] * 9,
+              "scores": [row * 9 for row in good["scores"]]}, "model key 'm' is 9, outside [1, l=8]"),
             ({**good, "l": 10.7}, "'l' has an invalid value"),
             ({**good, "l": True}, "'l' has an invalid value"),
             ({**good, "m": True}, "'m' has an invalid value"),
@@ -482,6 +486,17 @@ class TestPredict:
             )
             assert status == 2, expected
             assert expected in json.loads(capsys.readouterr().out)["error"]["message"]
+
+    def test_model_file_that_is_not_json_gives_validation_error(self, sparse_fixture, tmp_path, capsys):
+        bad = tmp_path / "model.json"
+        bad.write_text('{\n  "coef": [0.1, oops]\n}\n', encoding="utf-8")
+        status = run_cli(
+            "predict", "--input", sparse_fixture, "--model", str(bad), "--output-dir", str(tmp_path / "o"),
+        )
+        assert status == 2
+        error = json.loads(capsys.readouterr().out)["error"]
+        assert error == {"type": "validation", "message": f"{bad}:2: not JSON: Expecting value"}
+        assert not (tmp_path / "o").exists()
 
 
 class TestSimulate:

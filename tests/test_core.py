@@ -4,6 +4,7 @@ import gc
 import json
 import math
 import warnings
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -44,7 +45,7 @@ def reference_validate(rows, domain=None):
     if domain is None:
         domain = (0.0, max(float(r[1]) for r in rows))
     lo, hi = float(domain[0]), float(domain[1])
-    if lo >= hi:
+    if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
         raise DataValidationError(f"invalid domain ({lo}, {hi})")
     for idx, (_, t, _) in enumerate(rows):
         if not (lo <= t <= hi):
@@ -199,6 +200,8 @@ class TestSubject:
             assert given.flags.writeable
             assert not stored.flags.writeable
             np.testing.assert_array_equal(stored, given)
+        t[0], y[:] = 0.95, 0.0  # the subject owns copies
+        assert subject.t.tolist() == [0.1, 0.2] and subject.y.tolist() == [1.0, 2.0]
 
 
 class TestValidateDataset:
@@ -297,6 +300,10 @@ class TestValidateDataset:
              (0.0, 1.0), "row 3: time -0.25 outside domain [0.0, 1.0]"),
             ([("a", 1, 1.0), ("a", 3, 2.0)], (0.0, 2.0), "row 1: time 3 outside domain [0.0, 2.0]"),
             ([("a", -1.0, 1.0)], None, "invalid domain (0.0, -1.0)"),
+            # a bound that is not finite
+            ([("a", 0.2, 1.0)], (0.0, math.inf), "invalid domain (0.0, inf)"),
+            ([("a", 0.2, 1.0)], (-math.inf, math.inf), "invalid domain (-inf, inf)"),
+            ([("a", 0.2, 1.0)], (math.nan, 1.0), "invalid domain (nan, 1.0)"),
         ],
     )
     def test_error_names_first_offending_row(self, rows, domain, message):
@@ -571,6 +578,11 @@ class TestFecModel:
             assert given.flags.writeable
             assert not stored.flags.writeable
             np.testing.assert_array_equal(stored, given)
+        before = model.orthonormality_error()
+        coef *= 3  # the model owns copies
+        scores[:], gammas[:] = -1.0, 5.0
+        assert model.orthonormality_error() == before < 1e-12
+        assert model.scores.tolist() == [[1.0, 1.0]] * 3 and model.gammas.tolist() == [0.0, 0.0]
 
 
     @pytest.mark.parametrize(
@@ -618,8 +630,12 @@ class TestModelRoundTrip:
                 stage_cycles=(4, 1),
                 sweep_objectives=(1.6, 1.5),
                 stage_offsets=(0, 1),
+                n_fallbacks=0,
                 n_truncated=3,
+                n_guard_kept=0,
                 final_objective=1.75,
+                stage_capped=(False, False),
+                sweeps_capped=False,
             )
         return FecModel(
             basis=basis,
@@ -664,29 +680,75 @@ class TestModelRoundTrip:
         expected = json.dumps(model_to_dict(model), indent=2, sort_keys=True) + "\n"
         assert (tmp_path / "model.json").read_text(encoding="utf-8") == expected
 
-    def test_report_without_truncation_count_loads_as_zero(self, rng):
+    def test_report_without_truncation_count_rejected(self, rng):
         doc = model_to_dict(self.make_model(rng))
-        del doc["report"]["n_truncated"]  # written before the field existed
-        assert model_from_dict(doc).report.n_truncated == 0
+        del doc["report"]["n_truncated"]  # as written before the field existed
+        with pytest.raises(ValueError, match="lacks key 'report.n_truncated'"):
+            model_from_dict(doc)
 
-    def test_older_report_loads(self, rng):
-        doc = model_to_dict(self.make_model(rng))
-        # written before stage_cycles and final_objective, with a key since removed
+    def test_older_report_rejected(self, rng):
+        model = self.make_model(rng)
+        doc = model_to_dict(model)
+        # as written before stage_cycles and final_objective, with a key since removed
         del doc["report"]["stage_cycles"], doc["report"]["final_objective"]
         doc["report"]["tolerance_used"] = 1e-7
-        report = model_from_dict(doc).report
-        assert report.stage_cycles == ()
-        assert math.isnan(report.final_objective)
-        assert report.n_sweeps == 2
+        with pytest.raises(ValueError, match="lacks key 'report.stage_cycles'"):
+            model_from_dict(doc)
+        doc["report"]["stage_cycles"] = [4, 1]
+        with pytest.raises(ValueError, match="lacks key 'report.final_objective'"):
+            model_from_dict(doc)
+        doc["report"]["final_objective"] = 1.75  # the key model_to_dict does not write is ignored
+        assert model_from_dict(doc).report == model.report
 
-    def test_schema_version_written_and_optional(self, rng):
+    def test_schema_version_written_and_required(self, rng):
         model = self.make_model(rng)
         doc = model_to_dict(model)
         assert doc["schema_version"] == 1
-        del doc["schema_version"]  # written before the key existed
-        back = model_from_dict(doc)
+        del doc["schema_version"]  # as written before the key existed
+        with pytest.raises(ValueError, match="lacks key 'schema_version'"):
+            model_from_dict(doc)
+
+    @pytest.mark.parametrize("name", [f.name for f in fields(FitReport)])
+    def test_every_report_field_required(self, rng, name):
+        doc = model_to_dict(self.make_model(rng))
+        del doc["report"][name]
+        with pytest.raises(ValueError, match=f"lacks key 'report.{name}'"):
+            model_from_dict(doc)
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [("noise_var", np.float32(0.25)), ("l", np.int64(6)), ("report.converged", np.True_)],
+        ids=["float32", "int64", "bool_"],
+    )
+    def test_only_json_types_accepted(self, rng, key, value):
+        doc = model_to_dict(self.make_model(rng))
+        section, _, name = key.rpartition(".")
+        (doc[section] if section else doc)[name] = value
+        with pytest.raises(ValueError, match=f"'{key}' has an invalid value"):
+            model_from_dict(doc)
+
+    def test_basis_with_numpy_integers_saves_and_loads(self, rng, tmp_path):
+        basis = make_bspline_basis((0.0, 1.0), np.int64(6), np.int64(4))
+        assert type(basis.size) is int and type(basis.order) is int
+        model = self.make_model(rng)
+        model = FecModel(basis, model.coef, model.scores, model.gammas, model.noise_var, model.report)
+        save_model(model, tmp_path / "model.json")
+        back = load_model(tmp_path / "model.json")
+        assert (back.basis.size, back.basis.order) == (6, 4)
+        np.testing.assert_array_equal(back.basis.gram, basis.gram)
         np.testing.assert_array_equal(back.coef, model.coef)
-        assert back.report == model.report
+
+    @pytest.mark.parametrize(
+        "text, line, msg",
+        [("", 1, "Expecting value"), ('{\n  "l": 6,\n  "m": ', 3, "Expecting value"), ("{} {}", 1, "Extra data")],
+        ids=["empty", "truncated", "two-documents"],
+    )
+    def test_file_that_is_not_json_names_path_and_line(self, tmp_path, text, line, msg):
+        path = tmp_path / "model.json"
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(DataValidationError) as info:
+            load_model(path)
+        assert str(info.value) == f"{path}:{line}: not JSON: {msg}"
 
     @pytest.mark.parametrize("version", [0, 2, 1.0, "1", None, True])
     def test_other_schema_version_rejected(self, rng, version):

@@ -69,6 +69,8 @@ class TestDenseCurveSet:
             assert given.flags.writeable
             assert not stored.flags.writeable
             np.testing.assert_array_equal(stored, given)
+        grid[1], curves[:] = 0.9, 0.0  # the curve set owns copies
+        assert curve_set.grid.tolist() == [0.0, 0.5, 1.0] and curve_set.curves.tolist() == [[1.0] * 3] * 2
 
 
 class TestGridEigenfunctions:

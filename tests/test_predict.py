@@ -264,8 +264,11 @@ class TestRepeatedGrid:
         coef = model_a.coef.copy()
         own = FecModel(basis=cubic_basis, coef=coef, scores=model_a.scores, gammas=np.zeros(2), noise_var=0.0)
         check(own, first)
-        coef[:, 0] *= -1.0  # the model's coef is a view of this array
+        before = predict_trajectory(subject, own, first)
+        coef[:, 0] *= -1.0  # the model owns a copy, so this edit reaches neither it nor its memo
         check(own, first)
+        after = predict_trajectory(subject, own, first)
+        assert (after.scores.tobytes(), after.values.tobytes()) == (before.scores.tobytes(), before.values.tobytes())
 
     def test_values_are_fresh_arrays(self, cubic_basis, rng):
         model, _ = make_model(cubic_basis, rng)
@@ -356,6 +359,18 @@ class TestHoldoutLast:
         ds = LongitudinalDataset((0.0, 1.0), (good, bad))
         with pytest.raises(ValueError, match="subject a: times and values must be finite"):
             holdout_last_mspe_model(model, ds)
+
+    def test_subject_with_unsorted_times_rejected_by_name(self, cubic_basis, rng):
+        # the last row is held out as the last time, so unsorted times would
+        # hold out some other observation
+        model, _ = make_model(cubic_basis, rng)
+        good = Subject(id="a", t=np.array([0.1, 0.5, 0.9]), y=np.array([1.0, 2.0, 0.5]))
+        bad = Subject(id="b", t=np.array([0.9, 0.1, 0.5]), y=np.array([0.5, 1.0, 2.0]))
+        tied = Subject(id="c", t=np.array([0.2, 0.2, 0.3]), y=np.array([1.0, 2.0, 0.5]))
+        holdout_last_mspe_model(model, LongitudinalDataset((0.0, 1.0), (good, tied, good)))
+        for subjects in ((bad,), (good, bad), (good, tied, bad, good)):
+            with pytest.raises(ValueError, match="subject b: times must be in ascending order"):
+                holdout_last_mspe_model(model, LongitudinalDataset((0.0, 1.0), subjects))
 
     def test_all_single_observation_errors(self, cubic_basis, rng):
         model, _ = make_model(cubic_basis, rng)
