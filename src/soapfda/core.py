@@ -607,9 +607,12 @@ def save_model(model: FecModel, path) -> None:
 def load_model(path) -> FecModel:
     """The model in the file at ``path`` (see ``model_from_dict``). A file
     that is not UTF-8 text or not JSON raises a DataValidationError reading
-    ``<path>:<line>: ...``."""
+    ``<path>:<line>: ...``, and one nested too deeply for the JSON decoder
+    one reading ``<path>: not JSON: ...``."""
     try:
         doc = json.loads(_read_text(path, f"{path}:"))
     except json.JSONDecodeError as exc:
         raise DataValidationError(f"{path}:{exc.lineno}: not JSON: {exc.msg}") from exc
+    except RecursionError as exc:
+        raise DataValidationError(f"{path}: not JSON: nested too deeply to decode") from exc
     return model_from_dict(doc)

@@ -46,6 +46,8 @@ _SECULAR_MAX_ITERS = 100
 _MAX_INNER_ITERS = 200
 _MAX_OUTER_SWEEPS = 20
 _REL_TOL = 1e-7
+# bound on the (chunk, L, L) Gram stack from which the statistics' band is read
+_CHUNK_FLOATS = 1 << 16
 # the two factorizations every component update makes, called without the
 # scipy.linalg wrappers' per-call overhead
 _gelsy, _gelsy_lwork, _sygvd = sla.get_lapack_funcs(("gelsy", "gelsy_lwork", "sygvd"), dtype=np.float64)
@@ -127,18 +129,35 @@ class _Workspace:
 
     @cached_property
     def stats(self) -> tuple[np.ndarray, np.ndarray]:
-        """Per-subject sufficient statistics (S, T): S_i = B_i'B_i, (n, L, L),
-        and T_i = B_i'y_i, (n, L); built on first use by ``_subject_systems``.
+        """Per-subject sufficient statistics (band, T), built on first use.
+
+        S_i = B_i'B_i is banded: a B-spline of order k is nonzero on k
+        consecutive knot spans, so S_i[j, l] = 0 whenever |j - l| >= k. Only
+        the band is kept, (n, k, L) with band[i, d, j] = S_i[j, j + d] and
+        zeros past the edge; T_i = B_i'y_i is (n, L). Together they take
+        n·k·L + n·L floats (0.19 MB + 0.05 MB at n = 300, L = 20, k = 4).
+        They are read from ``_subject_systems`` run on chunks of subjects, so
+        no (n, L, L) array is formed, and a subject's statistics do not
+        depend on which subjects share the workspace or a chunk.
 
         With the weights ``w`` they hold all the score and component steps
-        use of the rows, so those steps cost O(n L^2 M) whatever the number
+        use of the rows, so those steps cost O(n k L M^2) whatever the number
         of observations per subject; the objective and stage starts read rows.
         """
-        return _subject_systems(self.B, self.y, self.sizes)
+        n, k, L = self.n, self.basis.order, self.basis.size
+        band, T = np.zeros((n, k, L)), np.empty((n, L))
+        step = max(1, _CHUNK_FLOATS // (L * L))
+        for lo in range(0, n, step):
+            hi = min(lo + step, n)
+            rows = slice(self.offsets[lo], self.offsets[hi])
+            S, T[lo:hi] = _subject_systems(self.B[rows], self.y[rows], self.sizes[lo:hi])
+            for d in range(k):
+                band[lo:hi, d, : L - d] = np.diagonal(S, d, axis1=1, axis2=2)
+        return band, T
 
     def drop_subject(self, i: int) -> "_Workspace":
         """Fold workspace with subject i removed: its rows deleted from the
-        parent's, and row i deleted from the parent's statistics."""
+        parent's, and row i deleted from the parent's band and T."""
         rows = self.rows(i)
         fold = _Workspace(
             self.basis, np.delete(self.B, rows, axis=0), np.delete(self.y, rows), np.delete(self.sizes, i)
@@ -178,7 +197,8 @@ def _subject_systems(X, y, sizes, coef=None) -> tuple[np.ndarray, np.ndarray]:
     subject, a balanced design, equal-length dense curves) the rows already
     form that stack, and ``X`` is reshaped to it without grouping or
     gathering; the stack's bytes, and so the products, are the same. The
-    fit's statistics S_i, T_i and every row-formed score solve come from here.
+    fit's statistics (band and T) and every row-formed score solve come
+    from here.
     """
     sizes = np.asarray(sizes)
 
@@ -299,17 +319,42 @@ def _solve_scores(gram, rhs, prev: np.ndarray | None = None) -> tuple[np.ndarray
     return np.where(worse[:, None], prev, sol), n_truncated, int(np.count_nonzero(worse))
 
 
-def _score_system(ws: _Workspace, coef: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """S_i C (n, L, M), for the component update that follows, and the score
-    step's Gram matrices C'S_iC (n, M, M) and right-hand sides C'T_i (n, M).
-    Being 2-D products over all subjects, they are not batch-independent;
-    prediction forms its systems with ``_subject_systems`` instead."""
-    S, T = ws.stats
-    n, L, _ = S.shape
+def _band_product(coef: np.ndarray, k: int) -> np.ndarray:
+    """Q (k L, M^2) with Q[d, j] = c_j c_{j+d}' + (d > 0) c_{j+d} c_j' over
+    the rows c_j of ``coef`` (zero past the edge), so that band_i @ Q is
+    C'S_iC. Entries (a, b) and (b, a) of Q[d, j] add the same two products,
+    and IEEE multiplication and addition commute, so Q[d, j] is exactly
+    symmetric, and so is every Gram matrix formed with it."""
+    L, M = coef.shape
+    shifted = np.zeros((k, L, M))
+    for d in range(k):
+        shifted[d, : L - d] = coef[d:]
+    outer = coef[None, :, :, None] * shifted[:, :, None, :]
+    Q = outer + outer.swapaxes(2, 3)
+    Q[0] = outer[0]
+    return Q.reshape(k * L, M * M)
+
+
+@cache
+def _band_index(k: int, L: int) -> np.ndarray:
+    """Flat indices (L, L) into a band row (k L) followed by one zero: entry
+    (j, l) reads band[|j - l|, min(j, l)], or the zero outside the band."""
+    j, l = np.indices((L, L))
+    d = np.abs(j - l)
+    return np.where(d < k, d * L + np.minimum(j, l), k * L)
+
+
+def _score_system(ws: _Workspace, coef: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The score step's Gram matrices C'S_iC (n, M, M), as one product of
+    the band (n, k L) with ``_band_product``, and right-hand sides C'T_i
+    (n, M). Being 2-D products over all subjects, they are not
+    batch-independent; prediction forms its systems with
+    ``_subject_systems`` instead."""
+    band, T = ws.stats
+    n, k, L = band.shape
     M = coef.shape[1]
-    SC = (S.reshape(n * L, L) @ coef).reshape(n, L, M)
-    gram = (SC.transpose(0, 2, 1).reshape(n * M, L) @ coef).reshape(n, M, M)
-    return SC, gram, T @ coef
+    gram = (band.reshape(n, k * L) @ _band_product(coef, k)).reshape(n, M, M)
+    return gram, T @ coef
 
 
 def _row_base(ws: _Workspace, R: np.ndarray, P: np.ndarray) -> float:
@@ -377,26 +422,28 @@ def score_step(dataset: LongitudinalDataset, fec_values: Sequence[np.ndarray]) -
     return _solve_scores(*_subject_systems(np.concatenate(values), y, sizes))[0]
 
 
-def _update_system(ws: _Workspace, SC, scores, m: int) -> tuple[np.ndarray, np.ndarray]:
+def _update_system(ws: _Workspace, coef, scores, m: int) -> tuple[np.ndarray, np.ndarray]:
     """Normal matrix and right-hand side for updating component m, from the
-    statistics and SC = S_i C: sum_i w_i a_im^2 S_i and
-    sum_i w_i a_im (T_i - S_i C a~_i), where a~_i is subject i's scores with
-    entry m set to zero.
+    statistics: sum_i w_i a_im^2 S_i and sum_i w_i a_im (T_i - S_i C a~_i),
+    where a~_i is subject i's scores with entry m set to zero.
+
+    Both come from one product W = ((w a_m) * A)' band, (M, k L): row o of
+    W is the band of sum_i w_i a_im a_io S_i. The normal matrix is row m
+    expanded to L x L by ``_band_index``, and the right-hand side is
+    (w a_m)'T - sum_{o != m} expand(W_o) c_o.
     """
-    S, T = ws.stats
-    n, L, M = SC.shape
-    alpha = scores[:, m]
-    wa = ws.w * alpha
-    ata = ((wa * alpha) @ S.reshape(n, L * L)).reshape(L, L)
-    if M <= 2:
-        # with at most one other column, S_i C a~_i is one product per entry:
-        # the batched product with entry m zeroed gives the same bits
-        resid = T if M == 1 else T - SC[:, :, 1 - m] * scores[:, 1 - m, None]
-    else:
-        others = scores.copy()
-        others[:, m] = 0.0
-        resid = T - np.matmul(SC, others[..., None])[..., 0]
-    return (ata + ata.T) / 2.0, wa @ resid
+    band, T = ws.stats
+    n, k, L = band.shape
+    wa = ws.w * scores[:, m]
+    W = (wa[:, None] * scores).T @ band.reshape(n, k * L)
+    flat, index = np.concatenate([W, np.zeros((len(W), 1))], axis=1), _band_index(k, L)
+    # expanded one row at a time, so each L x L matrix is C-contiguous and its
+    # product goes to BLAS; a strided gather from flat[:, index] would not
+    rhs = wa @ T
+    for o in range(coef.shape[1]):
+        if o != m:
+            rhs -= flat[o][index] @ coef[:, o]
+    return flat[m][index], rhs
 
 
 def _null_space(a: np.ndarray) -> np.ndarray:
@@ -539,10 +586,10 @@ def _reduction(basis: BasisSystem, coef, m: int, gamma: float):
     return Z, Z.T @ basis.gram @ Z, (Z.T @ basis.penalty @ Z if gamma > 0 else None)
 
 
-def _psi_update(ws: _Workspace, SC, scores, m: int, gamma: float, reduction):
-    """Update component m with all other columns fixed.
+def _psi_update(ws: _Workspace, coef, scores, m: int, gamma: float, reduction):
+    """Update component m of ``coef`` with all other columns fixed.
 
-    The normal equations come from the workspace statistics and SC = S_i C
+    The normal equations come from the workspace statistics
     (``_update_system``). The new coefficient vector is constrained to be
     G-orthogonal to every other component through ``reduction`` (from
     ``_reduction``) and has exact unit G-norm; the reduced problem is solved
@@ -553,7 +600,7 @@ def _psi_update(ws: _Workspace, SC, scores, m: int, gamma: float, reduction):
     magnitude = np.abs(scores)
     if magnitude[:, m].max() <= 64 * _EPS * magnitude.max():
         raise SingularStepError(f"all scores for component {m + 1} are zero")
-    ata, rhs = _update_system(ws, SC, scores, m)
+    ata, rhs = _update_system(ws, coef, scores, m)
     Z, gram_r, penalty_r = reduction
     if Z is not None:
         ata, rhs = Z.T @ ata @ Z, Z.T @ rhs
@@ -673,20 +720,22 @@ def _alternate(ws, coef, scores, active, gammas, cap, prev=None) -> _Run:
     the previous cycle's end (for the first cycle, of ``prev``, if given);
     it stops unconverged after ``cap`` cycles.
 
-    Both steps work on the workspace statistics. The score step forms S_i C,
-    C'S_iC and C'T_i in three matrix products, solves every subject's scores
-    and repeats them to the rows (R); the update that follows reuses its
-    S_i C. The objective stays exact and on the rows, from R and the
-    component values P = B C, which are kept across the loop with the
-    per-component penalties. An update writes only its column of R, P, the
+    Both steps work on the band of the workspace statistics. The score step
+    forms C'S_iC and C'T_i in two matrix products, solves every subject's
+    scores and repeats them to the rows (R); the update forms its normal
+    equations from one more product with the band. The objective stays
+    exact and on the rows, from R and the component values P = B C, which
+    are kept across the loop with the per-component penalties. An update writes only its column of R, P, the
     penalties and, once accepted, ``coef`` and the scores, in place; a
     rejected one puts P and its penalty back. Neither the caller's ``coef``
     nor its ``scores`` is modified.
     """
-    # The shortcuts in this loop and its helpers give every fit the bits of
-    # the plain batched forms, under three conditions the code does not show:
-    # - every product keeps its shape: a matrix-vector product S @ c or
-    #   B @ c rounds differently from the same column of S @ C or B @ C;
+    # The pinned bits of every fit rest on three conditions the code does
+    # not show:
+    # - every product keeps its shape: the Gram matrices are one
+    #   (n, kL) @ (kL, M^2) product and the update's band sums one
+    #   (M, n) @ (n, kL) product, and a matrix-vector product B @ c rounds
+    #   differently from the same column of B @ C;
     # - the penalties are summed as base + (pen_1 + ... + pen_M), each from
     #   the strided column coef[:, k] or the fresh update: a contiguous copy
     #   of a column rounds differently in c @ P @ c;
@@ -704,7 +753,7 @@ def _alternate(ws, coef, scores, active, gammas, cap, prev=None) -> _Run:
     for it in range(cap):
         accepted = False
         for m in active:
-            SC, gram, rhs = _score_system(ws, coef)
+            gram, rhs = _score_system(ws, coef)
             scores, _, kept = _solve_scores(gram, rhs, prev=scores)
             n_kept += kept
             R = np.repeat(scores, ws.sizes, axis=0)
@@ -712,7 +761,7 @@ def _alternate(ws, coef, scores, active, gammas, cap, prev=None) -> _Run:
             trace.append(current)
             try:
                 reduction = held if held is not None else _reduction(ws.basis, coef, m, gammas[m])
-                beta, s, fallback = _psi_update(ws, SC, scores, m, gammas[m], reduction)
+                beta, s, fallback = _psi_update(ws, coef, scores, m, gammas[m], reduction)
             except SingularStepError as exc:
                 raise SingularStepError(f"component {m + 1}, iteration {it + 1}: {exc}") from exc
             n_fb += int(fallback)

@@ -498,6 +498,17 @@ class TestPredict:
         assert error == {"type": "validation", "message": f"{bad}:2: not JSON: Expecting value"}
         assert not (tmp_path / "o").exists()
 
+    def test_deeply_nested_model_file_gives_validation_error(self, sparse_fixture, tmp_path, capsys):
+        deep = tmp_path / "deep.json"
+        deep.write_text("[" * 100_000, encoding="utf-8")
+        status = run_cli(
+            "predict", "--input", sparse_fixture, "--model", str(deep), "--output-dir", str(tmp_path / "o"),
+        )
+        assert status == 2
+        error = json.loads(capsys.readouterr().out)["error"]
+        assert error == {"type": "validation", "message": f"{deep}: not JSON: nested too deeply to decode"}
+        assert not (tmp_path / "o").exists()
+
 
 class TestSimulate:
     def test_smoke_with_config(self, tmp_path):

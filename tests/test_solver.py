@@ -19,6 +19,7 @@ from soapfda import (
     predict_trajectory,
     project_scores,
     psi_step_penalized,
+    quantile_interior_knots,
     score_step,
     select_gammas_sequential,
     sigma2_hat,
@@ -306,62 +307,120 @@ def assert_rel_close(got, ref, rel):
     assert np.abs(got - ref).max() <= rel * np.abs(ref).max()
 
 
+# every (order, L, knot placement) the band tests cover; L = order has no
+# interior knot, so its two placements give one basis
+BAND_BASES = [
+    (order, size, knots)
+    for order in (2, 3, 4, 5)
+    for size in sorted({order, 8, 20, 40})
+    for knots in ("equal", "quantile")
+]
+
+
+def subject_products(ws):
+    """Each subject's S_i = B_i'B_i (n, L, L), formed from its own rows."""
+    return np.stack([ws.B[ws.rows(i)].T @ ws.B[ws.rows(i)] for i in range(ws.n)])
+
+
 class TestStatistics:
     def mixed_dataset(self, rng):
         """Sizes 1-6 with tied times (times on a 9-point lattice) and one
-        401-point subject."""
+        401-point subject, whose times cluster towards 0."""
         lattice = np.linspace(0.0, 1.0, 9)
         rows = []
         for i in range(30):
             for t in rng.choice(lattice, size=1 + i % 6):
                 rows.append((f"s{i:02d}", float(t), float(rng.normal() * 3.0)))
-        for t in np.linspace(0.0, 1.0, 401):
+        for t in np.linspace(0.0, 1.0, 401) ** 2:
             rows.append(("dense", float(t), float(np.sin(6.0 * t) + rng.normal())))
         return validate_dataset(rows, (0.0, 1.0))
 
-    def workspace(self, ds):
-        return solver._Workspace.from_dataset(ds, make_bspline_basis((0.0, 1.0), 8, 4))
+    def workspace(self, ds, size=8, order=4, knots="equal"):
+        """The workspace of ``ds`` on ``size`` B-splines of ``order``. Quantile
+        knots sit at quantiles of the dense subject's times: the tied lattice
+        times of the others could make two knots equal."""
+        interior = None
+        if knots == "quantile":
+            dense = next(s for s in ds.subjects if s.id == "dense")
+            interior = quantile_interior_knots(dense.t, size - order, ds.domain)
+        return solver._Workspace.from_dataset(ds, make_bspline_basis(ds.domain, size, order, interior))
 
     def mixed_workspace(self, rng):
         """The workspace of ``mixed_dataset``, L = 8."""
         return self.workspace(self.mixed_dataset(rng))
 
+    @pytest.mark.parametrize("order, size, knots", BAND_BASES)
+    def test_band_matches_subject_products(self, order, size, knots, rng):
+        """Each subject's B_i'B_i is exactly zero outside the order-wide
+        band, and the band holds its entries to 1e-14 relative."""
+        ws = self.workspace(self.mixed_dataset(rng), size, order, knots)
+        S = subject_products(ws)
+        assert not S[:, np.abs(np.subtract.outer(np.arange(size), np.arange(size))) >= order].any()
+        band = ws.stats[0]
+        assert band.shape == (ws.n, order, size)
+        ref = np.zeros(band.shape)
+        for d in range(order):
+            ref[:, d, : size - d] = np.diagonal(S, d, axis1=1, axis2=2)
+        assert (np.abs(band - ref).max(axis=(1, 2)) <= 1e-14 * np.abs(ref).max(axis=(1, 2))).all()
+
     @pytest.mark.parametrize("m", [1, 2, 3])
     def test_systems_match_row_reference(self, m, rng):
         ds = self.mixed_dataset(rng)
-        ws = self.workspace(ds)
-        assert {1, 2, 3, 4, 5, 6, 401} == set(ws.sizes)
+        assert {1, 2, 3, 4, 5, 6, 401} == {s.n_obs for s in ds.subjects}
         assert any(len(np.unique(s.t)) < s.n_obs for s in ds.subjects)
-        coef = rng.normal(size=(ws.basis.size, m))
-        SC, gram, rhs = solver._score_system(ws, coef)
-        gram_ref, rhs_ref = row_score_system(ws, coef)
-        assert_rel_close(gram, gram_ref, 1e-12)
-        assert_rel_close(rhs, rhs_ref, 1e-12)
-        scores = rng.normal(size=(ws.n, m)) * 2.0
-        for k in range(m):
-            ata, nrhs = solver._update_system(ws, SC, scores, k)
-            ata_ref, nrhs_ref = row_update_system(ws, scores, coef, k)
-            assert_rel_close(ata, ata_ref, 1e-12)
-            assert_rel_close(nrhs, nrhs_ref, 1e-12)
+        for order, size, knots in BAND_BASES:
+            ws = self.workspace(ds, size, order, knots)
+            coef = rng.normal(size=(size, m))
+            gram, rhs = solver._score_system(ws, coef)
+            gram_ref, rhs_ref = row_score_system(ws, coef)
+            assert_rel_close(gram, gram_ref, 1e-12)
+            assert_rel_close(rhs, rhs_ref, 1e-12)
+            scores = rng.normal(size=(ws.n, m)) * 2.0
+            for k in range(m):
+                ata, nrhs = solver._update_system(ws, coef, scores, k)
+                ata_ref, nrhs_ref = row_update_system(ws, scores, coef, k)
+                assert_rel_close(ata, ata_ref, 1e-12)
+                assert_rel_close(nrhs, nrhs_ref, 1e-12)
 
     @pytest.mark.parametrize("m", [1, 2])
     def test_written_out_sums_match_batched_forms(self, m, rng):
-        """At M <= 2 the row objective and the update's right-hand side write
-        out their one or two products per entry; they give the bits of the
-        einsum and batched-matmul forms used at M > 2."""
+        """At M <= 2 the row objective writes out its one or two products
+        per entry and gives the bits of einsum's form. The score step's Gram
+        matrices are the band times Q written out entry by entry, and exactly
+        symmetric; the normal matrix is exactly the weighted band sums placed
+        at (j, j + d) and (j + d, j), and zero outside the band."""
         ws = self.mixed_workspace(rng)
-        coef = rng.normal(size=(ws.basis.size, m))
-        scores = rng.normal(size=(ws.n, m)) * 2.0
+        band, T = ws.stats
+        n, order, L = band.shape
+        coef = rng.normal(size=(L, m))
+        scores = rng.normal(size=(n, m)) * 2.0
         scores[::5] = 0.0
         R, P = np.repeat(scores, ws.sizes, axis=0), ws.B @ coef
         resid = ws.y - np.einsum("nm,nm->n", R, P)
         assert solver._row_base(ws, R, P) == float(ws.w2 @ (resid * resid))
-        SC = solver._score_system(ws, coef)[0]
+        Q = np.zeros((order, L, m, m))
+        for d in range(order):
+            for j in range(L - d):
+                for a in range(m):
+                    for b in range(m):
+                        Q[d, j, a, b] = coef[j, a] * coef[j + d, b]
+                        if d:
+                            Q[d, j, a, b] += coef[j + d, a] * coef[j, b]
+        gram, rhs = solver._score_system(ws, coef)
+        assert gram.tobytes() == (band.reshape(n, -1) @ Q.reshape(-1, m * m)).reshape(n, m, m).tobytes()
+        assert gram.tobytes() == gram.transpose(0, 2, 1).tobytes()
+        assert rhs.tobytes() == (T @ coef).tobytes()
         for k in range(m):
-            others = scores.copy()
-            others[:, k] = 0.0
-            ref = (ws.w * scores[:, k]) @ (ws.stats[1] - np.matmul(SC, others[..., None])[..., 0])
-            assert solver._update_system(ws, SC, scores, k)[1].tobytes() == ref.tobytes()
+            wa = ws.w * scores[:, k]
+            W = ((wa[:, None] * scores).T @ band.reshape(n, -1)).reshape(m, order, L)
+            ata, nrhs = solver._update_system(ws, coef, scores, k)
+            ref = np.zeros((m, L, L))
+            for d in range(order):
+                for j in range(L - d):
+                    ref[:, j, j + d] = ref[:, j + d, j] = W[:, d, j]
+            assert ata.tobytes() == ref[k].tobytes()
+            others = wa @ T if m == 1 else wa @ T - ref[1 - k] @ coef[:, 1 - k]
+            assert nrhs.tobytes() == others.tobytes()
 
     @pytest.mark.parametrize("m", [None, 1, 2, 3])
     def test_subject_systems_alone_equal_mixed_stack(self, m, rng):
@@ -431,7 +490,9 @@ class TestStatistics:
         without the subject: rows, sizes, weights and statistics."""
         ds = self.mixed_dataset(rng)
         ws = self.workspace(ds)
-        S, T = ws.stats
+        band, T = ws.stats
+        assert band.size == ws.n * ws.basis.order * ws.basis.size
+        kept = band.copy()
         for i in (0, 7, ws.n - 1):
             fold = ws.drop_subject(i)
             rest = LongitudinalDataset(ds.domain, ds.subjects[:i] + ds.subjects[i + 1 :])
@@ -439,8 +500,9 @@ class TestStatistics:
             for name in ("B", "y", "sizes", "w", "w2"):
                 np.testing.assert_array_equal(getattr(fold, name), getattr(fresh, name))
             for got, ref in zip(fold.stats, fresh.stats):
-                np.testing.assert_array_equal(got, ref)
-        assert ws.stats[0] is S and ws.stats[1] is T
+                assert got.shape == ref.shape and got.tobytes() == ref.tobytes()
+        assert ws.stats[0] is band and ws.stats[1] is T
+        assert band.tobytes() == kept.tobytes()
 
     def test_noise_free_dense_trace_reaches_zero(self):
         # criterion 1's data: the exact row loss must not go negative or
@@ -846,8 +908,8 @@ class TestFitSoap:
     # component arithmetic that moves one iterate by one ulp changes the
     # digest; another BLAS build may round differently and need a new record.
     DEFAULT_TRACES = {
-        0.0: (520, False, 20, "08ed866347bc04262b3e0e301de06d4b425fdcc6c713267d905073c87cff4a05"),
-        1e-3: (212, False, 20, "1fd74017ff8fab4208886513c1ca0c0b29ef9e45e102cd3d2fc110f5dfe2cab7"),
+        0.0: (520, False, 20, "350b2c6f34ac489d6da9747778e1f655518923d414832ccff3d90a9fee0bf720"),
+        1e-3: (212, False, 20, "4d4acbd4646b30bd1c8cb78a261e570ba3e011881f4637491ce6afbf9ebb0ff7"),
     }
 
     @pytest.mark.parametrize("gamma", [0.0, 1e-3])
@@ -857,7 +919,7 @@ class TestFitSoap:
         report = fit_soap(ds, make_bspline_basis(cfg.domain, 20, 4), 2, gamma).report
         trace = np.array(report.loss_trace)
         got = (len(trace), report.converged, report.n_sweeps, hashlib.sha256(trace.tobytes()).hexdigest())
-        assert got == self.DEFAULT_TRACES[gamma], f"final objective {trace[-1].hex()}"
+        assert got == self.DEFAULT_TRACES[gamma], f"computed {got!r}, final objective {trace[-1].hex()}"
 
     # the same simulation with one component, the path of every first stage
     # and LOCO-CV fold: (trace length, converged, stage_cycles, sha256 of the
@@ -865,13 +927,13 @@ class TestFitSoap:
     ONE_COMPONENT_FITS = {
         0.0: (
             50, True, (25,),
-            "ffd7563916bb0d37d0198135ca06fda383873dfe6da13d39a7585271dc8b6cde",
-            "5c6535a3ad022a6b5dc10fc476844e8b225cd7002f1d87f48ce0feccd17a362b",
+            "142746959b401cab741d3e274db22559a6e1ddfe29d4a912264c9d82035f78bd",
+            "f656f064a2f50dfadda817ea5b70b2cf279a4ff53dcbbea0a03af28ce796055b",
         ),
         1e-3: (
             58, True, (29,),
-            "25a0504683713d831ea20d49e133fbce26c1d4aed80654296083fe48e274aa32",
-            "1da7f77848ab130c8a6acc2145d2b505d0735acdd69ffff0fdc4833718286fe6",
+            "5656f9daac081004aedef9062f0187b113b88f89ad7732642a53384e13b7ed10",
+            "cb934c691787ea81b21537de75975c5498511263286f52b04d4ba6372f6cb25b",
         ),
     }
 
@@ -885,13 +947,13 @@ class TestFitSoap:
             len(trace), model.report.converged, model.report.stage_cycles,
             hashlib.sha256(trace.tobytes()).hexdigest(), hashlib.sha256(model.scores.tobytes()).hexdigest(),
         )
-        assert got == self.ONE_COMPONENT_FITS[gamma], f"final objective {trace[-1].hex()}"
+        assert got == self.ONE_COMPONENT_FITS[gamma], f"computed {got!r}, final objective {trace[-1].hex()}"
 
     # L = 20 cubic basis, M = 3, gamma = 1e-3: (trace length, converged,
     # sweeps, stage_cycles, sha256 of the trace); the stage reduction with two
     # fixed columns and the score kernel's eigh branch
     THREE_COMPONENT_TRACE = (
-        412, False, 20, (29, 37, 80), "3c40199246b432f2780a5444df241d3d92898c5a97327d7821c2434585a6076c"
+        412, False, 20, (29, 37, 80), "ba3876531b2e5fea4c4cb2e305f25844272ac0f964df13c7084e9a73f6672211"
     )
 
     def test_three_component_trace_bitwise(self):
@@ -903,7 +965,7 @@ class TestFitSoap:
             len(trace), report.converged, report.n_sweeps, report.stage_cycles,
             hashlib.sha256(trace.tobytes()).hexdigest(),
         )
-        assert got == self.THREE_COMPONENT_TRACE, f"final objective {trace[-1].hex()}"
+        assert got == self.THREE_COMPONENT_TRACE, f"computed {got!r}, final objective {trace[-1].hex()}"
 
     # the balanced design SimulationConfig(seed=3, ni_range=(3, 3)), L = 20,
     # M = 2, whose statistics and final refit form every subject's system in
@@ -911,14 +973,14 @@ class TestFitSoap:
     # trace, recorded with numpy 2.4 on OpenBLAS 0.3.31 (x86-64)
     BALANCED_FITS = {
         0.0: (
-            "e7caee1591728f9e0208c633b61158d8ace4b8a795db5ff94a14b66b20f81e2e",
-            "22242449f17a98cdbadabb8b328422e7bcfa97880b0cf44021c4c73a09eaf002",
-            "0fa2bc6c456536cd0d6ad80ddb88e6970e9e66cadb8178d4933cb031b7e79eaf",
+            "f71236ec92603285f94ae69b7f04ade94a52ce22627fee99ca059086546e6205",
+            "e6358cb2e1f03358720727db960033c1e6806631602a7dc2ef3c3122446413ed",
+            "e25ebbcaaa4fbf32b73ee914295bfb4d22af5040b197da41eed96aa8d5e7aabf",
         ),
         1e-3: (
-            "521ab3f9458e260ad423567f2c98abe4545c541264dbbc248e157f00c75f15be",
-            "8d832d66537090b4f10ff1ef041655d62baf37cf0f94c42239d489e91c8cf5d6",
-            "c41e6e0be6ed245bc10b70d411721f9daa3f91bed2561f59531d73cef654bf32",
+            "b0846ede01c5f267fbc66c3c7738afd7d81b7bb16c1d092f434bbdb3f33aa94a",
+            "50da57dd3652f86176ad005efa56ecb2b9498825d50d9fecedb966185b078ff6",
+            "3a5bd6155863485d021da4af9e1e1e770198a97144dc86da24fdca2b162a9db0",
         ),
     }
 
@@ -932,7 +994,7 @@ class TestFitSoap:
             hashlib.sha256(np.asarray(a, dtype=float).tobytes()).hexdigest()
             for a in (model.coef, model.scores, model.report.loss_trace)
         )
-        assert got == self.BALANCED_FITS[gamma]
+        assert got == self.BALANCED_FITS[gamma], f"computed {got!r}"
 
     def test_capped_loops_reported(self):
         cfg = SimulationConfig(seed=3)
