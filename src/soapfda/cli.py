@@ -30,7 +30,7 @@ from .core import (
     write_long_csv,
 )
 from .oracle import compare_to_soap, dense_curves, grid_eigenfunctions
-from .predict import default_grid, holdout_last_mspe_model, predict_trajectories
+from .predict import _basis_rows, _holdout_last, _trajectories, default_grid
 from .sim import SimulationConfig, draw_replication, parse_config_file, run_replication_study
 from .solver import SingularStepError, _fit_models, fit_soap
 
@@ -108,10 +108,12 @@ def _write_scores_csv(path, ids, scores) -> None:
 
 
 def _write_trajectories_csv(path, ids, grid, values) -> None:
+    # the grid's fields are formatted once, not once per subject
+    grid_text = list(map(repr, grid.tolist()))
     write_csv(
         path,
         ["subject_id", "t", "x_hat"],
-        [[sid for sid in ids for _ in range(len(grid))], np.tile(grid, len(ids)), np.concatenate(values)],
+        [[sid for sid in ids for _ in grid_text], grid_text * len(ids), np.concatenate(values)],
     )
 
 
@@ -185,10 +187,13 @@ def cmd_predict(args) -> int:
     dataset = _load_dataset(args.input, model.basis.domain)
     grid = default_grid(model.basis.domain, args.grid_size)
 
-    trajectories = predict_trajectories(dataset.subjects, model, grid)
+    # predict_trajectories and holdout_last_mspe_model, bitwise, from one
+    # evaluation of the basis at the file's rows
+    rows = _basis_rows(dataset.subjects, model)
+    trajectories = _trajectories(dataset.subjects, model, grid, rows[1:])
     values = [traj.values for traj in trajectories]
     scores = np.vstack([traj.scores for traj in trajectories])
-    mspe = holdout_last_mspe_model(model, dataset) if args.holdout_last else None
+    mspe = _holdout_last(model, dataset.subjects, rows) if args.holdout_last else None
     os.makedirs(args.output_dir, exist_ok=True)
     _write_trajectories_csv(os.path.join(args.output_dir, "predictions.csv"), dataset.ids, grid, values)
     _write_scores_csv(os.path.join(args.output_dir, "scores.csv"), dataset.ids, scores)

@@ -270,13 +270,15 @@ CSV_HEADER = ("subject_id", "t", "y")
 
 # one record as numpy's C reader parses it: the id as the text it reads, then two floats
 _RECORD = np.dtype([("id", object), ("t", np.float64), ("y", np.float64)])
-# the information separators U+001C-U+001F: numpy strips them from a number
-# as whitespace and float() rejects them, so a file holding one goes to the loop
-_NOT_FLOAT_SPACE = ("\x1c", "\x1d", "\x1e", "\x1f")
+# the information separators U+001C-U+001F, one byte each in UTF-8: numpy strips
+# them from a number as whitespace and float() rejects them, so a file holding
+# one goes to the loop
+_NOT_FLOAT_SPACE = (b"\x1c", b"\x1d", b"\x1e", b"\x1f")
 
 
-def _read_text(path, where: str = "line ") -> str:
-    """The file at ``path``, read once and whole, decoded as UTF-8.
+def _read_utf8(path, where: str = "line ") -> bytes:
+    """The bytes of the file at ``path``, read once and whole, checked to be
+    UTF-8 text.
 
     A byte that does not decode raises a DataValidationError reading
     ``<where><line>: not UTF-8 text: <reason>``, the line being the physical
@@ -286,11 +288,35 @@ def _read_text(path, where: str = "line ") -> str:
     with open(path, "rb") as fh:
         data = fh.read()
     try:
-        return data.decode("utf-8")
+        data.decode("utf-8")
     except UnicodeDecodeError as exc:
         head = data[: exc.start]
         line = 1 + head.count(b"\n") + head.count(b"\r") - head.count(b"\r\n")
         raise DataValidationError(f"{where}{line}: not UTF-8 text: {exc.reason}") from exc
+    return data
+
+
+def _read_text(path, where: str = "line ") -> str:
+    """The file at ``path`` as ``_read_utf8`` reads it, decoded."""
+    return _read_utf8(path, where).decode("utf-8")
+
+
+def _lines(data: bytes) -> io.TextIOWrapper:
+    """The lines of UTF-8 ``data`` after one leading byte-order mark, as
+    reading a file opened with ``newline=""`` gives them: each ends with its
+    ``\\n``, ``\\r\\n`` or ``\\r``. They are decoded a buffer at a time from
+    ``data`` itself, so no second copy of the whole text is made."""
+    return io.TextIOWrapper(io.BytesIO(data), encoding="utf-8-sig", newline="")
+
+
+def _may_hold_long_field(data: bytes, limit: int) -> bool:
+    """Whether ``data`` may hold a field of more than ``limit`` characters:
+    true when some aligned block of ``limit // 2`` bytes holds no comma. A
+    character is at least one byte, and a stretch of more than ``limit``
+    bytes without a comma covers a whole block, so false rules out every
+    field over the limit but a quoted one that holds a comma."""
+    block = max(1, limit // 2)
+    return any(data.find(b",", lo, lo + block) < 0 for lo in range(0, len(data) - block + 1, block))
 
 
 def read_long_csv(path) -> tuple[list[str], np.ndarray, np.ndarray]:
@@ -309,13 +335,17 @@ def read_long_csv(path) -> tuple[list[str], np.ndarray, np.ndarray]:
     which ``dataset_from_columns`` rejects as empty input.
 
     The path is opened once and read whole, so a pipe or FIFO reads like a
-    file, and the text is decoded once. Its records are parsed by one call
-    to numpy's C reader. A file that reader rejects, or one that holds an
-    information separator (U+001C-U+001F, which numpy strips from a number
-    and ``float()`` does not), is parsed instead by a loop over the ``csv``
-    module's records, which gives the same columns for every file the C
-    reader reads; the loop alone reads numbers that ``float()`` accepts and
-    numpy does not (``1_0``, non-ASCII digits), and it alone names a bad line.
+    file. Its bytes are checked to be UTF-8 once and then decoded a buffer
+    at a time as the records are parsed (``_lines``), so the text is never
+    held twice. The records are parsed by one call to numpy's C reader. A
+    file that reader rejects, one that holds an information separator
+    (U+001C-U+001F, which numpy strips from a number and ``float()`` does
+    not), and one that may hold a field over ``csv.field_size_limit()``
+    (which numpy reads and the ``csv`` module does not) is parsed instead
+    by a loop over the ``csv`` module's records, which gives the same
+    columns for every file the C reader reads; the loop alone reads numbers
+    that ``float()`` accepts and numpy does not (``1_0``, non-ASCII
+    digits), and it alone names a bad line.
 
     Raises
     ------
@@ -327,36 +357,40 @@ def read_long_csv(path) -> tuple[list[str], np.ndarray, np.ndarray]:
         field over the ``csv`` module's size limit; the message names the
         line the record starts on.
     """
-    text = _read_text(path).removeprefix("\ufeff")
-    buf = io.StringIO(text, newline="")
+    data = _read_utf8(path)
+    lines = _lines(data)
     try:
-        header = next(csv.reader(buf), None)
+        header = next(csv.reader(lines), None)
     except csv.Error as exc:
         raise DataValidationError(f"line 1: {exc}") from exc
     if header is None or tuple(h.strip() for h in header) != CSV_HEADER:
         raise DataValidationError(f"expected header {','.join(CSV_HEADER)}, got {header!r}")
-    if not any(sep in text for sep in _NOT_FLOAT_SPACE):
+    limit = csv.field_size_limit()
+    if not (any(sep in data for sep in _NOT_FLOAT_SPACE) or _may_hold_long_field(data, limit)):
         try:
             with warnings.catch_warnings():
                 # a header with no records reads as empty columns
                 warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
-                records = np.loadtxt(buf, delimiter=",", quotechar='"', comments=None, ndmin=1, dtype=_RECORD)
+                records = np.loadtxt(lines, delimiter=",", quotechar='"', comments=None, ndmin=1, dtype=_RECORD)
         except ValueError:
             pass
         else:
-            # copies, so no view keeps the record array or its id objects alive
-            return records["id"].tolist(), records["t"].copy(), records["y"].copy()
-    return _read_records(text)
+            ids = records["id"].tolist()
+            # only a quoted id can hold a comma, and so pass _may_hold_long_field at any length
+            if b'"' not in data or max(map(len, ids), default=0) <= limit:
+                # copies, so no view keeps the record array alive
+                return ids, records["t"].copy(), records["y"].copy()
+    return _read_records(data)
 
 
-def _read_records(text: str) -> tuple[list[str], np.ndarray, np.ndarray]:
-    """The columns of the records after the header of ``text``, read through
+def _read_records(data: bytes) -> tuple[list[str], np.ndarray, np.ndarray]:
+    """The columns of the records after the header of ``data``, read through
     the ``csv`` module and ``float()`` one record at a time. The first
     record that has not three fields, a time or value ``float()`` rejects,
     or a field the ``csv`` module rejects raises an error naming the
     physical line on which it starts (a quoted field may span lines, so
     this is not the record count)."""
-    reader = csv.reader(io.StringIO(text, newline=""))
+    reader = csv.reader(_lines(data))
     next(reader)
     ids, t, y = [], [], []
     start = reader.line_num + 1
@@ -374,18 +408,61 @@ def _read_records(text: str) -> tuple[list[str], np.ndarray, np.ndarray]:
     return ids, np.array(t, dtype=float), np.array(y, dtype=float)
 
 
+# rows formatted and written at a time by write_csv
+_WRITE_ROWS = 1 << 10
+
+
+class _Lines(list):
+    """A file for ``csv.writer`` that keeps each row it writes as one string."""
+
+    write = list.append
+
+
+def _csv_fields(values, lone: bool) -> list[str]:
+    """Each of ``values`` as ``csv.writer`` writes it as a field: quoted when
+    it holds a comma, a quote or a line break, ``None`` as an empty field and
+    an empty field alone in its row (``lone``) as ``""``."""
+    lines = _Lines()
+    csv.writer(lines).writerows(([v] for v in values) if lone else ((v, "") for v in values))
+    end = len("\r\n") if lone else len(",\r\n")
+    return [line[:-end] for line in lines]
+
+
+def _column_text(values, memo: dict, lone: bool) -> list[str]:
+    """The fields of one column chunk as ``csv.writer`` writes them: a
+    numeric array's values as their ``repr``, which the ``csv`` module never
+    quotes; strings each formatted once per distinct value through ``memo``;
+    anything else one by one."""
+    if isinstance(values, np.ndarray):
+        if values.dtype.kind in "biuf":
+            return list(map(repr, values.tolist()))
+        values = list(map(repr, values.tolist()))
+    if set(map(type, values)) <= {str}:
+        new = [v for v in dict.fromkeys(values) if v not in memo]
+        memo.update(zip(new, _csv_fields(new, lone)))
+        return list(map(memo.__getitem__, values))
+    return _csv_fields(values, lone)
+
+
 def write_csv(path, header, columns) -> None:
-    """Write equal-length columns under a header row.
+    """Write equal-length columns under a header row, byte for byte as
+    ``csv.writer`` writes the rows: fields joined by ``,``, rows ended by
+    ``\\r\\n``.
 
     Every value of a numpy-array column is written as its ``repr``, which
     reads back bitwise; other columns, such as subject ids, are written as
-    they are.
+    they are, a string quoted by the ``csv`` module once however often it
+    repeats. The rows are formatted and written ``_WRITE_ROWS`` at a time,
+    so no string of the whole file is held.
     """
-    cells = [map(repr, col.tolist()) if isinstance(col, np.ndarray) else col for col in columns]
+    lone = len(columns) == 1
+    n = min(map(len, columns), default=0)
+    memos = [{} for _ in columns]
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(zip(*cells))
+        csv.writer(fh).writerow(header)
+        for lo in range(0, n, _WRITE_ROWS):
+            cells = [_column_text(col[lo : lo + _WRITE_ROWS], memo, lone) for col, memo in zip(columns, memos)]
+            fh.write("\r\n".join(map(",".join, zip(*cells))) + "\r\n")
 
 
 def write_long_csv(path, rows: Iterable[tuple[str, float, float]]) -> None:

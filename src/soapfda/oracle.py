@@ -97,10 +97,14 @@ def dense_curves(dataset: LongitudinalDataset) -> DenseCurveSet:
 
     Rows are ordered by subject as in the dataset; every subject must be
     observed on the first subject's grid (to 1e-12), which must be strictly
-    increasing and equally spaced.
+    increasing and equally spaced. The check compares every subject of the
+    grid's length in one array comparison.
     """
-    grid = dataset.subjects[0].t
-    for s in dataset.subjects[1:]:
-        if s.n_obs != len(grid) or not np.allclose(s.t, grid, rtol=0, atol=1e-12):
-            raise DataValidationError(f"subject {s.id} is not observed on the common grid")
-    return DenseCurveSet(grid=grid, curves=np.vstack([s.y for s in dataset.subjects]))
+    subjects = dataset.subjects
+    grid = subjects[0].t
+    on_grid = np.array([s.n_obs == len(grid) for s in subjects])
+    times = np.vstack([s.t for s, same in zip(subjects, on_grid) if same])
+    on_grid[on_grid] = np.isclose(times, grid, rtol=0, atol=1e-12).all(axis=1)
+    if not on_grid.all():
+        raise DataValidationError(f"subject {subjects[int(np.argmin(on_grid))].id} is not observed on the common grid")
+    return DenseCurveSet(grid=grid, curves=np.vstack([s.y for s in subjects]))

@@ -43,6 +43,13 @@ class MspeReport:
         }
 
 
+def _basis_rows(subjects: Sequence[Subject], model: FecModel) -> tuple[np.ndarray, ...]:
+    """(t, B, y, sizes): the subjects' rows from ``_rows``, checked as the
+    fit's are, and the basis B at their times, evaluated once for all."""
+    t, y, sizes = _rows(subjects, model.basis)
+    return t, model.basis._spline(t), y, sizes
+
+
 def _project(subjects: Sequence[Subject], model: FecModel, stacklevel: int = 3, rows=None) -> np.ndarray:
     """Scores of every subject, (len(subjects), M).
 
@@ -54,8 +61,7 @@ def _project(subjects: Sequence[Subject], model: FecModel, stacklevel: int = 3, 
     caller of a public function that calls this one directly.
     """
     if rows is None:
-        t, y, sizes = _rows(subjects, model.basis)
-        rows = model.basis._spline(t), y, sizes
+        _, *rows = _basis_rows(subjects, model)
     gram, rhs = _subject_systems(*rows, model.coef)
     # a vanishing subject's Gram matrix is zero, so only a zero entry calls for the scan
     if not gram.all():
@@ -99,12 +105,13 @@ def _grid_values(model: FecModel, grid: np.ndarray) -> np.ndarray:
     return memo[1]
 
 
-def _trajectories(subjects: Sequence[Subject], model: FecModel, grid) -> list[TrajectoryEstimate]:
+def _trajectories(subjects: Sequence[Subject], model: FecModel, grid, rows=None) -> list[TrajectoryEstimate]:
+    """``predict_trajectories``; ``rows`` (B, y, sizes) as in ``_project``."""
     grid = np.asarray(grid, dtype=float)
     phi = _grid_values(model, grid)
     if not subjects:
         return []
-    scores = _project(subjects, model, stacklevel=4)
+    scores = _project(subjects, model, stacklevel=4, rows=rows)
     return [
         TrajectoryEstimate(subject_id=s.id, grid=grid, values=phi @ a, scores=a)
         for s, a in zip(subjects, scores)
@@ -146,21 +153,35 @@ def holdout_last_mspe_model(model: FecModel, test: LongitudinalDataset) -> MspeR
     eligible subject whose times are not ascending, which only a subject
     built by hand can be, raises a ValueError that names it.
     """
-    eligible = [s for s in test.subjects if s.n_obs >= 2]
-    n_excluded = test.n_subjects - len(eligible)
+    return _holdout_last(model, test.subjects)
+
+
+def _holdout_last(model: FecModel, subjects: Sequence[Subject], rows=None) -> MspeReport:
+    """``holdout_last_mspe_model`` on ``subjects``. ``rows`` (t, B, y, sizes)
+    from ``_basis_rows`` on all of them stand in for the eligible subjects'
+    own, so a caller that has them needs no second basis evaluation; a
+    subject's rows and so its error are the same either way."""
+    eligible = [s for s in subjects if s.n_obs >= 2]
+    n_excluded = len(subjects) - len(eligible)
     if not eligible:
         raise ValueError("no eligible test subjects (all have a single observation)")
-    t, y, sizes = _rows(eligible, model.basis)
-    last, kept = np.cumsum(sizes) - 1, len(y) - len(sizes)
+    if rows is None:
+        t, B, y, sizes = _basis_rows(eligible, model)
+    else:
+        t, B, y, sizes = rows
+        if n_excluded:
+            keep = sizes >= 2
+            mask = np.repeat(keep, sizes)
+            t, B, y, sizes = t[mask], B[mask], y[mask], sizes[keep]
+    last = np.cumsum(sizes) - 1
     falls = np.diff(t) < 0
     falls[last[:-1]] = False  # the step from one subject's last row to the next one's first
     if falls.any():
         i = np.searchsorted(last, np.argmax(falls))
         raise ValueError(f"subject {eligible[i].id}: times must be in ascending order for held-out-last")
-    # one basis evaluation, kept rows first, so both parts are views of it
-    B = model.basis._spline(np.concatenate([np.delete(t, last), t[last]]))
-    scores = _project(eligible, model, rows=(B[:kept], np.delete(y, last), sizes - 1))
-    pred = np.einsum("im,im->i", B[kept:] @ model.coef, scores)
+    kept_rows = np.delete(B, last, axis=0), np.delete(y, last), sizes - 1
+    scores = _project(eligible, model, stacklevel=4, rows=kept_rows)
+    pred = np.einsum("im,im->i", B[last] @ model.coef, scores)
     sq = (pred - y[last]) ** 2
     errors = [(s.id, float(e)) for s, e in zip(eligible, sq)]
     return MspeReport(

@@ -136,8 +136,9 @@ class _Workspace:
         the band is kept, (n, k, L) with band[i, d, j] = S_i[j, j + d] and
         zeros past the edge; T_i = B_i'y_i is (n, L). Together they take
         n·k·L + n·L floats (0.19 MB + 0.05 MB at n = 300, L = 20, k = 4).
-        They are read from ``_subject_systems`` run on chunks of subjects, so
-        no (n, L, L) array is formed, and a subject's statistics do not
+        Each size group's rows are gathered once (``_size_groups``) and its
+        systems formed by ``_stack_systems`` a chunk of subjects at a time,
+        so no (n, L, L) array is formed, and a subject's statistics do not
         depend on which subjects share the workspace or a chunk.
 
         With the weights ``w`` they hold all the score and component steps
@@ -147,12 +148,12 @@ class _Workspace:
         n, k, L = self.n, self.basis.order, self.basis.size
         band, T = np.zeros((n, k, L)), np.empty((n, L))
         step = max(1, _CHUNK_FLOATS // (L * L))
-        for lo in range(0, n, step):
-            hi = min(lo + step, n)
-            rows = slice(self.offsets[lo], self.offsets[hi])
-            S, T[lo:hi] = _subject_systems(self.B[rows], self.y[rows], self.sizes[lo:hi])
-            for d in range(k):
-                band[lo:hi, d, : L - d] = np.diagonal(S, d, axis1=1, axis2=2)
+        for idx, X, ys in _size_groups(self.B, self.y, self.sizes):
+            for lo in range(0, len(idx), step):
+                part = idx[lo : lo + step]
+                S, T[part] = _stack_systems(X[lo : lo + step], ys[lo : lo + step])
+                for d in range(k):
+                    band[part, d, : L - d] = np.diagonal(S, d, axis1=1, axis2=2)
         return band, T
 
     def drop_subject(self, i: int) -> "_Workspace":
@@ -185,39 +186,55 @@ def _minnorm_lstsq(a: np.ndarray, b: np.ndarray, cond: float) -> np.ndarray:
     return sol
 
 
+def _size_groups(X, y, sizes) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """The rows ``X`` (N, p) and ``y`` (N,), stored one subject after
+    another with the given ``sizes``, as one (idx, X_g, y_g) per distinct
+    size: the subjects' indices in order, their rows stacked (k, n_i, p) and
+    their values (k, n_i). When every subject has the same size (one
+    subject, a balanced design, equal-length dense curves) the rows already
+    form that stack, and ``X`` is reshaped to it without gathering; the
+    stack's bytes are the same."""
+    sizes = np.asarray(sizes)
+    k = len(sizes)
+    if k and (k == 1 or (sizes == sizes[0]).all()):
+        return [(np.arange(k), X.reshape(k, sizes[0], X.shape[1]), y.reshape(k, sizes[0]))]
+    starts = np.cumsum(sizes) - sizes
+    groups = []
+    for size in np.unique(sizes):
+        idx = np.flatnonzero(sizes == size)
+        rows = starts[idx, None] + np.arange(size)
+        groups.append((idx, X[rows], y[rows]))
+    return groups
+
+
+def _stack_systems(X, ys, coef=None) -> tuple[np.ndarray, np.ndarray]:
+    """The Gram matrices D_i'D_i (k, q, q) and right-hand sides D_i'y_i
+    (k, q) of a stack of equal-size subjects, X (k, n_i, p) and ys (k, n_i),
+    with D_i = X_i, or X_i C with ``coef`` C (p, q). Each subject's systems
+    are its own products, whichever subjects share the stack."""
+    D = X if coef is None else X @ coef
+    Dt = D.transpose(0, 2, 1)
+    return np.matmul(Dt, D), np.matmul(Dt, ys[..., None])[..., 0]
+
+
 def _subject_systems(X, y, sizes, coef=None) -> tuple[np.ndarray, np.ndarray]:
     """Each subject's Gram matrix D_i'D_i (n, q, q) and right-hand side
     D_i'y_i (n, q), in subject order.
 
     ``X`` (N, p) and ``y`` (N,) hold rows stored one subject after another
     with the given ``sizes``; D_i is X_i, or X_i C with ``coef`` C (p, q).
-    Subjects of equal size are stacked, so each size group costs one
-    (k, n_i, q) product and a subject's systems do not depend on which
-    subjects share the call. When every subject has the same size (one
-    subject, a balanced design, equal-length dense curves) the rows already
-    form that stack, and ``X`` is reshaped to it without grouping or
-    gathering; the stack's bytes, and so the products, are the same. The
-    fit's statistics (band and T) and every row-formed score solve come
-    from here.
+    Subjects of equal size are stacked (``_size_groups``), so each size
+    group costs one (k, n_i, q) product and a subject's systems do not
+    depend on which subjects share the call. Every row-formed score solve
+    comes from here, and the fit's statistics from the same two helpers.
     """
-    sizes = np.asarray(sizes)
-
-    def systems(D, ys):
-        if coef is not None:
-            D = D @ coef
-        Dt = D.transpose(0, 2, 1)
-        return np.matmul(Dt, D), np.matmul(Dt, ys[..., None])[..., 0]
-
-    k = len(sizes)
-    if k and (k == 1 or (sizes == sizes[0]).all()):
-        return systems(X.reshape(k, sizes[0], X.shape[1]), y.reshape(k, sizes[0]))
+    groups = _size_groups(X, y, sizes)
+    if len(groups) == 1:
+        return _stack_systems(*groups[0][1:], coef)
     q = X.shape[1] if coef is None else coef.shape[1]
-    gram, rhs = np.empty((k, q, q)), np.empty((k, q))
-    starts = np.cumsum(sizes) - sizes
-    for size in np.unique(sizes):
-        idx = np.flatnonzero(sizes == size)
-        rows = starts[idx, None] + np.arange(size)
-        gram[idx], rhs[idx] = systems(X[rows], y[rows])
+    gram, rhs = np.empty((len(sizes), q, q)), np.empty((len(sizes), q))
+    for idx, D, ys in groups:
+        gram[idx], rhs[idx] = _stack_systems(D, ys, coef)
     return gram, rhs
 
 
@@ -319,17 +336,24 @@ def _solve_scores(gram, rhs, prev: np.ndarray | None = None) -> tuple[np.ndarray
     return np.where(worse[:, None], prev, sol), n_truncated, int(np.count_nonzero(worse))
 
 
+@cache
+def _shift_rows(k: int, L: int) -> np.ndarray:
+    """Row indices (k L) into ``coef`` padded by k - 1 zero rows: entry
+    (d, j) is j + d, the row of c_{j+d} or a zero row past the edge."""
+    return (np.arange(k)[:, None] + np.arange(L)).ravel()
+
+
 def _band_product(coef: np.ndarray, k: int) -> np.ndarray:
     """Q (k L, M^2) with Q[d, j] = c_j c_{j+d}' + (d > 0) c_{j+d} c_j' over
     the rows c_j of ``coef`` (zero past the edge), so that band_i @ Q is
     C'S_iC. Entries (a, b) and (b, a) of Q[d, j] add the same two products,
     and IEEE multiplication and addition commute, so Q[d, j] is exactly
-    symmetric, and so is every Gram matrix formed with it."""
+    symmetric, and so is every Gram matrix formed with it. The shifted rows
+    come from one gather of the padded ``coef``, so the call makes a fixed
+    handful of numpy calls whatever k."""
     L, M = coef.shape
-    shifted = np.zeros((k, L, M))
-    for d in range(k):
-        shifted[d, : L - d] = coef[d:]
-    outer = coef[None, :, :, None] * shifted[:, :, None, :]
+    shifted = np.concatenate((coef, np.zeros((k - 1, M)))).take(_shift_rows(k, L), axis=0)
+    outer = coef[None, :, :, None] * shifted.reshape(k, L, 1, M)
     Q = outer + outer.swapaxes(2, 3)
     Q[0] = outer[0]
     return Q.reshape(k * L, M * M)

@@ -11,7 +11,8 @@ import pytest
 
 from soapfda import FitReport, SimulationConfig, cli, dataset_from_columns, fit_soap, gen_sparse_dataset, solver
 from soapfda.cli import main
-from soapfda.core import dataset_to_rows, load_model, read_long_csv, write_long_csv
+from soapfda.core import _write_json, dataset_to_rows, load_model, read_long_csv, write_long_csv
+from soapfda.predict import default_grid, holdout_last_mspe_model, predict_trajectories
 from soapfda.basis import eval_basis_matrix, make_bspline_basis
 
 
@@ -219,12 +220,21 @@ class TestFit:
 
     @pytest.mark.parametrize(
         "text, line",
-        [('subject_id,"{big}",y\n', 1), ('subject_id,t,y\na,0.1,1\n\n"{big}",1_0,1\n', 4)],
-        ids=["header", "loop-read-record"],
+        [
+            ('subject_id,"{big}",y\n', 1),
+            ('subject_id,t,y\na,0.1,1\n\n"{big}",1_0,1\n', 4),
+            # numpy's C reader reads these; the csv module's limit holds whether or not a 1_0 sends the file to the loop
+            ('subject_id,t,y\n"{big}",0.1,1\n', 2),
+            ('subject_id,t,y\n"{big}",0.1,1\nb,1_0,1\n', 2),
+            ("subject_id,t,y\na,0.1,1\n{big},0.1,1\n", 3),
+            ('subject_id,t,y\n"{commas}",0.1,1\n', 2),
+            ("subject_id,t,y\na,0.1,1\nb,{spaces}0.1,1\n", 3),
+        ],
+        ids=["header", "loop-read-record", "quoted-id", "quoted-id-and-1_0", "bare-id", "id-of-commas", "padded-time"],
     )
     def test_oversize_field_gives_validation_error(self, tmp_path, capsys, text, line):
         path = tmp_path / "big.csv"
-        path.write_text(text.format(big="a" * 200_000))
+        path.write_text(text.format(big="a" * 200_000, commas="a," * 100_000, spaces=" " * 200_000))
         status = run_cli("fit", "--input", str(path), "--output-dir", str(tmp_path / "o"))
         assert status == 2
         assert json.loads(capsys.readouterr().out)["error"] == {
@@ -359,6 +369,39 @@ class TestPredict:
         predicted = (pred_out / "predictions.csv").read_bytes()
         assert fitted == predicted
         assert (fit_out / "scores.csv").read_bytes() == (pred_out / "scores.csv").read_bytes()
+
+    def test_shared_rows_match_separate_calls(self, sparse_fixture, tmp_path, rng):
+        """predict evaluates the basis at the file's rows once for both the
+        predictions and held-out-last; its files are byte-identical to those
+        of predict_trajectories and holdout_last_mspe_model called apart, with
+        single-observation subjects among the eligible ones."""
+        fit_out = tmp_path / "fit"
+        run_cli("fit", "--input", sparse_fixture, "--output-dir", str(fit_out),
+                "--domain", "0,1", "--m", "2", "--gamma", "0.001")
+        rows = [
+            (sid, float(t), float(rng.normal()))
+            for sid, n in [("solo", 1), ("a,b", 4), ("pair", 2), ('say "hi"', 7), ("lone", 1), ("Zoë", 3)]
+            for t in rng.uniform(size=n)
+        ]
+        test_csv = tmp_path / "test.csv"
+        write_long_csv(test_csv, rows)
+        out = tmp_path / "pred"
+        assert run_cli(
+            "predict", "--input", str(test_csv), "--model", str(fit_out / "model.json"),
+            "--output-dir", str(out), "--holdout-last", "--grid-size", "37",
+        ) == 0
+
+        model = load_model(fit_out / "model.json")
+        ds = dataset_from_columns(*read_long_csv(test_csv), model.basis.domain)
+        grid = default_grid(model.basis.domain, 37)
+        trajectories = predict_trajectories(ds.subjects, model, grid)
+        apart = tmp_path / "apart"
+        apart.mkdir()
+        cli._write_trajectories_csv(apart / "predictions.csv", ds.ids, grid, [t.values for t in trajectories])
+        cli._write_scores_csv(apart / "scores.csv", ds.ids, np.vstack([t.scores for t in trajectories]))
+        _write_json(holdout_last_mspe_model(model, ds).to_dict(), apart / "mspe.json")
+        for name in ("predictions.csv", "scores.csv", "mspe.json"):
+            assert (out / name).read_bytes() == (apart / name).read_bytes(), name
 
     def test_holdout_last_counts_single_obs(self, sparse_fixture, tmp_path):
         fit_out = tmp_path / "fit"

@@ -1,8 +1,10 @@
 import builtins
 import csv
 import gc
+import io
 import json
 import math
+import tracemalloc
 import warnings
 from dataclasses import fields
 
@@ -18,7 +20,7 @@ from soapfda import (
     make_bspline_basis,
     validate_dataset,
 )
-from soapfda import core
+from soapfda import cli, core
 from soapfda.core import (
     dataset_to_rows,
     load_model,
@@ -385,6 +387,66 @@ class TestCsvRoundTrip:
             read_long_csv(path)
 
 
+def reference_csv_bytes(header, columns) -> bytes:
+    """The file ``csv.writer`` writes for these columns, an array's values
+    formatted by ``repr`` first, as the writer did before it formatted rows itself."""
+    buf = io.StringIO(newline="")
+    writer = csv.writer(buf)
+    writer.writerow(header)
+    cells = [map(repr, col.tolist()) if isinstance(col, np.ndarray) else col for col in columns]
+    writer.writerows(zip(*cells))
+    return buf.getvalue().encode("utf-8")
+
+
+# fields that csv.writer quotes, doubles, passes or turns into an empty field;
+# the strings come first
+AWKWARD_VALUES = [
+    "a,b", 'say "hi"', "cr\rid", "nl\nid", "crlf\r\nid", "", " lead", "trail ", "Zoë", "北京", "\t", '"',
+    "10", 0, 7, -3, None, True, 0.5, -0.0, 0.0, 2.5e-300, np.float64(0.25),
+]
+AWKWARD_FLOATS = [-0.0, 0.0, 5e-324, -5e-324, math.inf, -math.inf, math.nan, 1e16, 1e-5, 0.1, 1 / 3, 1e308, 123456789.0]
+
+
+class TestWriteCsv:
+    @pytest.mark.parametrize("chunk", [2, 3, 8192])
+    def test_random_columns_match_csv_writer(self, tmp_path, monkeypatch, rng, chunk):
+        """Seeded random files, written in chunks of rows so that repeated
+        fields span several chunks, are byte for byte csv.writer's; a file of
+        one column among them writes an empty field alone in its row as ""."""
+        monkeypatch.setattr(core, "_WRITE_ROWS", chunk)
+        path = tmp_path / "out.csv"
+        for _ in range(60):
+            n = int(rng.integers(0, 12))
+            columns = []
+            for _ in range(int(rng.integers(1, 5))):
+                kind = rng.integers(0, 5)
+                mixed = [AWKWARD_VALUES[i] for i in rng.integers(0, len(AWKWARD_VALUES), n)]
+                if kind == 0:  # mixed objects, as ids are given
+                    columns.append(mixed)
+                elif kind == 1:  # strings only, repeated as ids are in a trajectory file
+                    columns.append(tuple(AWKWARD_VALUES[i] for i in rng.integers(0, AWKWARD_VALUES.index(0), n)))
+                elif kind == 2:
+                    columns.append(np.array([AWKWARD_FLOATS[i] for i in rng.integers(0, len(AWKWARD_FLOATS), n)]))
+                elif kind == 3:
+                    columns.append(rng.integers(-5, 5, n))
+                else:  # an object array, whose values are written as their repr
+                    columns.append(np.array(mixed, dtype=object))
+            header = [f"c{k}" for k in range(len(columns))]
+            core.write_csv(path, header, columns)
+            assert path.read_bytes() == reference_csv_bytes(header, columns)
+
+    def test_trajectory_file_matches_csv_writer(self, tmp_path):
+        grid, ids = np.linspace(0.0, 1.0, 7), ["a,b", "c", ""]
+        values = [np.sin(grid * (k + 1)) for k in range(len(ids))]
+        path = tmp_path / "traj.csv"
+        cli._write_trajectories_csv(path, ids, grid, values)
+        want = reference_csv_bytes(
+            ["subject_id", "t", "x_hat"],
+            [[sid for sid in ids for _ in grid], np.tile(grid, len(ids)), np.concatenate(values)],
+        )
+        assert path.read_bytes() == want
+
+
 class TestReadLongCsv:
     def test_round_trip_with_awkward_ids(self, tmp_path, rng):
         ids = ["a,b", 'say "hi"', " lead", "Zoë", "北京", "10", "9", "10"]
@@ -551,6 +613,46 @@ class TestReadLongCsv:
         monkeypatch.setattr(builtins, "open", lambda *a, **k: opened.append(a[0]) or real_open(*a, **k))
         read_outcome(read_long_csv, path)
         assert opened == [path]
+
+    @pytest.mark.parametrize(
+        "record",
+        ['"{id}",0.1,1\n', "{id},0.1,1\n", '"{commas}",0.1,1\n', "a,{padded},1\n", 'a,0.1,"{padded}"\n'],
+        ids=["quoted-id", "bare-id", "id-of-commas", "padded-time", "quoted-padded-value"],
+    )
+    @pytest.mark.parametrize("over", [0, 1], ids=["at-limit", "over-limit"])
+    @pytest.mark.parametrize("tail", ["", "b,1_0,1\n"], ids=["c-read", "with-1_0"])
+    def test_field_limit_reads_like_reference(self, tmp_path, record, over, tail):
+        """A field of csv.field_size_limit() characters reads and one more
+        is rejected by its line, whichever parser the rest of the file needs."""
+        size = csv.field_size_limit() + over
+        fields = {"id": "é" * size, "commas": ("a," * size)[:size], "padded": " " * (size - 3) + "0.1"}
+        path = tmp_path / "long.csv"
+        path.write_text("subject_id,t,y\nz,0.5,2\n" + record.format(**fields) + tail, encoding="utf-8")
+        if over:
+            with pytest.raises(DataValidationError) as exc:
+                read_long_csv(path)
+            assert str(exc.value) == f"line 3: field larger than field limit ({size - 1})"
+        else:
+            assert len(assert_reads_like_reference(path)) == 2 + bool(tail)
+
+    def test_peak_memory_beyond_the_columns_bounded(self, tmp_path):
+        """What the read holds beyond the columns it returns is at most twice
+        the file: the file's bytes and the parser's record array, with no
+        full-size text buffer (which alone takes four bytes a character)."""
+        rng = np.random.default_rng(3)
+        t, y = rng.uniform(size=100_000), rng.normal(size=100_000)
+        path = tmp_path / "big.csv"
+        write_long_csv(path, [(f"s{i // 400:03d}", a, b) for i, (a, b) in enumerate(zip(t.tolist(), y.tolist()))])
+        size = path.stat().st_size
+        assert size > 3_000_000
+        tracemalloc.start()
+        try:
+            columns = read_long_csv(path)
+            kept, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert columns[1].tobytes() == t.tobytes() and columns[2].tobytes() == y.tobytes()
+        assert peak - kept <= 2 * size
 
     def test_no_per_row_objects_kept(self, tmp_path):
         grid = np.linspace(0.0, 1.0, 401)

@@ -209,6 +209,31 @@ class TestDenseCsvAssembly:
         np.testing.assert_array_equal(cs.grid, grid)
         np.testing.assert_array_equal(cs.curves, curves)
 
+    @pytest.mark.parametrize(
+        "bad",
+        [{}, {"s2": "shift"}, {"s1": "short", "s3": "shift"}, {"s1": "shift", "s2": "short"}, {"s3": "tiny"}],
+        ids=["none", "shift", "short-first", "shift-first", "within-tolerance"],
+    )
+    def test_first_off_grid_subject_named(self, rng, bad):
+        """The one array comparison names the first subject in dataset order
+        that is too short or more than 1e-12 off the grid, as a subject by
+        subject check does."""
+        grid = np.linspace(0.0, 1.0, 9)
+        times = {f"s{i}": grid.copy() for i in range(5)}
+        for sid, how in bad.items():
+            times[sid] = {"shift": grid + 2e-12 * (grid > 0.5), "short": grid[:-1], "tiny": grid + 5e-13}[how]
+        rows = [(sid, float(x), float(rng.normal())) for sid, t in times.items() for x in np.clip(t, 0.0, 1.0)]
+        ds = validate_dataset(rows, (0.0, 1.0))
+        first = ds.subjects[0].t
+        off = [
+            s.id for s in ds.subjects[1:] if s.n_obs != len(first) or not np.allclose(s.t, first, rtol=0, atol=1e-12)
+        ]
+        if off:
+            with pytest.raises(DataValidationError, match=f"^subject {off[0]} is not observed on the common grid$"):
+                dense_curves(ds)
+        else:
+            assert dense_curves(ds).curves.shape == (5, 9)
+
     def test_mismatched_grid_rejected(self):
         rows = [("a", 0.0, 1.0), ("a", 0.5, 1.0), ("a", 1.0, 1.0), ("b", 0.0, 2.0), ("b", 0.4, 2.0), ("b", 1.0, 2.0)]
         with pytest.raises(DataValidationError, match="common grid"):

@@ -485,6 +485,35 @@ class TestStatistics:
         if n_i == 0:
             assert not gram.any() and not rhs.any()
 
+    def test_stats_chunked_within_size_groups_match_one_chunk(self, rng, monkeypatch):
+        """Chunks of one subject, or of two, within each size group give the
+        band and T of one chunk per group, bitwise."""
+        ds = self.mixed_dataset(rng)
+        whole = self.workspace(ds).stats
+        for floats in (1, 2 * 8 * 8):
+            monkeypatch.setattr(solver, "_CHUNK_FLOATS", floats)
+            chunked = self.workspace(ds).stats
+            assert all(a.tobytes() == b.tobytes() for a, b in zip(chunked, whole))
+
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    @pytest.mark.parametrize("order", [2, 4])
+    def test_band_product_matches_shifted_rows_bitwise(self, m, order, rng):
+        """Q equals, bit for bit, the outer products of coef with its rows
+        shifted in by slices, zero rows past the edge multiplied in, so even
+        the signs of its zeros match."""
+        L = 9
+        coef = rng.normal(size=(L, m))
+        coef[-2:] = -np.abs(coef[-2:])
+        coef[3] = 0.0
+        shifted = np.zeros((order, L, m))
+        for d in range(order):
+            shifted[d, : L - d] = coef[d:]
+        outer = coef[None, :, :, None] * shifted[:, :, None, :]
+        ref = outer + outer.swapaxes(2, 3)
+        ref[0] = outer[0]
+        assert np.signbit(ref[ref == 0]).any()
+        assert solver._band_product(coef, order).tobytes() == ref.reshape(order * L, m * m).tobytes()
+
     def test_drop_subject_matches_fresh_workspace(self, rng):
         """A fold equals, bitwise, the workspace built afresh from the dataset
         without the subject: rows, sizes, weights and statistics."""
