@@ -61,7 +61,8 @@ def _project(subjects: Sequence[Subject], model: FecModel, stacklevel: int = 3, 
     caller of a public function that calls this one directly.
     """
     if rows is None:
-        _, *rows = _basis_rows(subjects, model)
+        t, y, sizes = _rows(subjects, model.basis)
+        rows = model.basis._spline(t), y, sizes
     gram, rhs = _subject_systems(*rows, model.coef)
     # a vanishing subject's Gram matrix is zero, so only a zero entry calls for the scan
     if not gram.all():

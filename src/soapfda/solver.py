@@ -228,6 +228,8 @@ def _subject_systems(X, y, sizes, coef=None) -> tuple[np.ndarray, np.ndarray]:
     depend on which subjects share the call. Every row-formed score solve
     comes from here, and the fit's statistics from the same two helpers.
     """
+    if len(sizes) == 1:  # one subject, as a one-subject prediction makes: its rows are the stack
+        return _stack_systems(X[None], y[None], coef)
     groups = _size_groups(X, y, sizes)
     if len(groups) == 1:
         return _stack_systems(*groups[0][1:], coef)
