@@ -90,7 +90,7 @@ def _rows(subjects: Sequence[Subject], basis: BasisSystem | None = None) -> tupl
         t, y = np.concatenate([s.t for s in subjects]), np.concatenate([s.y for s in subjects])
     lo, hi = basis.domain if basis is not None else (-math.inf, math.inf)
     # a NaN or an infinity makes t'y non-finite; finite data that overflow it pass the scan
-    if not (np.isfinite(t @ y) and (not t.size or lo <= t.min() and t.max() <= hi)):
+    if not (math.isfinite(t @ y) and (not t.size or lo <= t.min() and t.max() <= hi)):
         for s in subjects:
             if not (np.isfinite(s.t).all() and np.isfinite(s.y).all()):
                 raise ValueError(f"subject {s.id}: times and values must be finite")
@@ -282,7 +282,12 @@ def _solve_scores(gram, rhs, prev: np.ndarray | None = None) -> tuple[np.ndarray
     solved on its own slice, so its scores do not depend on which subjects
     share the stack. At M = 1 the eigenvalue is G itself and the eigenvector
     1; at M = 2 the eigensystem comes from ``_eigh2``; other M call
-    ``np.linalg.eigh``.
+    ``np.linalg.eigh``. A lone subject at M <= 2 without ``prev`` (every
+    one-subject prediction) takes the same closed form in scalar
+    arithmetic, ``_solve_one``, bitwise this vector code; the kernel tests
+    ``test_one_subject_branch_equals_row_of_stack`` and
+    ``test_one_subject_calls_skip_the_batched_eigensystem`` pin the bits and
+    the path.
 
     With ``prev`` (k, M) given, a subject keeps its previous scores b when
     those fit it at least as well under the current components as the fresh
@@ -292,6 +297,8 @@ def _solve_scores(gram, rhs, prev: np.ndarray | None = None) -> tuple[np.ndarray
     what keeps the recorded objective trace non-increasing.
     """
     M = gram.shape[-1]
+    if prev is None and M <= 2 and len(gram) == 1:
+        return _solve_one(gram[0], rhs[0])
     if M == 1:
         w = gram[:, :, 0]
     elif M == 2:
@@ -336,6 +343,36 @@ def _solve_scores(gram, rhs, prev: np.ndarray | None = None) -> tuple[np.ndarray
         grow = np.einsum("kmj,kj->km", gram, sol + prev) - 2.0 * rhs
         worse = np.einsum("km,km->k", sol - prev, grow) > 0
     return np.where(worse[:, None], prev, sol), n_truncated, int(np.count_nonzero(worse))
+
+
+def _solve_one(gram: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, int, int]:
+    """``_solve_scores`` of one subject at M <= 2 without the guard, on
+    Python floats: the batched kernel's closed form, bitwise.
+
+    A one-element array pays numpy's fixed cost per call, some 55 times in
+    the batched M = 2 kernel. Here ``hypot``, ``arctan2``, ``cos`` and
+    ``sin`` are numpy's own, called on scalars, so they run the batched
+    call's loops; every other step is one IEEE product, sum or quotient
+    taken in the batched code's order, which Python floats round alike
+    (overflow included). Each quotient is taken only behind a test that
+    its divisor is positive, so none can raise.
+    """
+    floor = SCORE_SINGULAR_FLOOR**2
+    if len(rhs) == 1:
+        w, r = gram.item(), rhs.item()
+        sol = [(1.0 / w if w > floor else 0.0) * r + 0.0]
+        return np.array([sol]), int(not w > floor), 0
+    (a, b), (_, c) = gram.tolist()
+    r0, r1 = rhs.tolist()
+    diff, b2 = a - c, b + b
+    big = 0.5 * (a + c + float(np.hypot(diff, b2)))
+    small = (a * c - b * b) / big if big > 0 else 0.0
+    t = 0.5 * float(np.arctan2(b2, diff))
+    cos, sin = float(np.cos(t)), float(np.sin(t))
+    x0 = (1.0 / small if small > floor else 0.0) * (r1 * cos - r0 * sin)
+    x1 = (1.0 / big if big > floor else 0.0) * (r0 * cos + r1 * sin)
+    sol = [cos * x1 - sin * x0 + 0.0, cos * x0 + sin * x1 + 0.0]
+    return np.array([sol]), int(not small > floor), 0
 
 
 @cache

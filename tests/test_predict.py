@@ -17,6 +17,7 @@ from soapfda import (
     score_step,
     validate_dataset,
 )
+from soapfda import solver
 from soapfda.basis import eval_basis_matrix
 from soapfda.sim import SimulationConfig, gen_sparse_dataset
 
@@ -152,6 +153,24 @@ class TestBatchedProjection:
                 assert traj.subject_id == subject.id
                 np.testing.assert_array_equal(project_scores(subject, model), traj.scores)
                 np.testing.assert_array_equal(predict_trajectory(subject, model, grid).values, traj.values)
+
+    def test_one_subject_calls_skip_the_batched_eigensystem(self, cubic_basis, rng, monkeypatch):
+        """A lone subject at M = 2 is solved in scalar arithmetic, which the
+        bitwise tests cannot tell from the batched kernel: with the batched
+        eigensystem made to raise, one-subject calls still succeed and a
+        two-subject call reaches it."""
+        model, _ = make_model(cubic_basis, rng)
+
+        def batched(gram):
+            raise LookupError("batched eigensystem")
+
+        monkeypatch.setattr(solver, "_eigh2", batched)
+        grid = np.linspace(0, 1, 11)
+        subjects = [Subject(id=f"s{i}", t=np.array([0.2, 0.5, 0.9]), y=rng.normal(size=3)) for i in range(2)]
+        assert project_scores(subjects[0], model).shape == (2,)
+        assert predict_trajectory(subjects[0], model, grid).values.shape == grid.shape
+        with pytest.raises(LookupError, match="batched eigensystem"):
+            predict_trajectories(subjects, model, grid)
 
     def test_no_subjects_no_trajectories(self, cubic_basis, rng):
         model, _ = make_model(cubic_basis, rng)

@@ -279,6 +279,39 @@ class TestScoreKernel:
         got, _, n_kept = _solve_scores(gram, rhs, prev)
         assert got.tobytes() == ref.tobytes() and n_kept == np.count_nonzero(worse) > 0
 
+    @pytest.mark.parametrize("m", [1, 2])
+    def test_one_subject_branch_equals_row_of_stack(self, m, rng):
+        """A lone subject at M <= 2 is solved in scalar arithmetic; its
+        scores' bytes (so the sign of a zero) and its truncation count equal
+        row 0 of the vector kernel run on it stacked with a second,
+        untruncated subject. The systems: random Gram matrices from 1-5
+        observations at magnitudes 1e-160 to 1e160, zero, rank-1,
+        below-floor and diagonal ones, and right-hand sides of -0.0. At the
+        top of the range a*c overflows on both paths, and the vector kernel
+        warns of it, so its overflow and invalid-value warnings are silenced."""
+        grams, rhss = [], []
+        for _ in range(600):
+            psi = rng.normal(size=(rng.integers(1, 6), m))
+            scale = 10.0 ** rng.uniform(-80, 80)
+            grams.append(psi.T @ psi * scale**2)
+            rhss.append(psi.T @ rng.normal(size=len(psi)) * scale)
+        q = np.linalg.qr(rng.normal(size=(m, m)))[0]
+        v = rng.normal(size=m)
+        for spectrum in [(0.0,) * m, (0.03,) * m, (0.05, 0.03)[:m], (0.041, 0.039)[:m]]:
+            grams.append(q @ np.diag(spectrum) @ q.T)
+        grams += [np.zeros((m, m)), np.outer(v, v), np.outer(v, v) * 1e-3]
+        grams += [np.diag(d[:m]) for d in [(2.0, 5.0), (5.0, 2.0), (3.0, 3.0), (0.0, 4.0), (4.0, 0.03)]]
+        rhss += [rng.normal(size=m) * 3.0 for _ in range(len(grams) - len(rhss))]
+        grams += grams[-12:]
+        rhss += [np.full(m, -0.0)] * 6 + [np.where(r > 0, -0.0, r) for r in rhss[-6:]]
+        other_gram, other_rhs = 10.0 * np.eye(m), rng.normal(size=m)
+        with np.errstate(over="ignore", invalid="ignore"):
+            for gram, rhs in zip(grams, rhss):
+                alone, n_truncated, n_kept = _solve_scores(gram[None], rhs[None])
+                stacked = _solve_scores(np.stack([gram, other_gram]), np.stack([rhs, other_rhs]))
+                assert alone.tobytes() == stacked[0][:1].tobytes()
+                assert (n_truncated, n_kept) == stacked[1:]
+
 def row_score_system(ws, coef):
     """Score-step Gram matrices and right-hand sides formed from the rows."""
     psis = [ws.B[ws.rows(i)] @ coef for i in range(ws.n)]
