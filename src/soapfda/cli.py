@@ -30,9 +30,9 @@ from .core import (
     write_long_csv,
 )
 from .oracle import compare_to_soap, dense_curves, grid_eigenfunctions
-from .predict import _basis_rows, _holdout_last, _trajectories, default_grid
+from .predict import _holdout_last, _trajectories, default_grid
 from .sim import SimulationConfig, draw_replication, parse_config_file, run_replication_study
-from .solver import SingularStepError, _fit_models, fit_soap
+from .solver import SingularStepError, _fit_models, _rows, fit_soap
 
 
 class CliError(Exception):
@@ -189,7 +189,7 @@ def cmd_predict(args) -> int:
 
     # predict_trajectories and holdout_last_mspe_model, bitwise, from one
     # evaluation of the basis at the file's rows
-    rows = _basis_rows(dataset.subjects, model)
+    rows = _rows(dataset.subjects, model.basis)
     trajectories = _trajectories(dataset.subjects, model, grid, rows[1:])
     values = [traj.values for traj in trajectories]
     scores = np.vstack([traj.scores for traj in trajectories])
@@ -233,7 +233,7 @@ def cmd_simulate(args) -> int:
     _write_json(summary.to_dict(), os.path.join(args.output_dir, "summary.json"))
 
     fields = ["rep", "impe"] + [f"imse_{m + 1}" for m in range(len(summary.imse_components))]
-    columns = [[r["rep"] for r in summary.per_rep]]
+    columns = [np.array([r["rep"] for r in summary.per_rep], dtype=int)]
     columns += [np.array([r[f] for r in summary.per_rep], dtype=float) for f in fields[1:]]
     write_csv(os.path.join(args.output_dir, "replications.csv"), fields, columns)
 
@@ -331,22 +331,18 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# main's error type by exception class, first match first; other ValueErrors and OSErrors go by class name
+_ERROR_TYPES = {CliError: "cli", DataValidationError: "validation", SingularStepError: "solver"}
+
+
 def main(argv=None) -> int:
     try:
         # inside the try: flag errors and type functions such as _parse_domain raise CliError
         args = build_parser().parse_args(argv)
         return args.func(args)
-    except CliError as exc:
-        _write_json({"error": {"type": "cli", "message": str(exc)}})
-        return 2
-    except DataValidationError as exc:
-        _write_json({"error": {"type": "validation", "message": str(exc)}})
-        return 2
-    except SingularStepError as exc:
-        _write_json({"error": {"type": "solver", "message": str(exc)}})
-        return 2
-    except (ValueError, OSError) as exc:
-        _write_json({"error": {"type": type(exc).__name__, "message": str(exc)}})
+    except (*_ERROR_TYPES, ValueError, OSError) as exc:
+        kind = next((kind for cls, kind in _ERROR_TYPES.items() if isinstance(exc, cls)), type(exc).__name__)
+        _write_json({"error": {"type": kind, "message": str(exc)}})
         return 2
 
 

@@ -418,56 +418,50 @@ class _Lines(list):
     write = list.append
 
 
-def _csv_fields(values, lone: bool) -> list[str]:
-    """Each of ``values`` as ``csv.writer`` writes it as a field: quoted when
-    it holds a comma, a quote or a line break, ``None`` as an empty field and
-    an empty field alone in its row (``lone``) as ``""``."""
-    lines = _Lines()
-    csv.writer(lines).writerows(([v] for v in values) if lone else ((v, "") for v in values))
-    end = len("\r\n") if lone else len(",\r\n")
-    return [line[:-end] for line in lines]
-
-
-def _column_text(values, memo: dict, lone: bool) -> list[str]:
-    """The fields of one column chunk as ``csv.writer`` writes them: a
-    numeric array's values as their ``repr``, which the ``csv`` module never
-    quotes; strings each formatted once per distinct value through ``memo``;
-    anything else one by one."""
+def _column_text(values, memo: dict) -> list[str]:
+    """The fields of one column chunk: a numeric array's values as their
+    ``repr``, which the ``csv`` module never quotes; strings as ``csv.writer``
+    writes them beside another field, each once per distinct value (``memo``)."""
     if isinstance(values, np.ndarray):
-        if values.dtype.kind in "biuf":
-            return list(map(repr, values.tolist()))
-        values = list(map(repr, values.tolist()))
-    if set(map(type, values)) <= {str}:
-        new = [v for v in dict.fromkeys(values) if v not in memo]
-        memo.update(zip(new, _csv_fields(new, lone)))
-        return list(map(memo.__getitem__, values))
-    return _csv_fields(values, lone)
+        return list(map(repr, values.tolist()))
+    new = [v for v in dict.fromkeys(values) if v not in memo]
+    lines = _Lines()
+    csv.writer(lines).writerows((v, "") for v in new)
+    memo.update(zip(new, (line[: -len(",\r\n")] for line in lines)))
+    return list(map(memo.__getitem__, values))
 
 
 def write_csv(path, header, columns) -> None:
     """Write equal-length columns under a header row, byte for byte as
     ``csv.writer`` writes the rows: fields joined by ``,``, rows ended by
-    ``\\r\\n``.
+    ``\\r\\n``, ``_WRITE_ROWS`` rows at a time, so no string of the whole
+    file is held.
 
-    Every value of a numpy-array column is written as its ``repr``, which
-    reads back bitwise; other columns, such as subject ids, are written as
-    they are, a string quoted by the ``csv`` module once however often it
-    repeats. The rows are formatted and written ``_WRITE_ROWS`` at a time,
-    so no string of the whole file is held.
+    Each of the two or more columns is a 1-D numpy array of bools or
+    numbers, its values written as their ``repr`` (which reads back
+    bitwise), or a sequence of strings such as subject ids, each distinct
+    one quoted by the ``csv`` module once; any other column raises a
+    TypeError naming it.
     """
-    lone = len(columns) == 1
-    n = min(map(len, columns), default=0)
+    if len(columns) < 2 or len(header) != len(columns) or len(set(map(len, columns))) != 1:
+        raise ValueError(f"need two or more equal-length columns, one header field each, got {list(header)}")
+    for name, col in zip(header, columns):
+        array = isinstance(col, np.ndarray)
+        if not (col.ndim == 1 and col.dtype.kind in "biuf" if array else set(map(type, col)) <= {str}):
+            raise TypeError(f"column {name!r} is neither a 1-D numeric numpy array nor a sequence of str")
+    n = len(columns[0])
     memos = [{} for _ in columns]
     with open(path, "w", newline="", encoding="utf-8") as fh:
         csv.writer(fh).writerow(header)
         for lo in range(0, n, _WRITE_ROWS):
-            cells = [_column_text(col[lo : lo + _WRITE_ROWS], memo, lone) for col, memo in zip(columns, memos)]
+            cells = [_column_text(col[lo : lo + _WRITE_ROWS], memo) for col, memo in zip(columns, memos)]
             fh.write("\r\n".join(map(",".join, zip(*cells))) + "\r\n")
 
 
 def write_long_csv(path, rows: Iterable[tuple[str, float, float]]) -> None:
+    """Write ``(id, t, y)`` rows, each id as ``str(id)``, the name ``dataset_from_columns`` groups by."""
     ids, t, y = tuple(zip(*rows)) or ((), (), ())
-    write_csv(path, CSV_HEADER, [ids, np.asarray(t, dtype=float), np.asarray(y, dtype=float)])
+    write_csv(path, CSV_HEADER, [list(map(str, ids)), np.asarray(t, dtype=float), np.asarray(y, dtype=float)])
 
 
 def dataset_to_rows(dataset: LongitudinalDataset) -> list[tuple[str, float, float]]:

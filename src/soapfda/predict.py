@@ -43,26 +43,18 @@ class MspeReport:
         }
 
 
-def _basis_rows(subjects: Sequence[Subject], model: FecModel) -> tuple[np.ndarray, ...]:
-    """(t, B, y, sizes): the subjects' rows from ``_rows``, checked as the
-    fit's are, and the basis B at their times, evaluated once for all."""
-    t, y, sizes = _rows(subjects, model.basis)
-    return t, model.basis._spline(t), y, sizes
-
-
 def _project(subjects: Sequence[Subject], model: FecModel, stacklevel: int = 3, rows=None) -> np.ndarray:
     """Scores of every subject, (len(subjects), M).
 
     The rows come from ``_rows``, checked as the fit's are, and the systems
     from ``_subject_systems``, as the fit's final refit does, so a subject's
     scores do not depend on which subjects share the call. ``rows`` (B, y,
-    sizes), basis values at checked times, stand in for the subjects' own.
+    sizes) from ``_rows`` stand in for the subjects' own.
     ``stacklevel`` is that of the vanishing-subject warning: 3 points at the
     caller of a public function that calls this one directly.
     """
     if rows is None:
-        t, y, sizes = _rows(subjects, model.basis)
-        rows = model.basis._spline(t), y, sizes
+        rows = _rows(subjects, model.basis)[1:]
     gram, rhs = _subject_systems(*rows, model.coef)
     # a vanishing subject's Gram matrix is zero, so only a zero entry calls for the scan
     if not gram.all():
@@ -159,7 +151,7 @@ def holdout_last_mspe_model(model: FecModel, test: LongitudinalDataset) -> MspeR
 
 def _holdout_last(model: FecModel, subjects: Sequence[Subject], rows=None) -> MspeReport:
     """``holdout_last_mspe_model`` on ``subjects``. ``rows`` (t, B, y, sizes)
-    from ``_basis_rows`` on all of them stand in for the eligible subjects'
+    from ``_rows`` on all of them stand in for the eligible subjects'
     own, so a caller that has them needs no second basis evaluation; a
     subject's rows and so its error are the same either way."""
     eligible = [s for s in subjects if s.n_obs >= 2]
@@ -167,7 +159,7 @@ def _holdout_last(model: FecModel, subjects: Sequence[Subject], rows=None) -> Ms
     if not eligible:
         raise ValueError("no eligible test subjects (all have a single observation)")
     if rows is None:
-        t, B, y, sizes = _basis_rows(eligible, model)
+        t, B, y, sizes = _rows(eligible, model.basis)
     else:
         t, B, y, sizes = rows
         if n_excluded:

@@ -46,6 +46,9 @@ _SECULAR_MAX_ITERS = 100
 _MAX_INNER_ITERS = 200
 _MAX_OUTER_SWEEPS = 20
 _REL_TOL = 1e-7
+# above this larger eigenvalue of a 2 x 2 Gram matrix, ac - b^2 could overflow
+# (past about 1.3e154), so the closed form divides a and b by it first
+_HUGE_EIGENVALUE = 2.0**500
 # bound on the (chunk, L, L) Gram stack from which the statistics' band is read
 _CHUNK_FLOATS = 1 << 16
 # the two factorizations every component update makes, called without the
@@ -76,11 +79,13 @@ class PenalizedStepResult(NamedTuple):
 
 
 def _rows(subjects: Sequence[Subject], basis: BasisSystem | None = None) -> tuple[np.ndarray, ...]:
-    """Every observation time t (N,), the values y (N,) and the subject
-    sizes, rows stored one subject after another; one subject's rows are
-    its own arrays. The one row check rejects by name the first subject with
-    a non-finite time or value, or with a time outside ``basis``'s domain,
-    and an empty subject list."""
+    """(t, B, y, sizes): every observation time t (N,), the basis ``B``
+    (N, L) at those times, evaluated once for all, the values y (N,) and
+    the subject sizes, rows stored one subject after another; one subject's
+    rows are its own arrays. The one row check rejects by name the first
+    subject with a non-finite time or value, or with a time outside
+    ``basis``'s domain, and an empty subject list. Without a basis, as the
+    score step on given component values calls it, B is None."""
     if not subjects:
         raise ValueError("dataset has no subjects")
     sizes = np.array([s.n_obs for s in subjects])
@@ -96,7 +101,7 @@ def _rows(subjects: Sequence[Subject], basis: BasisSystem | None = None) -> tupl
                 raise ValueError(f"subject {s.id}: times and values must be finite")
             if not ((lo <= s.t) & (s.t <= hi)).all():
                 raise ValueError(f"subject {s.id}: a time lies outside domain [{lo}, {hi}]")
-    return t, y, sizes
+    return t, (basis._spline(t) if basis is not None else None), y, sizes
 
 
 class _Workspace:
@@ -117,8 +122,7 @@ class _Workspace:
         for s in dataset.subjects:
             if s.n_obs == 0:
                 raise ValueError(f"subject {s.id} has no observations")
-        t, y, sizes = _rows(dataset.subjects, basis)
-        return cls(basis, basis._spline(t), y, sizes)
+        return cls(basis, *_rows(dataset.subjects, basis)[1:])
 
     @property
     def n(self) -> int:
@@ -190,13 +194,13 @@ def _size_groups(X, y, sizes) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]
     """The rows ``X`` (N, p) and ``y`` (N,), stored one subject after
     another with the given ``sizes``, as one (idx, X_g, y_g) per distinct
     size: the subjects' indices in order, their rows stacked (k, n_i, p) and
-    their values (k, n_i). When every subject has the same size (one
-    subject, a balanced design, equal-length dense curves) the rows already
-    form that stack, and ``X`` is reshaped to it without gathering; the
-    stack's bytes are the same."""
+    their values (k, n_i). When every subject has the same size (a
+    balanced design, equal-length dense curves) the rows already form that
+    stack, and ``X`` is reshaped to it without gathering; the stack's bytes
+    are the same."""
     sizes = np.asarray(sizes)
     k = len(sizes)
-    if k and (k == 1 or (sizes == sizes[0]).all()):
+    if k and (sizes == sizes[0]).all():
         return [(np.arange(k), X.reshape(k, sizes[0], X.shape[1]), y.reshape(k, sizes[0]))]
     starts = np.cumsum(sizes) - sizes
     groups = []
@@ -224,18 +228,16 @@ def _subject_systems(X, y, sizes, coef=None) -> tuple[np.ndarray, np.ndarray]:
     ``X`` (N, p) and ``y`` (N,) hold rows stored one subject after another
     with the given ``sizes``; D_i is X_i, or X_i C with ``coef`` C (p, q).
     Subjects of equal size are stacked (``_size_groups``), so each size
-    group costs one (k, n_i, q) product and a subject's systems do not
-    depend on which subjects share the call. Every row-formed score solve
-    comes from here, and the fit's statistics from the same two helpers.
+    group, a whole equal-size call too, costs one (k, n_i, q) product put
+    in its subjects' rows, and a subject's systems do not depend on which
+    subjects share the call. Every row-formed score solve comes from here,
+    and the fit's statistics from the same two helpers.
     """
     if len(sizes) == 1:  # one subject, as a one-subject prediction makes: its rows are the stack
         return _stack_systems(X[None], y[None], coef)
-    groups = _size_groups(X, y, sizes)
-    if len(groups) == 1:
-        return _stack_systems(*groups[0][1:], coef)
     q = X.shape[1] if coef is None else coef.shape[1]
     gram, rhs = np.empty((len(sizes), q, q)), np.empty((len(sizes), q))
-    for idx, D, ys in groups:
+    for idx, D, ys in _size_groups(X, y, sizes):
         gram[idx], rhs[idx] = _stack_systems(D, ys, coef)
     return gram, rhs
 
@@ -251,15 +253,20 @@ def _eigh2(gram: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     than the arithmetic. With G = [[a, b], [b, c]], the larger eigenvalue is
     (a + c + hypot(a - c, 2b)) / 2 and, as in LAPACK's ``dlaev2``, the
     smaller is (ac - b^2) over the larger, which avoids cancelling the
-    larger against the trace; t = atan2(2b, a - c) / 2.
+    larger against the trace, or (a / big) c - (b / big) b once the larger
+    passes ``_HUGE_EIGENVALUE``; t = atan2(2b, a - c) / 2.
     """
     a, b, c = gram[:, 0, 0], gram[:, 0, 1], gram[:, 1, 1]
     diff, b2 = a - c, b + b
     w = np.zeros((len(gram), 2))
     big = w[:, 1]
     np.multiply(0.5, a + c + np.hypot(diff, b2), out=big)
+    sa, sb, den = a, b, big
+    if big.max(initial=0.0) > _HUGE_EIGENVALUE:  # a huge row is divided by big, the others by 1
+        scale = np.where(big > _HUGE_EIGENVALUE, big, 1.0)
+        sa, sb, den = a / scale, b / scale, big / scale
     # a zero matrix keeps both eigenvalues at zero
-    np.divide(a * c - b * b, big, out=w[:, 0], where=big > 0)
+    np.divide(sa * c - sb * b, den, out=w[:, 0], where=big > 0)
     t = 0.5 * np.arctan2(b2, diff)
     return w, np.cos(t), np.sin(t)
 
@@ -366,7 +373,10 @@ def _solve_one(gram: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, int, int]
     r0, r1 = rhs.tolist()
     diff, b2 = a - c, b + b
     big = 0.5 * (a + c + float(np.hypot(diff, b2)))
-    small = (a * c - b * b) / big if big > 0 else 0.0
+    if big > _HUGE_EIGENVALUE:
+        small = a / big * c - b / big * b
+    else:
+        small = (a * c - b * b) / big if big > 0 else 0.0
     t = 0.5 * float(np.arctan2(b2, diff))
     cos, sin = float(np.cos(t)), float(np.sin(t))
     x0 = (1.0 / small if small > floor else 0.0) * (r1 * cos - r0 * sin)
@@ -470,7 +480,7 @@ def score_step(dataset: LongitudinalDataset, fec_values: Sequence[np.ndarray]) -
     i's times. Rank-deficient or underdetermined systems (n_i < M, collinear
     columns) get the minimum-norm solution on the truncated spectrum.
     """
-    _, y, sizes = _rows(dataset.subjects)
+    _, _, y, sizes = _rows(dataset.subjects)
     if len(fec_values) != dataset.n_subjects:
         raise ValueError("need one value matrix per subject")
     values = [np.atleast_2d(np.asarray(v, dtype=float)) for v in fec_values]

@@ -1,7 +1,9 @@
 """The public surface has callers: every name that ``soapfda`` exports is
 used by the package itself or by the benchmark harness, or is documented in
-README.md. A name that only tests call is a wrapper to delete. README.md
-also names every field of ``FitReport``, the keys of ``report.json``."""
+README.md. A name that only tests call is a wrapper to delete, and a
+module-level function or class that nothing names is a helper a refactor
+stranded. README.md also names every field of ``FitReport``, the keys of
+``report.json``."""
 
 import ast
 import dataclasses
@@ -44,6 +46,17 @@ def test_every_export_has_a_caller_or_readme_entry():
     }
     unused = exported - referenced_names() - readme_names()
     assert not unused, f"exported but only called by tests: {sorted(unused)}"
+
+
+def test_every_definition_is_referenced():
+    defined = {
+        node.name
+        for path in (ROOT / "src" / "soapfda").glob("*.py")
+        for node in ast.parse(path.read_text(encoding="utf-8")).body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+    }
+    unused = defined - referenced_names()
+    assert not unused, f"defined but named nowhere in the package or perfbench: {sorted(unused)}"
 
 
 def test_readme_names_every_report_field():

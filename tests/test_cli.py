@@ -762,6 +762,17 @@ class TestOutputDirectory:
         assert status == 0
         assert sorted(os.listdir(out)) == ["fitted.csv", "model.json", "report.json", "scores.csv"]
 
+    def test_output_dir_that_is_a_file_gives_os_error_json(self, sparse_fixture, tmp_path, capsys):
+        """An OSError is reported under its own class name."""
+        taken = tmp_path / "taken"
+        taken.write_text("x")
+        status = run_cli("fit", "--input", sparse_fixture, "--output-dir", str(taken), "--m", "1")
+        assert status == 2
+        assert json.loads(capsys.readouterr().out) == {
+            "error": {"type": "FileExistsError", "message": f"[Errno 17] File exists: {str(taken)!r}"}
+        }
+        assert taken.read_text() == "x"
+
 
 class TestFlagErrors:
     @pytest.mark.parametrize(

@@ -374,6 +374,21 @@ class TestCsvRoundTrip:
         write_long_csv(path, [])
         assert path.read_bytes() == b"subject_id,t,y\r\n"
 
+    def test_ids_written_as_the_names_they_group_by(self, tmp_path):
+        """An id that is not a string is written as ``str(id)``, so the file
+        reads back into the subjects the rows make directly."""
+        rows = [(7, 0.25, 1.0), (None, 0.5, 2.0), (7, 0.75, 3.0), ("7", 0.1, 4.0), (None, 0.2, -1.0)]
+        path = tmp_path / "data.csv"
+        write_long_csv(path, rows)
+        assert path.read_bytes() == (
+            b"subject_id,t,y\r\n7,0.25,1.0\r\nNone,0.5,2.0\r\n7,0.75,3.0\r\n7,0.1,4.0\r\nNone,0.2,-1.0\r\n"
+        )
+        back = dataset_from_columns(*read_long_csv(path), (0.0, 1.0))
+        want = validate_dataset(rows, (0.0, 1.0))
+        assert back.ids == want.ids == ("7", "None")
+        for a, b in zip(back.subjects, want.subjects):
+            assert a.t.tobytes() == b.t.tobytes() and a.y.tobytes() == b.y.tobytes()
+
     def test_header_checked(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("id,time,value\na,0.1,2\n")
@@ -398,42 +413,58 @@ def reference_csv_bytes(header, columns) -> bytes:
     return buf.getvalue().encode("utf-8")
 
 
-# fields that csv.writer quotes, doubles, passes or turns into an empty field;
-# the strings come first
-AWKWARD_VALUES = [
-    "a,b", 'say "hi"', "cr\rid", "nl\nid", "crlf\r\nid", "", " lead", "trail ", "Zoë", "北京", "\t", '"',
-    "10", 0, 7, -3, None, True, 0.5, -0.0, 0.0, 2.5e-300, np.float64(0.25),
-]
+# strings that csv.writer quotes, doubles, passes or writes as an empty field
+AWKWARD_STRINGS = ["a,b", 'say "hi"', "cr\rid", "nl\nid", "crlf\r\nid", "", " lead", "trail ", "Zoë", "北京", "\t", '"', "10"]
 AWKWARD_FLOATS = [-0.0, 0.0, 5e-324, -5e-324, math.inf, -math.inf, math.nan, 1e16, 1e-5, 0.1, 1 / 3, 1e308, 123456789.0]
 
 
 class TestWriteCsv:
     @pytest.mark.parametrize("chunk", [2, 3, 8192])
     def test_random_columns_match_csv_writer(self, tmp_path, monkeypatch, rng, chunk):
-        """Seeded random files, written in chunks of rows so that repeated
-        fields span several chunks, are byte for byte csv.writer's; a file of
-        one column among them writes an empty field alone in its row as ""."""
+        """Seeded random files of two to four columns of the kinds the writer
+        takes, written in chunks of rows so that repeated fields span several
+        chunks, are byte for byte csv.writer's."""
         monkeypatch.setattr(core, "_WRITE_ROWS", chunk)
         path = tmp_path / "out.csv"
         for _ in range(60):
             n = int(rng.integers(0, 12))
             columns = []
-            for _ in range(int(rng.integers(1, 5))):
+            for _ in range(int(rng.integers(2, 5))):
                 kind = rng.integers(0, 5)
-                mixed = [AWKWARD_VALUES[i] for i in rng.integers(0, len(AWKWARD_VALUES), n)]
-                if kind == 0:  # mixed objects, as ids are given
-                    columns.append(mixed)
-                elif kind == 1:  # strings only, repeated as ids are in a trajectory file
-                    columns.append(tuple(AWKWARD_VALUES[i] for i in rng.integers(0, AWKWARD_VALUES.index(0), n)))
+                strings = [AWKWARD_STRINGS[i] for i in rng.integers(0, len(AWKWARD_STRINGS), n)]
+                if kind == 0:  # a list of strings, as ids are given
+                    columns.append(strings)
+                elif kind == 1:  # a tuple of strings, as a dataset's ids are
+                    columns.append(tuple(strings))
                 elif kind == 2:
                     columns.append(np.array([AWKWARD_FLOATS[i] for i in rng.integers(0, len(AWKWARD_FLOATS), n)]))
                 elif kind == 3:
                     columns.append(rng.integers(-5, 5, n))
-                else:  # an object array, whose values are written as their repr
-                    columns.append(np.array(mixed, dtype=object))
+                else:
+                    columns.append(rng.integers(0, 2, n).astype(bool))
             header = [f"c{k}" for k in range(len(columns))]
             core.write_csv(path, header, columns)
             assert path.read_bytes() == reference_csv_bytes(header, columns)
+
+    @pytest.mark.parametrize(
+        "header, columns, error, message",
+        [
+            (["a", "b"], [["x", "y"], [1, 2]], TypeError, "column 'b'"),
+            (["a", "b"], [["x", None], np.zeros(2)], TypeError, "column 'a'"),
+            (["a", "b"], [["x", True], np.zeros(2)], TypeError, "column 'a'"),
+            (["a", "b"], [np.array(["x", 1], dtype=object), np.zeros(2)], TypeError, "column 'a'"),
+            (["a", "b"], [["x", "y"], np.zeros((2, 1))], TypeError, "column 'b'"),
+            (["a"], [["x", ""]], ValueError, "two or more equal-length columns"),
+            (["a", "b"], [["x"]], ValueError, "two or more equal-length columns"),
+            (["a", "b"], [["x", "y", "z"], np.zeros(2)], ValueError, "two or more equal-length columns"),
+        ],
+        ids=["ints", "none", "bool", "object-array", "2-d-array", "one-column", "header-of-two", "unequal-lengths"],
+    )
+    def test_unsupported_columns_rejected(self, tmp_path, header, columns, error, message):
+        path = tmp_path / "out.csv"
+        with pytest.raises(error, match=message):
+            core.write_csv(path, header, columns)
+        assert not path.exists()
 
     def test_trajectory_file_matches_csv_writer(self, tmp_path):
         grid, ids = np.linspace(0.0, 1.0, 7), ["a,b", "c", ""]

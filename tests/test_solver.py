@@ -286,9 +286,7 @@ class TestScoreKernel:
         row 0 of the vector kernel run on it stacked with a second,
         untruncated subject. The systems: random Gram matrices from 1-5
         observations at magnitudes 1e-160 to 1e160, zero, rank-1,
-        below-floor and diagonal ones, and right-hand sides of -0.0. At the
-        top of the range a*c overflows on both paths, and the vector kernel
-        warns of it, so its overflow and invalid-value warnings are silenced."""
+        below-floor and diagonal ones, and right-hand sides of -0.0."""
         grams, rhss = [], []
         for _ in range(600):
             psi = rng.normal(size=(rng.integers(1, 6), m))
@@ -305,12 +303,30 @@ class TestScoreKernel:
         grams += grams[-12:]
         rhss += [np.full(m, -0.0)] * 6 + [np.where(r > 0, -0.0, r) for r in rhss[-6:]]
         other_gram, other_rhs = 10.0 * np.eye(m), rng.normal(size=m)
-        with np.errstate(over="ignore", invalid="ignore"):
-            for gram, rhs in zip(grams, rhss):
-                alone, n_truncated, n_kept = _solve_scores(gram[None], rhs[None])
-                stacked = _solve_scores(np.stack([gram, other_gram]), np.stack([rhs, other_rhs]))
-                assert alone.tobytes() == stacked[0][:1].tobytes()
-                assert (n_truncated, n_kept) == stacked[1:]
+        for gram, rhs in zip(grams, rhss):
+            alone, n_truncated, n_kept = _solve_scores(gram[None], rhs[None])
+            stacked = _solve_scores(np.stack([gram, other_gram]), np.stack([rhs, other_rhs]))
+            assert alone.tobytes() == stacked[0][:1].tobytes()
+            assert (n_truncated, n_kept) == stacked[1:]
+
+    @pytest.mark.parametrize("scale", [1e150, 1e160, 1e200])
+    def test_huge_gram_keeps_both_directions(self, scale):
+        """Past about 1.3e154 the closed form's a*c - b*b would overflow; the
+        smaller eigenvalue is then formed from a and b divided by the larger,
+        on the one-subject and the batched path alike, without a warning.
+        The scores match a direct solve at diag(s, s) and at a rotated
+        matrix of that scale."""
+        q = np.array([[0.6, -0.8], [0.8, 0.6]])
+        x = np.array([1.0, -2.0])
+        for gram in [np.diag([scale, scale]), q @ np.diag([scale, 3.0 * scale]) @ q.T]:
+            rhs = gram @ x if gram[0, 1] else np.full(2, scale)
+            want = np.linalg.solve(gram, rhs)
+            alone = _solve_scores(gram[None], rhs[None])
+            stacked = _solve_scores(np.stack([gram, np.eye(2)]), np.stack([rhs, x]))
+            np.testing.assert_allclose(alone[0][0], want, rtol=1e-13)
+            np.testing.assert_allclose(stacked[0], [want, x], rtol=1e-13)
+            assert alone[1] == stacked[1] == 0
+
 
 def row_score_system(ws, coef):
     """Score-step Gram matrices and right-hand sides formed from the rows."""
